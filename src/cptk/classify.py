@@ -19,6 +19,7 @@ import numpy as np
 
 from . import codec
 from .families import FamilyEnum
+from .kernels import row_bits
 from .langs import (FULL, Complement, Inter, LangExpr, Union,
                     equivalent, is_finite, member_batch, regular_view, simplify,
                     subset_of)
@@ -324,12 +325,52 @@ def _dedup_candidates(family, indices):
     return sorted(seen.values())
 
 
-def _window_rows(family, index_bound, packed):
-    return [family.window_row(i, packed) for i in range(index_bound)]
+def _containment_candidates(rows, comp):
+    return [i for i, row in enumerate(rows) if not comp & ~row]
 
 
-def _containment_candidates(rows, comp_vec):
-    return [i for i, row in enumerate(rows) if not (comp_vec & ~row).any()]
+def _by_row(rows, indices):
+    out: dict[int, list[int]] = {}
+    for i in indices:
+        out.setdefault(rows[i], []).append(i)
+    return out
+
+
+def _disjoint_tuples(rows, pools, prefix=(), acc=0):
+    """Every tuple taking slot s from ``pools[s]`` whose rows are pairwise
+    disjoint, with the union of its rows; in product order."""
+    if not pools:
+        yield prefix, acc
+        return
+    rest = pools[1:]
+    for i in pools[0]:
+        row = rows[i]
+        if acc & row:
+            continue
+        if rest:
+            yield from _disjoint_tuples(rows, rest, prefix + (i,), acc | row)
+        else:
+            yield prefix + (i,), acc | row
+
+
+def validate_bounds(index_bound: int, horizon: int) -> None:
+    """A search needs at least one family index and a window of at least
+    one word; anything less would certify from no evidence."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be at least 0, got {horizon}")
+    if index_bound < 1:
+        raise ValueError(f"index bound must be at least 1, got {index_bound}")
+
+
+def _search_rows(family, problem, index_bound, horizon):
+    """Window rows of the family, the window, and each component's
+    deduplicated containment candidates (None when one has none)."""
+    validate_bounds(index_bound, horizon)
+    rows = family.rows(index_bound, horizon)
+    packed = window_for_horizon(problem.alphabet, horizon)
+    cand = [_dedup_candidates(family, _containment_candidates(
+                rows, row_bits(member_batch(c, packed)))) for c in problem.components]
+    return rows, packed, (None if any(not c for c in cand) else cand)
 
 
 def _verify_tuple(problem, family, slots, assignment, horizon):
@@ -366,33 +407,21 @@ def solve(problem: ClassificationProblem, family: FamilyEnum, index_bound: int,
     least tuple passing full verification is returned.
     """
     k = len(problem)
-    alphabet = problem.alphabet
-    packed = window_for_horizon(alphabet, horizon)
-    rows = _window_rows(family, index_bound, packed)
-    comp_vecs = [member_batch(c, packed) for c in problem.components]
-    cand = [_dedup_candidates(family, _containment_candidates(rows, v))
-            for v in comp_vecs]
-    if any(not c for c in cand):
+    rows, packed, cand = _search_rows(family, problem, index_bound, horizon)
+    if cand is None:
         return SolveNotFound(index_bound, horizon)
-    # collect window-level partitions with every injection that fits them
+    # window-level partitions with every injection that fits them; slot s
+    # hosts component perm[s].  Cover and disjointness force the row of the
+    # last slot, so it comes from a lookup instead of a scan.
+    full = (1 << len(packed)) - 1
+    last_by_row = [_by_row(rows, c) for c in cand]
     tuples: dict[tuple, list[tuple]] = {}
     for perm in itertools.permutations(range(k)):
-        # slot s hosts component perm[s]
-        for slots in itertools.product(*[cand[perm[s]] for s in range(k)]):
-            known = tuples.get(slots)
-            if known is not None:
-                known.append(perm)
-                continue
-            ok = True
-            acc = np.zeros(len(packed), dtype=bool)
-            for x in range(k):
-                rx = rows[slots[x]]
-                if (acc & rx).any():
-                    ok = False
-                    break
-                acc |= rx
-            if ok and acc.all():
-                tuples[slots] = [perm]
+        last = last_by_row[perm[-1]]
+        pools = [cand[perm[s]] for s in range(k - 1)]
+        for prefix, acc in _disjoint_tuples(rows, pools):
+            for i in last.get(full & ~acc, ()):
+                tuples.setdefault(prefix + (i,), []).append(perm)
     for slots in sorted(tuples, key=codec.tuple_code):
         for perm in tuples[slots]:
             assignment = [(perm[s], s) for s in range(k)]
@@ -411,49 +440,29 @@ def solve_conditional(cond: ConditionalProblem, family: FamilyEnum, index_bound:
     condition; block 0 is forced to the complement of the others."""
     k = len(cond.problem)
     alphabet = cond.alphabet
-    packed = window_for_horizon(alphabet, horizon)
-    rows = _window_rows(family, index_bound, packed)
-    cond_vec = member_batch(cond.condition, packed)
-    comp_vecs = [member_batch(c, packed) for c in cond.problem.components]
-    cand = [_dedup_candidates(family, _containment_candidates(rows, v))
-            for v in comp_vecs]
-    if any(not c for c in cand):
+    rows, packed, cand = _search_rows(family, cond.problem, index_bound, horizon)
+    if cand is None:
         return SolveNotFound(index_bound, horizon)
-    # lookup for the forced complement block
-    if family.exact:
-        by_canon: dict[tuple, list[int]] = {}
-        for i in range(index_bound):
-            by_canon.setdefault(family.canonical(i), []).append(i)
-    else:
-        by_row: dict[bytes, list[int]] = {}
-        for i, row in enumerate(rows):
-            by_row.setdefault(np.packbits(row).tobytes(), []).append(i)
-    tuples: dict[tuple, list[tuple]] = {}
+    cond_row = row_bits(member_batch(cond.condition, packed))
+    full = (1 << len(packed)) - 1
+    # block 0 is forced to the complement of the union of the rest, so its
+    # row is too; on exact families its language must match as well
+    zero_by_row = _by_row(rows, range(index_bound))
+    tuples: dict[tuple, list] = {}
     for perm in itertools.permutations(range(k)):
-        for rest in itertools.product(*[cand[perm[s]] for s in range(k)]):
+        pools = [cand[perm[s]] for s in range(k)]
+        for rest, acc in _disjoint_tuples(rows, pools):
             known = tuples.get(rest)
             if known is not None:
                 known.append(perm)
                 continue
-            ok = True
-            acc = np.zeros(len(packed), dtype=bool)
-            for x in range(k):
-                rx = rows[rest[x]]
-                if (acc & rx).any():
-                    ok = False
-                    break
-                acc |= rx
-            if not ok:
-                continue
-            # forced block 0: complement of the union of the rest
-            if family.exact:
+            zero_cands = [i0 for i0 in zero_by_row.get(full & ~acc, ())
+                          if not cond_row & ~rows[i0]]
+            if zero_cands and family.exact:
                 union_expr = simplify(Union(tuple(family.expr(i) for i in rest)),
                                       alphabet)
-                forced = regular_view(Complement(union_expr), alphabet)
-                zero_cands = by_canon.get(forced.canonical_key(), [])
-            else:
-                zero_cands = by_row.get(np.packbits(~acc).tobytes(), [])
-            zero_cands = [i0 for i0 in zero_cands if not (cond_vec & ~rows[i0]).any()]
+                key = regular_view(Complement(union_expr), alphabet).canonical_key()
+                zero_cands = [i0 for i0 in zero_cands if family.canonical(i0) == key]
             if zero_cands:
                 tuples[rest] = [zero_cands, perm]
     candidates = []

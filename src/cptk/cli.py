@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .classify import (ProblemPrecondition, PartitionCertificate, load_conditional,
@@ -265,6 +264,17 @@ def cmd_make(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cptk",
@@ -273,15 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_bounds(p, steps=False):
-        p.add_argument("--index-bound", type=int, default=500,
+        p.add_argument("--index-bound", type=_int_at_least(1), default=500,
                        help="family indices scanned (default 500)")
-        p.add_argument("--horizon", type=int, default=300,
+        p.add_argument("--horizon", type=_int_at_least(0), default=300,
                        help="last word rank checked on windows (default 300)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampling harnesses (default 0)")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if steps:
-            p.add_argument("--steps", type=int, default=256,
+            p.add_argument("--steps", type=_int_at_least(1), default=256,
                            help="words processed by the loop (default 256)")
 
     p = sub.add_parser("lex", help="print the first N words in order")
@@ -343,24 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("CPTK_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(min(n, numba.get_num_threads()))
-    except ImportError:
-        pass
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -21,12 +21,12 @@ import numpy as np
 from . import codec
 from .classify import (ClassificationProblem, ClosureFlagsAbsent, ConditionalProblem,
                        PartitionCertificate, disjoint_verdict, set_of, solve,
-                       solve_conditional, INFINITE_EVIDENCE_THRESHOLD)
+                       solve_conditional, validate_bounds,
+                       INFINITE_EVIDENCE_THRESHOLD)
 from .families import DcMember, FamilyEnum, dc_members
 from .langs import (Complement, Inter, LangExpr, expr_to_json, is_finite,
                     regular_view, simplify, subset_of)
 from .verdicts import FinitenessVerdict
-from .words import window_for_horizon
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,14 @@ def check_ccohesive(a: LangExpr, region: LangExpr, family: FamilyEnum,
 
 
 def _check_cohesive_restricted(a, region, family, index_bound, horizon, threshold):
+    validate_bounds(index_bound, horizon)
     alphabet = family.alphabet
     # outcome per language class: enumerations repeat languages across
     # indices, and the verdict depends only on the language
     class_outcome: dict[object, tuple] = {}
-    packed = window_for_horizon(alphabet, horizon)
+    rows = None if family.exact else family.rows(index_bound, horizon)
     for m in _scan_order(dc_members(family, index_bound, horizon)):
-        key = family.canonical(m.i) if family.exact \
-            else np.packbits(family.window_row(m.i, packed)).tobytes()
+        key = family.canonical(m.i) if family.exact else rows[m.i]
         if key in class_outcome:
             hit = class_outcome[key]
         else:
@@ -156,6 +156,7 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
     subproblem refutes core status; the routes are cross-checked and any
     contradiction is reported as an internal inconsistency.
     """
+    validate_bounds(index_bound, horizon)
     if not (family.flags.nontrivial and family.flags.union_closed):
         raise ClosureFlagsAbsent("core checks need a nontrivial, union-closed family")
     if len(problem) < 2:
@@ -282,6 +283,7 @@ def check_ccore(cond: ConditionalProblem, family: FamilyEnum, index_bound: int,
     violation of either clause anywhere refutes, otherwise the verdict is
     consistent up to the bounds.
     """
+    validate_bounds(index_bound, horizon)
     if not (family.flags.nontrivial and family.flags.union_closed):
         raise ClosureFlagsAbsent("conditional core checks need a nontrivial, "
                                  "union-closed family")

@@ -143,25 +143,14 @@ class Dfa:
         return Dfa(self.n_symbols, rows, 0, accepting)
 
     def minimize(self) -> "Dfa":
-        """Moore partition refinement, then breadth-first renumbering.
+        """Hopcroft partition refinement, then breadth-first renumbering.
 
         Equal languages always give the identical object, so language
         equality is ``a.minimize() == b.minimize()``.
         """
         m = self.reachable()
         n = m.n_states
-        block = [1 if s in m.accepting else 0 for s in range(n)]
-        while True:
-            sig = {}
-            new_block = [0] * n
-            for s in range(n):
-                key = (block[s],) + tuple(block[m.transitions[s][x]] for x in range(m.n_symbols))
-                if key not in sig:
-                    sig[key] = len(sig)
-                new_block[s] = sig[key]
-            if new_block == block:
-                break
-            block = new_block
+        block = m._coarsest_congruence()
         n_blocks = max(block) + 1
         rep_trans = [None] * n_blocks
         for s in range(n):
@@ -182,6 +171,46 @@ class Dfa:
         rows = tuple(tuple(renum[rep_trans[bk][x]] for x in range(m.n_symbols)) for bk in order)
         accepting = frozenset(renum[block[s]] for s in m.accepting)
         return Dfa(m.n_symbols, rows, 0, accepting)
+
+    def _coarsest_congruence(self) -> list[int]:
+        """Block number per state of the coarsest partition that separates
+        accepting from rejecting states and is stable under every symbol
+        (Hopcroft 1971, "An n log n algorithm for minimizing states in a
+        finite automaton")."""
+        n, b = self.n_states, self.n_symbols
+        preds = [[[] for _ in range(n)] for _ in range(b)]
+        for s, row in enumerate(self.transitions):
+            for x, t in enumerate(row):
+                preds[x][t].append(s)
+        blocks = [blk for blk in (set(self.accepting), set(range(n)) - self.accepting)
+                  if blk]
+        block = [0] * n
+        for s in blocks[-1]:
+            block[s] = len(blocks) - 1
+        # splitters still to apply: (block, symbol)
+        pending = {(0, x) for x in range(b)} if len(blocks) == 2 else set()
+        while pending:
+            splitter, x = pending.pop()
+            hit: dict[int, list[int]] = {}
+            for t in blocks[splitter]:
+                for s in preds[x][t]:
+                    hit.setdefault(block[s], []).append(s)
+            for k, inside in hit.items():
+                if len(inside) == len(blocks[k]):
+                    continue
+                new = set(inside)
+                blocks[k] -= new
+                j = len(blocks)
+                blocks.append(new)
+                for s in new:
+                    block[s] = j
+                # either half serves as a splitter, unless k is already pending
+                for y in range(b):
+                    if (k, y) in pending or len(new) <= len(blocks[k]):
+                        pending.add((j, y))
+                    else:
+                        pending.add((k, y))
+        return block
 
     def canonical_key(self) -> tuple:
         m = self.minimize()
@@ -224,43 +253,27 @@ class Dfa:
     def count_accepted(self) -> int | None:
         """Number of accepted words, or None when the language is infinite."""
         useful = self._useful_states()
-        if not useful:
+        if self.initial not in useful:
             return 0
-        # cycle detection restricted to useful states
-        color = {s: 0 for s in useful}
-
-        def has_cycle(s):
-            color[s] = 1
-            for x in range(self.n_symbols):
-                t = self.transitions[s][x]
-                if t in useful:
-                    if color[t] == 1:
-                        return True
-                    if color[t] == 0 and has_cycle(t):
-                        return True
-            color[s] = 2
-            return False
-
-        if self.initial in useful and has_cycle(self.initial):
+        # Kahn's order on the useful subgraph; a cycle leaves states unordered
+        succ = {s: [t for t in self.transitions[s] if t in useful] for s in useful}
+        indegree = dict.fromkeys(useful, 0)
+        for targets in succ.values():
+            for t in targets:
+                indegree[t] += 1
+        order = [s for s in useful if indegree[s] == 0]
+        for s in order:
+            for t in succ[s]:
+                indegree[t] -= 1
+                if indegree[t] == 0:
+                    order.append(t)
+        if len(order) < len(useful):
             return None
-        for s in useful:
-            if color[s] == 0 and has_cycle(s):
-                return None
-        # acyclic useful subgraph: count accepting paths from the initial
-        memo: dict[int, int] = {}
-
-        def paths(s):
-            if s in memo:
-                return memo[s]
-            total = 1 if s in self.accepting else 0
-            for x in range(self.n_symbols):
-                t = self.transitions[s][x]
-                if t in useful:
-                    total += paths(t)
-            memo[s] = total
-            return total
-
-        return paths(self.initial) if self.initial in useful else 0
+        # accepting paths from each state, successors first
+        paths: dict[int, int] = {}
+        for s in reversed(order):
+            paths[s] = (s in self.accepting) + sum(paths[t] for t in succ[s])
+        return paths[self.initial]
 
     def pumping_witness(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
         """A decomposition (u, v, w) of symbol codes with u v^i w accepted

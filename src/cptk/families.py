@@ -23,10 +23,9 @@ import numpy as np
 from . import codec
 from .dfa import Dfa, dfa_length_equals
 from .langs import (EMPTY, Complement, DfaAtom, FiniteSet, Inter, LangExpr,
-                    Union, equivalent, expr_from_json, member, member_batch,
-                    regular_view)
-from .verdicts import Verdict
-from .words import Alphabet, PackedWords, lex, window_for_horizon
+                    Union, expr_from_json, member, member_batch, regular_view,
+                    window_rows)
+from .words import Alphabet, lex, window_for_horizon
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,10 @@ class FamilyFlags:
         }
 
 
+# horizons whose window rows a family keeps
+ROW_HORIZONS = 4
+
+
 class FamilyEnum:
     """An enumerated family with memoized expressions and window rows."""
 
@@ -59,7 +62,7 @@ class FamilyEnum:
         self.exact = exact
         self.flags = flags
         self._exprs: dict[int, LangExpr] = {}
-        self._rows: dict[tuple[int, int], tuple[PackedWords, np.ndarray]] = {}
+        self._rows: dict[int, list[int]] = {}
         self._canon: dict[int, tuple] = {}
         self._dc: dict[tuple[int, int], list] = {}
 
@@ -88,18 +91,23 @@ class FamilyEnum:
         self._canon[i] = key
         return key
 
-    def window_row(self, i: int, packed: PackedWords) -> np.ndarray:
-        key = (i, id(packed))
-        hit = self._rows.get(key)
-        if hit is not None:
-            return hit[1]
-        row = member_batch(self.expr(i), packed)
-        self._rows[key] = (packed, row)
-        return row
+    def rows(self, index_bound: int, horizon: int) -> list[int]:
+        """Window rows of the indices below the bound: bit j of row i is
+        set when lex(j) is in e(i), for j = 0..horizon.
 
-    def window_matrix(self, index_bound: int, packed: PackedWords) -> np.ndarray:
-        return np.stack([self.window_row(i, packed) for i in range(index_bound)]) \
-            if index_bound else np.zeros((0, len(packed)), dtype=bool)
+        One list per horizon, extended when a larger bound asks for more;
+        the lists of the ``ROW_HORIZONS`` most recently used horizons are
+        kept.
+        """
+        cached = self._rows.pop(horizon, [])
+        self._rows[horizon] = cached
+        if len(self._rows) > ROW_HORIZONS:
+            del self._rows[next(iter(self._rows))]
+        if len(cached) < index_bound:
+            new = range(len(cached), index_bound)
+            cached.extend(window_rows([self.expr(i) for i in new], self.alphabet,
+                                      horizon + 1))
+        return cached[:index_bound]
 
 
 def word_e(family: FamilyEnum, i: int, j: int) -> bool:
@@ -312,14 +320,13 @@ def dc_members(family: FamilyEnum, index_bound: int, horizon: int) -> list[DcMem
         out.sort(key=lambda m: (m.i, m.j))
         family._dc[(index_bound, horizon)] = out
         return out
-    packed = window_for_horizon(family.alphabet, horizon)
-    rows = [family.window_row(i, packed) for i in range(index_bound)]
-    by_bytes: dict[bytes, list[int]] = {}
+    rows = family.rows(index_bound, horizon)
+    full = (1 << (horizon + 1)) - 1
+    by_row: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
-        by_bytes.setdefault(np.packbits(row).tobytes(), []).append(i)
+        by_row.setdefault(row, []).append(i)
     for j, row in enumerate(rows):
-        key = np.packbits(~row).tobytes()
-        for i in by_bytes.get(key, ()):
+        for i in by_row.get(full & ~row, ()):
             out.append(DcMember(i, j, "horizon", horizon))
     out.sort(key=lambda m: (m.i, m.j))
     family._dc[(index_bound, horizon)] = out
@@ -459,13 +466,3 @@ def family_from_json(data: dict) -> FamilyEnum:
         except KeyError:
             raise ValueError(f"unknown closure operator {op_name!r}") from None
     return fam
-
-
-def family_member_verdict(family: FamilyEnum, expr: LangExpr, index_bound: int,
-                          horizon: int) -> tuple[int | None, Verdict | None]:
-    """Least index below the bound whose language equals ``expr``."""
-    for i in range(index_bound):
-        v = equivalent(family.expr(i), expr, family.alphabet, horizon)
-        if v.is_certified or (v.is_unknown and not family.exact):
-            return i, v
-    return None, None

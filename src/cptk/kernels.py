@@ -1,96 +1,66 @@
-"""Batch kernels behind the vector evaluator.
+"""Vector kernels behind the batch evaluator.
 
-Two interchangeable backends compute the same arrays:
-
-* ``numba`` (default): tight @njit loops over the packed symbol buffer.
-* ``numpy``: position-stepping vector code, no compilation.
-
-Selection: the ``CPTK_BACKEND`` environment variable (``numba`` or
-``numpy``) read at import, or :func:`set_backend` at runtime.  Results are
-bit-identical between backends; ``benchmarks/bench_backends.py`` compares
-their speed.
+* :func:`dfa_final_states` runs one automaton over a packed batch of
+  arbitrary words, one symbol position at a time.
+* :func:`window_final_states` runs a stack of automata over the window
+  lex(0..count-1) in one pass over the ranks.
+* :func:`row_bits` packs a boolean membership vector into an ``int``
+  bitset, the row format of the solvability search.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-        return deco(args[0]) if args and callable(args[0]) else deco
-
-
-@njit(cache=True, nogil=True)
-def _dfa_final_states_numba(trans, initial, flat, starts, lengths, out):  # pragma: no cover - jitted
-    b = trans.shape[1]
-    for i in range(starts.shape[0]):
-        state = initial
-        s = starts[i]
-        for p in range(lengths[i]):
-            state = trans[state, flat[s + p]]
-        out[i] = state
-
-
-def _dfa_final_states_numpy(trans, initial, flat, starts, lengths, out):
+def dfa_final_states(trans: np.ndarray, initial: int, flat: np.ndarray,
+                     starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Final DFA state per packed word."""
     n = len(starts)
-    out[:] = initial
+    out = np.full(n, initial, dtype=np.int64)
     if n == 0:
-        return
-    maxlen = int(lengths.max()) if n else 0
+        return out
     active = lengths > 0
-    for p in range(maxlen):
+    for p in range(int(lengths.max())):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
         syms = flat[starts[idx] + p].astype(np.int64)
         out[idx] = trans[out[idx], syms]
         active[idx] = lengths[idx] > p + 1
-
-
-_BACKENDS = {"numpy": _dfa_final_states_numpy}
-if HAVE_NUMBA:
-    _BACKENDS["numba"] = _dfa_final_states_numba
-
-_current = os.environ.get("CPTK_BACKEND", "numba" if HAVE_NUMBA else "numpy").lower()
-if _current not in _BACKENDS:
-    _current = "numpy"
-
-
-def backend_name() -> str:
-    return _current
-
-
-def set_backend(name: str) -> None:
-    global _current
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose from {sorted(_BACKENDS)}")
-    _current = name
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def dfa_final_states(trans: np.ndarray, initial: int, flat: np.ndarray,
-                     starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Final DFA state per packed word."""
-    out = np.empty(len(starts), dtype=np.int64)
-    trans = np.ascontiguousarray(trans, dtype=np.int64)
-    flat = np.ascontiguousarray(flat, dtype=np.int16)
-    starts = np.ascontiguousarray(starts, dtype=np.int64)
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    _BACKENDS[_current](trans, initial, flat, starts, lengths, out)
     return out
+
+
+def window_final_states(trans: np.ndarray, initials: np.ndarray,
+                        count: int) -> np.ndarray:
+    """Final state of every word lex(0..count-1), for a stack of automata.
+
+    ``trans`` is the (states, symbols) table of all automata with their
+    states numbered consecutively, ``initials`` the initial state of each.
+    In length-lex order the children of rank r are the ranks b·r+1 .. b·r+b,
+    so each level of the window is one gather from the level before it:
+    ``S[:, b·r+1+x] = trans[S[:, r], x]``.  Returns an int32 array of shape
+    (automata, count).
+    """
+    b = trans.shape[1]
+    out = np.empty((len(initials), count), dtype=np.int32)
+    if count == 0:
+        return out
+    out[:, 0] = initials
+    lo, hi = 0, 1  # the ranks whose children come next
+    while b * lo + 1 < count:
+        first = b * lo + 1
+        width = min(b * hi + 1, count) - first
+        parents = out[:, lo:lo + -(-width // b)]
+        out[:, first:first + width] = \
+            trans[parents].reshape(len(initials), -1)[:, :width]
+        lo, hi = first, first + width
+    return out
+
+
+def row_bits(vec: np.ndarray) -> int:
+    """The bool vector as an int whose bit j is ``vec[j]``."""
+    return int.from_bytes(np.packbits(vec, bitorder="little").tobytes(), "little")
 
 
 def symbol_counts(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray,

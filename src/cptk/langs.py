@@ -25,7 +25,7 @@ from . import kernels
 from .dfa import Dfa, dfa_for_finite, dfa_word_starts_with
 from .verdicts import (CERTIFIED, FINITE, INFINITE, REFUTED, UNKNOWN,
                        FinitenessVerdict, Verdict)
-from .words import Alphabet, PackedWords, window_for_horizon
+from .words import Alphabet, PackedWords, window, window_for_horizon
 
 
 class NonRegularLeaf(ValueError):
@@ -342,6 +342,54 @@ def _eval(expr, packed, memo):
     else:
         raise TypeError(f"not a language expression: {expr!r}")
     memo[key] = (packed, out)
+    return out
+
+
+# bound on automata x words per stacked pass, which keeps the int32 state
+# array and the gathers that fill it small
+_STACK_WORDS = 1 << 16
+
+
+def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
+    """Membership of lex(0..count-1) in each expression, as int bitsets
+    whose bit j is set when lex(j) is a member.
+
+    Automaton atoms share stacked passes of
+    :func:`kernels.window_final_states`: each distinct (transitions,
+    initial) table runs once, and an atom's row is the union of the rows
+    of its accepting states.  Other expressions go through
+    :func:`member_batch`.  Each atom charges the step budget one step per
+    word, as :func:`member_batch` does.
+    """
+    exprs = list(exprs)
+    out: list[int] = [0] * len(exprs)
+    tables: dict[tuple, list[int]] = {}
+    packed = None
+    for k, e in enumerate(exprs):
+        if isinstance(e, DfaAtom) and e.dfa.n_symbols == alphabet.size:
+            tables.setdefault((e.dfa.transitions, e.dfa.initial), []).append(k)
+            continue
+        if packed is None:
+            packed = window(alphabet, count)
+        out[k] = kernels.row_bits(member_batch(e, packed))
+    _tick(count * sum(len(ks) for ks in tables.values()))
+    groups = list(tables.values())
+    step = max(1, _STACK_WORDS // max(count, 1))
+    for lo in range(0, len(groups), step):
+        dfas = [exprs[ks[0]].dfa for ks in groups[lo:lo + step]]
+        offsets = np.cumsum([0] + [d.n_states for d in dfas])
+        trans = np.concatenate([d._trans_array + off
+                                for d, off in zip(dfas, offsets)]).astype(np.int32)
+        initials = offsets[:-1] + [d.initial for d in dfas]
+        finals = kernels.window_final_states(trans, initials, count)
+        for ks, d, off, states in zip(groups[lo:lo + step], dfas, offsets, finals):
+            used = set().union(*(exprs[k].dfa.accepting for k in ks))
+            state_bits = {s: kernels.row_bits(states == off + s) for s in used}
+            for k in ks:
+                row = 0
+                for s in exprs[k].dfa.accepting:
+                    row |= state_bits[s]
+                out[k] = row
     return out
 
 

@@ -5,10 +5,11 @@ import pytest
 
 from cptk.codec import tuple_code
 from cptk.classify import (ClassificationProblem, ClosureFlagsAbsent,
-                           PartitionCertificate, ProblemPrecondition,
+                           ConditionalProblem, PartitionCertificate, ProblemPrecondition,
                            SolveNotFound, combine_pairwise, is_partition,
                            load_conditional, load_problem, pad_partition,
                            refines, set_of, solve, solve_conditional)
+from cptk import families
 from cptk.families import list_family
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, Predicate, Union, equivalent, member_batch,
@@ -161,6 +162,137 @@ def test_solve_matches_exhaustive_oracle(ab, reg_ab):
         else:
             assert isinstance(got, PartitionCertificate)
             assert got.indices == want
+
+
+def test_solve_matches_exhaustive_oracle_three_components(ab):
+    """Families over ab with three-block partitions and near misses: the
+    words starting aa, ab or b, and the same split by square length."""
+    sq = Predicate("square-length")
+    aa, a_b, b = mark("a", mark("a")), mark("a", mark("b")), mark("b")
+    rest = Complement(Union((aa, a_b)))
+    regular = [FULL, EMPTY, mark("a"), b, aa, a_b, rest, Complement(b),
+               Union((b, FiniteSet(("", "a")))), Complement(Union((aa, b))),
+               FiniteSet(("", "a"))]
+    exact = list_family("three", ab, regular)
+    mixed = list_family("three-mixed", ab, regular + [
+        Inter((aa, sq)), Union((Inter((aa, Complement(sq))), a_b)),
+        Union((rest, Inter((aa, sq))))])
+    assert exact.exact and not mixed.exact
+    instances = [
+        (exact, [aa, a_b, b]),
+        (exact, [b, a_b, aa]),
+        (exact, [aa, a_b, Inter((b, sq))]),
+        (mixed, [Inter((aa, sq)), a_b, b]),
+        (mixed, [Inter((aa, Complement(sq))), a_b, b]),
+        (mixed, [aa, b, mark("a", mark("a", sq))]),
+        (mixed, [Inter((aa, sq)), Inter((aa, Complement(sq))), b]),
+    ]
+    found, statuses = 0, set()
+    for family, comps in instances:
+        problem = ClassificationProblem(tuple(comps), ab)
+        got = solve(problem, family, index_bound=28, horizon=60)
+        want = brute_solve(problem, family, 28, 60)
+        if want is None:
+            assert isinstance(got, SolveNotFound)
+        else:
+            found += 1
+            assert isinstance(got, PartitionCertificate)
+            assert got.indices == want
+            statuses.add(got.status)
+    assert found >= 5 and statuses == {"exact", "horizon"}
+
+
+def brute_solve_conditional(cond, family, index_bound, horizon):
+    """Oracle: scan every (block 0, rest) tuple in ascending code order."""
+    alphabet = cond.alphabet
+    packed = window_for_horizon(alphabet, horizon)
+    comps = cond.problem.components
+    k = len(comps)
+    rows = [member_batch(family.expr(i), packed) for i in range(index_bound)]
+    cond_vec = member_batch(cond.condition, packed)
+    ranked = sorted(itertools.product(range(index_bound), repeat=k + 1), key=tuple_code)
+    for slots in ranked:
+        union = np.zeros(len(packed), dtype=bool)
+        ok = True
+        for i in slots:
+            if (union & rows[i]).any():
+                ok = False
+                break
+            union |= rows[i]
+        if not ok or not union.all() or (cond_vec & ~rows[slots[0]]).any():
+            continue
+        blocks = [family.expr(i) for i in slots]
+        if is_partition(blocks, alphabet, horizon=horizon).is_refuted:
+            continue
+        if subset_of(cond.condition, blocks[0], alphabet, horizon).is_refuted:
+            continue
+        for perm in itertools.permutations(range(k)):
+            if all(not subset_of(comps[perm[s]], blocks[1 + s], alphabet,
+                                 horizon).is_refuted for s in range(k)):
+                return slots, tuple(1 + perm.index(t) for t in range(k))
+    return None
+
+
+def test_solve_conditional_matches_oracle_on_opaque_list_family(ab):
+    """Non-exact family: the forced block 0 is found by its window row."""
+    sq = Predicate("square-length")
+    members = [FULL, EMPTY, mark("a"), mark("b"), sq, Complement(sq),
+               Inter((mark("a"), Complement(sq))), Inter((mark("b"), Complement(sq))),
+               Union((sq, mark("a"))), Inter((mark("b"), sq))]
+    family = list_family("opaque", ab, members)
+    assert not family.exact
+    instances = [
+        (sq, [Inter((mark("a"), Complement(sq))), Inter((mark("b"), Complement(sq)))]),
+        (sq, [Inter((mark("b"), Complement(sq))), Inter((mark("a"), Complement(sq)))]),
+        (EMPTY, [mark("a"), Inter((mark("b"), Complement(sq)))]),
+        (Inter((mark("a"), sq)), [mark("b")]),
+        (FiniteSet(("",)), [mark("a", Complement(sq)), mark("b")]),
+    ]
+    found = 0
+    for condition, comps in instances:
+        cond = ConditionalProblem(condition, ClassificationProblem(tuple(comps), ab))
+        got = solve_conditional(cond, family, index_bound=12, horizon=80)
+        want = brute_solve_conditional(cond, family, 12, 80)
+        if want is None:
+            assert isinstance(got, SolveNotFound)
+        else:
+            found += 1
+            assert isinstance(got, PartitionCertificate)
+            assert (got.indices, got.injection) == want
+            assert got.status == "horizon" and got.has_condition_block
+    assert found >= 3
+
+
+def test_row_cache_one_entry_per_horizon_and_hits(ab, monkeypatch):
+    family = families.regular_family(ab)
+    prob = load_problem([mark("a"), mark("b")], ab)
+    first = solve(prob, family, index_bound=300, horizon=100)
+    assert list(family._rows) == [100] and len(family._rows[100]) == 300
+    cached = family._rows[100]
+
+    def no_new_rows(*args, **kwargs):
+        raise AssertionError("rows recomputed")
+    monkeypatch.setattr(families, "window_rows", no_new_rows)
+    assert solve(prob, family, index_bound=300, horizon=100) == first
+    solve(prob, family, index_bound=120, horizon=100)
+    monkeypatch.undo()
+    solve(prob, family, index_bound=500, horizon=100)
+    assert list(family._rows) == [100] and family._rows[100] is cached
+    assert len(cached) == 500
+    assert cached == families.regular_family(ab).rows(500, 100)
+    for horizon in range(families.ROW_HORIZONS + 2):
+        family.rows(3, horizon)
+    assert len(family._rows) == families.ROW_HORIZONS
+
+
+@pytest.mark.parametrize("index_bound,horizon", [(50, -5), (50, -1), (0, 300), (-5, 300)])
+def test_searches_reject_bounds_without_evidence(ab, reg_ab, index_bound, horizon):
+    prob = load_problem([mark("a"), mark("b")], ab)
+    cond = load_conditional(EMPTY, [mark("a"), mark("b")], ab)
+    with pytest.raises(ValueError, match="must be at least"):
+        solve(prob, reg_ab, index_bound, horizon)
+    with pytest.raises(ValueError, match="must be at least"):
+        solve_conditional(cond, reg_ab, index_bound, horizon)
 
 
 def test_solve_marker_pair(ab, reg_ab):

@@ -231,3 +231,37 @@ def test_console_script_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "\na\nb\n"
+
+
+def test_solve_rejects_negative_horizon(tmp_path, capsys, reg_family_file):
+    """An empty window used to yield a false certificate: full and empty
+    blocks for the README problem."""
+    sq = Predicate("square-length")
+    problem = write(tmp_path, "problem.json", {
+        "alphabet": "ab", "condition": None,
+        "components": [expr_to_json(LeftMark("a", Complement(sq))),
+                       expr_to_json(LeftMark("b", sq))],
+    })
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", problem, "--family", reg_family_file,
+              "--index-bound", "50", "--horizon", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--horizon: must be at least 0, got -5" in captured.err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("solve", "--index-bound", "0"), ("solve", "--index-bound", "-5"),
+    ("cohesive", "--horizon", "-1"), ("hardcore", "--steps", "0"),
+    ("hardcore", "--steps", "x")])
+def test_bounds_without_evidence_exit_2(tmp_path, capsys, length_family_file,
+                                        command, flag, value):
+    target = write(tmp_path, "target.json",
+                   {"alphabet": "ab", "expr": expr_to_json(FULL)})
+    inputs = {"solve": ["--problem", target], "cohesive": ["--target", target],
+              "hardcore": ["--target", target]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--family", length_family_file, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

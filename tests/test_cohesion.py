@@ -180,3 +180,16 @@ def test_ccore1_requires_nontrivial(ab):
     fam = list_family("bare", ab, [FULL])
     with pytest.raises(ClosureFlagsAbsent):
         ccore1_check(LeftMark("a", FULL), EMPTY, fam, 10, 100)
+
+
+@pytest.mark.parametrize("index_bound,horizon", [(50, -1), (0, 300)])
+def test_checks_reject_bounds_without_evidence(ab, reg_ab, index_bound, horizon):
+    prob = load_problem([LeftMark("a", FULL), LeftMark("b", FULL)], ab)
+    cond = load_conditional(EMPTY, [LeftMark("a", FULL), LeftMark("b", FULL)], ab)
+    checks = [lambda: check_cohesive(A_ONLY, reg_ab, index_bound, horizon),
+              lambda: check_ccohesive(A_ONLY, FULL, reg_ab, index_bound, horizon),
+              lambda: check_core(prob, reg_ab, index_bound, horizon),
+              lambda: check_ccore(cond, reg_ab, index_bound, horizon)]
+    for check in checks:
+        with pytest.raises(ValueError, match="must be at least"):
+            check()

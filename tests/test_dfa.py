@@ -3,6 +3,8 @@ import pytest
 
 from cptk.dfa import (Dfa, dfa_for_finite, dfa_length_equals,
                       dfa_word_starts_with, empty_dfa, full_dfa)
+from cptk.families import length_family
+from cptk.langs import is_finite
 from cptk.words import window
 
 from .conftest import random_dfa
@@ -126,3 +128,10 @@ def test_json_roundtrip(ab):
         d = random_dfa(rng, 2)
         back = Dfa.from_json(d.to_json(), 2)
         assert back == d
+
+
+def test_count_accepted_deep_chain(ab):
+    """3000 chained states once overflowed the recursive cycle check."""
+    v = is_finite(length_family(ab).expr(3000), ab)
+    assert v.is_finite and v.exact
+    assert v.count == 2 ** 3000

@@ -7,8 +7,10 @@ from cptk.families import (LAW_IDS, canonical_index, check_law, close_b,
                            family_from_json, finite_family, length_family,
                            list_family, regular_family, regular_index_decode,
                            regular_index_encode, word_e)
-from cptk.langs import (FULL, Complement, LeftMark, Predicate, is_finite,
-                        member_batch, step_budget, to_automaton)
+from cptk.kernels import row_bits
+from cptk.langs import (FULL, Complement, LeftMark, Predicate,
+                        StepBudgetExceeded, is_finite, member_batch, step_budget,
+                        to_automaton)
 from cptk.words import ord_, window, window_for_horizon
 
 
@@ -36,15 +38,14 @@ def test_canonical_index_decodes_to_same_language(ab):
 
 def test_first_indices_pairwise_consistent(reg_ab, ab):
     """Canonical-automaton equality must coincide with window agreement."""
-    packed = window_for_horizon(ab, 300)
     keys = [reg_ab.canonical(i) for i in range(100)]
-    rows = [reg_ab.window_row(i, packed) for i in range(100)]
+    rows = reg_ab.rows(100, 300)
     for i in range(100):
         for j in range(i + 1, 100):
             if keys[i] == keys[j]:
-                assert (rows[i] == rows[j]).all()
+                assert rows[i] == rows[j]
             # 300 words are enough to separate every automaton this small
-            elif (rows[i] == rows[j]).all():
+            elif rows[i] == rows[j]:
                 pytest.fail(f"indices {i},{j} agree on the window but differ canonically")
 
 
@@ -197,3 +198,25 @@ def test_list_family_periodic(ab):
     assert member_batch(fam.expr(0), packed).all()
     assert member_batch(fam.expr(4), packed).all()
     assert not member_batch(fam.expr(3), packed).any()
+
+
+def test_rows_match_member_batch(ab):
+    """Stacked rows of the regular and length families against member_batch
+    row by row, including a list extended by a larger bound."""
+    for fam in (regular_family(ab), length_family(ab), close_cc(length_family(ab))):
+        packed = window_for_horizon(ab, 40)
+        short = fam.rows(30, 40)
+        rows = fam.rows(90, 40)
+        assert rows[:30] == short
+        assert rows == [row_bits(member_batch(fam.expr(i), packed)) for i in range(90)]
+
+
+def test_rows_charge_step_budget(ab):
+    fam = regular_family(ab)
+    with step_budget(20 * 31 - 1), pytest.raises(StepBudgetExceeded):
+        fam.rows(20, 30)
+    assert fam._rows[30] == []
+    with step_budget(20 * 31):
+        assert len(fam.rows(20, 30)) == 20
+    with step_budget(0):
+        fam.rows(20, 30)  # cached rows cost nothing

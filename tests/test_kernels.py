@@ -1,65 +1,44 @@
-"""Backend equivalence: numba and numpy kernels must agree bit for bit."""
+"""Kernels against scalar oracles: the per-position run over packed words,
+the stacked pass over a window, and the int bitset rows built on it."""
 
 import numpy as np
 import pytest
 
 from cptk import kernels
+from cptk.langs import (Complement, DfaAtom, LeftMark, StepBudgetExceeded, member,
+                        member_batch, step_budget, window_rows)
 from cptk.words import Alphabet, window
 
-from .conftest import random_dfa
+from .conftest import random_dfa, random_mixed_expr
 
 
-@pytest.fixture
-def restore_backend():
-    before = kernels.backend_name()
-    yield
-    kernels.set_backend(before)
-
-
-def test_available_backends():
-    assert "numpy" in kernels.available_backends()
-    assert kernels.backend_name() in kernels.available_backends()
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
+def scalar_final_state(dfa, alphabet, word):
+    state = dfa.initial
+    for c in alphabet.codes(word):
+        state = dfa.transitions[state][c]
+    return state
 
 
 @pytest.mark.parametrize("symbols,count", [("ab", 700), ("abc", 500), ("a", 40)])
-def test_backends_agree_on_dfa_runs(symbols, count, restore_backend):
+def test_final_states_match_scalar_accepts(symbols, count):
     alphabet = Alphabet.parse(symbols)
     packed = window(alphabet, count)
     rng = np.random.default_rng(7)
-    results = {}
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        rng2 = np.random.default_rng(7)
-        outs = []
-        for _ in range(10):
-            dfa = random_dfa(rng2, alphabet.size)
-            outs.append(kernels.dfa_final_states(dfa._trans_array, dfa.initial,
-                                                 packed.flat, packed.starts,
-                                                 packed.lengths))
-        results[name] = outs
-    names = sorted(results)
-    for a, b in zip(results[names[0]], results[names[-1]]):
-        assert (a == b).all()
-
-
-def test_final_states_match_scalar_run(ab, restore_backend):
-    packed = window(ab, 300)
-    rng = np.random.default_rng(3)
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        dfa = random_dfa(np.random.default_rng(11), 2)
+    for _ in range(10):
+        dfa = random_dfa(rng, alphabet.size)
         finals = kernels.dfa_final_states(dfa._trans_array, dfa.initial,
                                           packed.flat, packed.starts, packed.lengths)
-        for i in range(len(packed)):
-            state = dfa.initial
-            for c in ab.codes(packed.word(i)):
-                state = dfa.transitions[state][c]
-            assert finals[i] == state
+        for i in range(count):
+            assert (finals[i] in dfa.accepting) == dfa.accepts(alphabet, packed.word(i))
+
+
+def test_final_states_match_scalar_run(ab):
+    packed = window(ab, 300)
+    dfa = random_dfa(np.random.default_rng(11), 2)
+    finals = kernels.dfa_final_states(dfa._trans_array, dfa.initial,
+                                      packed.flat, packed.starts, packed.lengths)
+    for i in range(len(packed)):
+        assert finals[i] == scalar_final_state(dfa, ab, packed.word(i))
 
 
 def test_symbol_counts_safe_on_empty_words(ab):
@@ -78,31 +57,75 @@ def test_empty_batch(ab):
     assert len(finals) == 0
 
 
-def test_full_stack_agrees_across_backends(ab, restore_backend):
-    """Expression evaluation end to end under each backend."""
-    from cptk.langs import member_batch
-    from .conftest import random_mixed_expr
+def test_member_batch_matches_scalar_member(ab):
     packed = window(ab, 400)
-    per_backend = {}
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        rng = np.random.default_rng(21)
-        vecs = [member_batch(random_mixed_expr(rng, ab), packed) for _ in range(20)]
-        per_backend[name] = vecs
-    names = sorted(per_backend)
-    for a, b in zip(per_backend[names[0]], per_backend[names[-1]]):
-        assert (a == b).all()
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        expr = random_mixed_expr(rng, ab)
+        vec = member_batch(expr, packed)
+        assert [bool(v) for v in vec] == [member(expr, packed.word(i), ab)
+                                          for i in range(len(packed))]
 
 
-def test_backend_env_selection():
-    import subprocess, sys, os
-    env = dict(os.environ, CPTK_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from cptk import kernels; print(kernels.backend_name())"],
-        capture_output=True, text=True, env=env)
-    assert out.stdout.strip() == "numpy"
-    env = dict(os.environ, CPTK_BACKEND="numba")
-    out = subprocess.run(
-        [sys.executable, "-c", "from cptk import kernels; print(kernels.backend_name())"],
-        capture_output=True, text=True, env=env)
-    assert out.stdout.strip() in ("numba", "numpy")  # numpy only if numba missing
+def stack(dfas):
+    offsets = np.cumsum([0] + [d.n_states for d in dfas])
+    trans = np.concatenate([d._trans_array + off for d, off in zip(dfas, offsets)])
+    return trans.astype(np.int32), offsets[:-1] + [d.initial for d in dfas], offsets
+
+
+# over "ab" the windows of 1 and 7 (1 + 2 + 4) words end on a level
+# boundary and 2, 301 and 500 inside a level; over "abc" only 1 ends on
+# one; over "a" every level is one word
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+@pytest.mark.parametrize("count", [1, 2, 7, 301, 500])
+def test_window_final_states_match_scalar_and_batch(symbols, count):
+    alphabet = Alphabet.parse(symbols)
+    packed = window(alphabet, count)
+    rng = np.random.default_rng(count)
+    dfas = [random_dfa(rng, alphabet.size, max_states=5) for _ in range(12)]
+    trans, initials, offsets = stack(dfas)
+    finals = kernels.window_final_states(trans, initials, count)
+    assert finals.shape == (len(dfas), count)
+    for d, off, states in zip(dfas, offsets, finals):
+        accepted = np.isin(states - off, sorted(d.accepting))
+        assert (accepted == d.accepts_batch(packed)).all()
+        for j in range(count):
+            assert accepted[j] == d.accepts(alphabet, packed.word(j))
+
+
+def test_row_bits():
+    assert kernels.row_bits(np.zeros(0, dtype=bool)) == 0
+    vec = np.array([1, 0, 0, 1, 1, 0, 0, 0, 0, 1], dtype=bool)
+    assert kernels.row_bits(vec) == sum(1 << j for j in np.nonzero(vec)[0])
+
+
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+def test_window_rows_match_member_batch(symbols):
+    alphabet = Alphabet.parse(symbols)
+    rng = np.random.default_rng(5)
+    exprs = [random_mixed_expr(rng, alphabet) for _ in range(15)]
+    dfa = random_dfa(rng, alphabet.size)
+    # atoms sharing one table with different accepting sets, and an atom
+    # under a marker, which goes through member_batch
+    exprs += [DfaAtom(dfa), DfaAtom(type(dfa)(dfa.n_symbols, dfa.transitions, 0,
+                                              frozenset(range(dfa.n_states)))),
+              LeftMark(alphabet.symbols[0], DfaAtom(dfa))]
+    exprs += [DfaAtom(random_dfa(rng, alphabet.size)) for _ in range(15)]
+    for count in (1, 7, 301):
+        packed = window(alphabet, count)
+        rows = window_rows(exprs, alphabet, count)
+        assert rows == [kernels.row_bits(member_batch(e, packed)) for e in exprs]
+
+
+def test_window_rows_charge_step_budget(ab):
+    rng = np.random.default_rng(9)
+    atoms = [DfaAtom(random_dfa(rng, 2)) for _ in range(6)]
+    exprs = atoms + [Complement(atoms[0])]
+    # one step per word and atom, the complemented atom included
+    cost = 7 * 50
+    with step_budget(cost):
+        window_rows(exprs, ab, 50)
+    with step_budget(cost - 1), pytest.raises(StepBudgetExceeded):
+        window_rows(exprs, ab, 50)
+    with step_budget(6 * 50 - 1), pytest.raises(StepBudgetExceeded):
+        window_rows(atoms, ab, 50)
