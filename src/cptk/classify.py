@@ -15,15 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import codec
 from .families import FamilyEnum
 from .kernels import row_bits
-from .langs import (FULL, Complement, Inter, LangExpr, Union,
-                    equivalent, is_finite, member_batch, regular_view, simplify,
-                    subset_of)
-from .verdicts import (CERTIFIED, REFUTED, UNKNOWN, FinitenessVerdict, Verdict)
+from .langs import (FULL, Complement, Inter, LangExpr, Union, emptiness,
+                    equivalent, is_finite, member_batch, simplify, subset_of)
+from .verdicts import CERTIFIED, REFUTED, UNKNOWN, FinitenessVerdict, Verdict
 from .words import Alphabet, window_for_horizon
 
 INFINITE_EVIDENCE_THRESHOLD = 32
@@ -39,20 +36,8 @@ class ClosureFlagsAbsent(ValueError):
 
 def disjoint_verdict(e1: LangExpr, e2: LangExpr, alphabet: Alphabet,
                      horizon: int) -> Verdict:
-    """Is the intersection empty?  Exact when it simplifies to regular."""
-    both = simplify(Inter((e1, e2)), alphabet)
-    view = regular_view(both, alphabet)
-    if view is not None:
-        least = view.least_accepted()
-        if least is None:
-            return Verdict(CERTIFIED, exact=True)
-        return Verdict(REFUTED, exact=True, witness=alphabet.word(least))
-    packed = window_for_horizon(alphabet, horizon)
-    hits = np.nonzero(member_batch(both, packed))[0]
-    if hits.size:
-        return Verdict(REFUTED, exact=True, witness=packed.word(int(hits[0])),
-                       detail={"route": "window"})
-    return Verdict(UNKNOWN, exact=False, horizon=horizon)
+    """Is the intersection empty?"""
+    return emptiness(Inter((e1, e2)), alphabet, horizon)
 
 
 @dataclass(frozen=True)
@@ -235,7 +220,7 @@ def is_partition(blocks, alphabet: Alphabet, family: FamilyEnum | None = None,
             if not v.exact:
                 exact = False
                 flags.append(f"disjointness({i},{j}) horizon-checked")
-    cover = equivalent(Union(blocks), FULL, alphabet, horizon)
+    cover = emptiness(Complement(Union(blocks)), alphabet, horizon)
     if cover.is_refuted:
         return PartitionVerdict(REFUTED, True, cover.witness, "uncovered")
     if not cover.exact:
@@ -362,41 +347,64 @@ def validate_bounds(index_bound: int, horizon: int) -> None:
         raise ValueError(f"index bound must be at least 1, got {index_bound}")
 
 
-def _search_rows(family, problem, index_bound, horizon):
-    """Window rows of the family, the window, and each component's
-    deduplicated containment candidates (None when one has none)."""
+def _search(problem, family, index_bound, horizon, condition=None):
+    """The bounded search behind :func:`solve` and :func:`solve_conditional`.
+
+    Slot 0 hosts the condition when there is one, else component
+    ``perm[0]``; the following slots host the components in ``perm``
+    order.  Cover and disjointness force the row of slot 0 to the
+    complement of the others' union, so it comes from a lookup instead of
+    a scan.  Window-level tuples are verified in tuple-code order, each
+    with every permutation that fits it.
+    """
     validate_bounds(index_bound, horizon)
+    k = len(problem)
+    alphabet = problem.alphabet
     rows = family.rows(index_bound, horizon)
-    packed = window_for_horizon(problem.alphabet, horizon)
+    packed = window_for_horizon(alphabet, horizon)
+    # each component's containment candidates, one index per language
     cand = [_dedup_candidates(family, _containment_candidates(
                 rows, row_bits(member_batch(c, packed)))) for c in problem.components]
-    return rows, packed, (None if any(not c for c in cand) else cand)
-
-
-def _verify_tuple(problem, family, slots, assignment, horizon):
-    """Full verification of one candidate tuple; returns status or None."""
-    alphabet = problem.alphabet
-    blocks = tuple(family.expr(i) for i in slots)
-    exact = True
-    for x in range(len(blocks)):
-        for y in range(x + 1, len(blocks)):
-            v = disjoint_verdict(blocks[x], blocks[y], alphabet, horizon)
-            if v.is_refuted:
-                return None
-            if not v.exact:
-                exact = False
-    cover = equivalent(Union(blocks), FULL, alphabet, horizon)
-    if cover.is_refuted:
-        return None
-    if not cover.exact:
-        exact = False
-    for t, slot in assignment:
-        v = subset_of(problem.components[t], blocks[slot], alphabet, horizon)
-        if v.is_refuted:
-            return None
-        if not v.exact:
-            exact = False
-    return "exact" if exact else "horizon"
+    if not all(cand):
+        return SolveNotFound(index_bound, horizon)
+    full = (1 << len(packed)) - 1
+    if condition is None:
+        forced = [_by_row(rows, c) for c in cand]
+    else:
+        cond_row = row_bits(member_batch(condition, packed))
+        forced = [_by_row(rows, _containment_candidates(rows, cond_row))] * k
+    offset = 0 if condition is None else 1
+    tuples: dict[tuple, list[tuple]] = {}
+    for perm in itertools.permutations(range(k)):
+        pools = [cand[t] for t in perm[1 - offset:]]  # the slots after slot 0
+        for rest, acc in _disjoint_tuples(rows, pools):
+            for i in forced[perm[0]].get(full & ~acc, ()):
+                tuples.setdefault((i,) + rest, []).append(perm)
+    for slots in sorted(tuples, key=codec.tuple_code):
+        blocks = tuple(family.expr(i) for i in slots)
+        pv = is_partition(blocks, alphabet, horizon=horizon)
+        if pv.is_refuted:
+            continue
+        exact = pv.exact
+        if condition is not None:
+            cv = subset_of(condition, blocks[0], alphabet, horizon)
+            if cv.is_refuted:
+                continue
+            exact = exact and cv.exact
+        for perm in tuples[slots]:
+            fits = exact
+            for s, t in enumerate(perm):
+                v = subset_of(problem.components[t], blocks[offset + s], alphabet, horizon)
+                if v.is_refuted:
+                    break
+                fits = fits and v.exact
+            else:
+                injection = tuple(offset + perm.index(t) for t in range(k))
+                return PartitionCertificate(
+                    blocks, injection, "exact" if fits else "horizon", indices=slots,
+                    code=codec.tuple_code(slots), horizon=horizon,
+                    has_condition_block=condition is not None)
+    return SolveNotFound(index_bound, horizon)
 
 
 def solve(problem: ClassificationProblem, family: FamilyEnum, index_bound: int,
@@ -406,98 +414,14 @@ def solve(problem: ClassificationProblem, family: FamilyEnum, index_bound: int,
     Candidate index tuples are ordered by their nested pair code; the
     least tuple passing full verification is returned.
     """
-    k = len(problem)
-    rows, packed, cand = _search_rows(family, problem, index_bound, horizon)
-    if cand is None:
-        return SolveNotFound(index_bound, horizon)
-    # window-level partitions with every injection that fits them; slot s
-    # hosts component perm[s].  Cover and disjointness force the row of the
-    # last slot, so it comes from a lookup instead of a scan.
-    full = (1 << len(packed)) - 1
-    last_by_row = [_by_row(rows, c) for c in cand]
-    tuples: dict[tuple, list[tuple]] = {}
-    for perm in itertools.permutations(range(k)):
-        last = last_by_row[perm[-1]]
-        pools = [cand[perm[s]] for s in range(k - 1)]
-        for prefix, acc in _disjoint_tuples(rows, pools):
-            for i in last.get(full & ~acc, ()):
-                tuples.setdefault(prefix + (i,), []).append(perm)
-    for slots in sorted(tuples, key=codec.tuple_code):
-        for perm in tuples[slots]:
-            assignment = [(perm[s], s) for s in range(k)]
-            status = _verify_tuple(problem, family, slots, assignment, horizon)
-            if status is not None:
-                injection = tuple(perm.index(t) for t in range(k))
-                return PartitionCertificate(
-                    tuple(family.expr(i) for i in slots), injection, status,
-                    indices=slots, code=codec.tuple_code(slots), horizon=horizon)
-    return SolveNotFound(index_bound, horizon)
+    return _search(problem, family, index_bound, horizon)
 
 
 def solve_conditional(cond: ConditionalProblem, family: FamilyEnum, index_bound: int,
                       horizon: int = 300) -> PartitionCertificate | SolveNotFound:
     """As :func:`solve`, with a distinguished block 0 containing the
     condition; block 0 is forced to the complement of the others."""
-    k = len(cond.problem)
-    alphabet = cond.alphabet
-    rows, packed, cand = _search_rows(family, cond.problem, index_bound, horizon)
-    if cand is None:
-        return SolveNotFound(index_bound, horizon)
-    cond_row = row_bits(member_batch(cond.condition, packed))
-    full = (1 << len(packed)) - 1
-    # block 0 is forced to the complement of the union of the rest, so its
-    # row is too; on exact families its language must match as well
-    zero_by_row = _by_row(rows, range(index_bound))
-    tuples: dict[tuple, list] = {}
-    for perm in itertools.permutations(range(k)):
-        pools = [cand[perm[s]] for s in range(k)]
-        for rest, acc in _disjoint_tuples(rows, pools):
-            known = tuples.get(rest)
-            if known is not None:
-                known.append(perm)
-                continue
-            zero_cands = [i0 for i0 in zero_by_row.get(full & ~acc, ())
-                          if not cond_row & ~rows[i0]]
-            if zero_cands and family.exact:
-                union_expr = simplify(Union(tuple(family.expr(i) for i in rest)),
-                                      alphabet)
-                key = regular_view(Complement(union_expr), alphabet).canonical_key()
-                zero_cands = [i0 for i0 in zero_cands if family.canonical(i0) == key]
-            if zero_cands:
-                tuples[rest] = [zero_cands, perm]
-    candidates = []
-    for rest, entry in tuples.items():
-        zero_cands, perms = entry[0], entry[1:]
-        for i0 in zero_cands:
-            slots = (i0,) + rest
-            candidates.append((codec.tuple_code(slots), slots, perms))
-    for code, slots, perms in sorted(candidates, key=lambda c: c[0]):
-        blocks = tuple(family.expr(i) for i in slots)
-        pv = is_partition(blocks, alphabet, horizon=horizon)
-        if pv.is_refuted:
-            continue
-        cv = subset_of(cond.condition, blocks[0], alphabet, horizon)
-        if cv.is_refuted:
-            continue
-        for perm in perms:
-            exact = pv.exact and cv.exact
-            bad = False
-            for s in range(k):
-                sv = subset_of(cond.problem.components[perm[s]], blocks[1 + s],
-                               alphabet, horizon)
-                if sv.is_refuted:
-                    bad = True
-                    break
-                if not sv.exact:
-                    exact = False
-            if bad:
-                continue
-            injection = tuple(1 + perm.index(t) for t in range(k))
-            return PartitionCertificate(blocks, injection,
-                                        "exact" if exact else "horizon",
-                                        indices=slots, code=code, horizon=horizon,
-                                        has_condition_block=True)
-    return SolveNotFound(index_bound, horizon)
+    return _search(cond.problem, family, index_bound, horizon, cond.condition)
 
 
 # ---------------------------------------------------------------------------

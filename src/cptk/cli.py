@@ -34,7 +34,7 @@ from .cohesion import check_ccohesive, check_ccore, check_cohesive, check_core
 from .constructions import example_26, ziegler_problem
 from .families import LAW_IDS, check_law, family_from_json
 from .hardcore import (hardcore_run, trace_from_jsonl, trace_to_jsonl, verify_trace)
-from .langs import EMPTY, expr_from_json, expr_to_json
+from .langs import EMPTY, check_symbols, expr_from_json, expr_to_json
 from .words import Alphabet, words_up_to
 
 EXIT_OK = 0
@@ -65,7 +65,7 @@ def _load_language(path: str):
     data = _read_json(path)
     try:
         alphabet = Alphabet.parse(data["alphabet"], data.get("order"))
-        expr = expr_from_json(data["expr"], alphabet.size)
+        expr = check_symbols(expr_from_json(data["expr"], alphabet.size), alphabet)
     except (KeyError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"{path}: {exc}")
     return alphabet, expr
@@ -82,9 +82,11 @@ def _load_problem_file(path: str, horizon: int):
     data = _read_json(path)
     try:
         alphabet = Alphabet.parse(data["alphabet"], data.get("order"))
-        comps = [expr_from_json(c, alphabet.size) for c in data["components"]]
+        comps = [check_symbols(expr_from_json(c, alphabet.size), alphabet)
+                 for c in data["components"]]
         condition = data.get("condition")
-        cond_expr = None if condition is None else expr_from_json(condition, alphabet.size)
+        cond_expr = None if condition is None else check_symbols(
+            expr_from_json(condition, alphabet.size), alphabet)
     except (KeyError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"{path}: {exc}")
     try:

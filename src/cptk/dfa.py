@@ -9,8 +9,8 @@ states, renumber breadth-first) make language equality a tuple comparison.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class Dfa:
     transitions: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
-    _trans_array: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         n = len(self.transitions)
@@ -43,8 +42,12 @@ class Dfa:
                 raise ValueError("transition target out of range")
         if any(not 0 <= s < n for s in self.accepting):
             raise ValueError("accepting state out of range")
-        object.__setattr__(self, "_trans_array",
-                           np.array(self.transitions, dtype=np.int64).reshape(n, self.n_symbols))
+
+    @cached_property
+    def _trans_array(self) -> np.ndarray:
+        """Transition table as an array, for the batch kernels."""
+        return np.array(self.transitions, dtype=np.int64).reshape(self.n_states,
+                                                                  self.n_symbols)
 
     @property
     def n_states(self) -> int:

@@ -23,8 +23,8 @@ import numpy as np
 from . import codec
 from .dfa import Dfa, dfa_length_equals
 from .langs import (EMPTY, Complement, DfaAtom, FiniteSet, Inter, LangExpr,
-                    Union, expr_from_json, member, member_batch, regular_view,
-                    window_rows)
+                    Union, check_symbols, expr_from_json, member, member_batch,
+                    regular_view, window_rows)
 from .words import Alphabet, lex, window_for_horizon
 
 
@@ -449,7 +449,8 @@ def family_from_json(data: dict) -> FamilyEnum:
         except KeyError:
             raise ValueError(f"unknown builtin family {data['builtin']!r}") from None
     elif "list" in data:
-        exprs = [expr_from_json(e, alphabet.size) for e in data["list"]]
+        exprs = [check_symbols(expr_from_json(e, alphabet.size), alphabet)
+                 for e in data["list"]]
         declared = data.get("flags", {})
         flags = FamilyFlags(
             nontrivial=bool(declared.get("nontrivial", False)),

@@ -100,30 +100,6 @@ EMPTY = FiniteSet(())
 FULL = Complement(EMPTY)
 
 
-def union(*args: LangExpr) -> LangExpr:
-    return Union(tuple(args))
-
-
-def inter(*args: LangExpr) -> LangExpr:
-    return Inter(tuple(args))
-
-
-def complement(arg: LangExpr) -> LangExpr:
-    return Complement(arg)
-
-
-def leftmark(symbol: str, arg: LangExpr) -> LangExpr:
-    return LeftMark(symbol, arg)
-
-
-def leftquotient(word: str, arg: LangExpr) -> LangExpr:
-    return LeftQuotient(word, arg)
-
-
-def finite_set(words) -> FiniteSet:
-    return FiniteSet(tuple(words))
-
-
 def is_empty_expr(e: LangExpr) -> bool:
     return isinstance(e, FiniteSet) and not e.words
 
@@ -135,19 +111,23 @@ def is_full_expr(e: LangExpr) -> bool:
 # ---------------------------------------------------------------------------
 # built-in predicates
 
-_PRIME_CACHE: dict[int, np.ndarray] = {}
+# one sieve, regrown to at least double its length when a longer word
+# length is asked about
+_prime_sieve = np.zeros(0, dtype=bool)
 
 
 def _prime_mask(limit: int) -> np.ndarray:
-    key = max(limit, 2)
-    if key not in _PRIME_CACHE:
-        sieve = np.ones(key + 1, dtype=bool)
+    """Primality of 0..n for some n >= limit."""
+    global _prime_sieve
+    if limit >= len(_prime_sieve):
+        size = max(limit + 1, 2 * len(_prime_sieve))
+        sieve = np.ones(size, dtype=bool)
         sieve[:2] = False
-        for p in range(2, isqrt(key) + 1):
+        for p in range(2, isqrt(size - 1) + 1):
             if sieve[p]:
                 sieve[p * p::p] = False
-        _PRIME_CACHE[key] = sieve
-    return _PRIME_CACHE[key]
+        _prime_sieve = sieve
+    return _prime_sieve
 
 
 class _PredicateImpl:
@@ -679,41 +659,39 @@ def is_finite(expr: LangExpr, alphabet: Alphabet, horizon: int = 0) -> Finitenes
     return FinitenessVerdict(UNKNOWN, exact=False, count=seen, horizon=horizon)
 
 
-def subset_of(e1: LangExpr, e2: LangExpr, alphabet: Alphabet, horizon: int = 300) -> Verdict:
-    """Is e1 a subset of e2?  Exact when the difference is regular."""
-    diff = simplify(Inter((e1, Complement(e2))), alphabet)
-    view = regular_view(diff, alphabet)
+def emptiness(expr: LangExpr, alphabet: Alphabet, horizon: int = 300) -> Verdict:
+    """Is the language empty?  The one oracle behind subset, equivalence
+    and disjointness.
+
+    Exact when the simplified expression is regular: certified, or refuted
+    by the least member.  Otherwise the least member in the window up to
+    the horizon refutes, and an empty window leaves the answer unknown.
+    The window scan evaluates ``expr`` as passed, which lets callers'
+    sub-expressions share one memoized evaluation.
+    """
+    view = regular_view(simplify(expr, alphabet), alphabet)
     if view is not None:
         least = view.least_accepted()
         if least is None:
             return Verdict(CERTIFIED, exact=True)
         return Verdict(REFUTED, exact=True, witness=alphabet.word(least))
     packed = window_for_horizon(alphabet, horizon)
-    bad = member_batch(e1, packed) & ~member_batch(e2, packed)
-    idx = np.nonzero(bad)[0]
-    if idx.size:
-        return Verdict(REFUTED, exact=True, witness=packed.word(int(idx[0])),
+    hits = np.nonzero(member_batch(expr, packed))[0]
+    if hits.size:
+        return Verdict(REFUTED, exact=True, witness=packed.word(int(hits[0])),
                        detail={"route": "window"})
     return Verdict(UNKNOWN, exact=False, horizon=horizon)
+
+
+def subset_of(e1: LangExpr, e2: LangExpr, alphabet: Alphabet, horizon: int = 300) -> Verdict:
+    """Is e1 a subset of e2?  Emptiness of e1 minus e2."""
+    return emptiness(Inter((e1, Complement(e2))), alphabet, horizon)
 
 
 def equivalent(e1: LangExpr, e2: LangExpr, alphabet: Alphabet, horizon: int = 300) -> Verdict:
-    """Language equality: exact via the symmetric difference when regular."""
-    symdiff = simplify(Union((Inter((e1, Complement(e2))),
-                              Inter((e2, Complement(e1))))), alphabet)
-    view = regular_view(symdiff, alphabet)
-    if view is not None:
-        least = view.least_accepted()
-        if least is None:
-            return Verdict(CERTIFIED, exact=True)
-        return Verdict(REFUTED, exact=True, witness=alphabet.word(least))
-    packed = window_for_horizon(alphabet, horizon)
-    diff = member_batch(e1, packed) != member_batch(e2, packed)
-    idx = np.nonzero(diff)[0]
-    if idx.size:
-        return Verdict(REFUTED, exact=True, witness=packed.word(int(idx[0])),
-                       detail={"route": "window"})
-    return Verdict(UNKNOWN, exact=False, horizon=horizon)
+    """Language equality: emptiness of the symmetric difference."""
+    return emptiness(Union((Inter((e1, Complement(e2))), Inter((e2, Complement(e1))))),
+                     alphabet, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +716,26 @@ def expr_to_json(expr: LangExpr) -> dict:
     if isinstance(expr, LeftQuotient):
         return {"op": "leftquotient", "word": expr.word, "arg": expr_to_json(expr.arg)}
     raise TypeError(f"not a language expression: {expr!r}")
+
+
+def check_symbols(expr: LangExpr, alphabet: Alphabet) -> LangExpr:
+    """The expression, once every word, marker symbol and predicate symbol
+    in it is found in the alphabet; raises AlphabetMismatch otherwise."""
+    if isinstance(expr, FiniteSet):
+        for w in expr.words:
+            alphabet.check(w)
+    elif isinstance(expr, Predicate) and expr.name.startswith("equal-counts-"):
+        alphabet.check(expr.name[-2:])
+    elif isinstance(expr, (Union, Inter)):
+        for a in expr.args:
+            check_symbols(a, alphabet)
+    elif isinstance(expr, (Complement, LeftMark, LeftQuotient)):
+        if isinstance(expr, LeftMark):
+            alphabet.code(expr.symbol)
+        if isinstance(expr, LeftQuotient):
+            alphabet.check(expr.word)
+        check_symbols(expr.arg, alphabet)
+    return expr
 
 
 def expr_from_json(data: dict, n_symbols: int) -> LangExpr:

@@ -164,15 +164,22 @@ def test_solve_matches_exhaustive_oracle(ab, reg_ab):
             assert got.indices == want
 
 
-def test_solve_matches_exhaustive_oracle_three_components(ab):
-    """Families over ab with three-block partitions and near misses: the
-    words starting aa, ab or b, and the same split by square length."""
-    sq = Predicate("square-length")
+def three_family_members():
+    """The words starting aa, ab or b, the rest, and regular languages
+    built from them: the members of the exact ``three`` list family."""
     aa, a_b, b = mark("a", mark("a")), mark("a", mark("b")), mark("b")
     rest = Complement(Union((aa, a_b)))
     regular = [FULL, EMPTY, mark("a"), b, aa, a_b, rest, Complement(b),
                Union((b, FiniteSet(("", "a")))), Complement(Union((aa, b))),
                FiniteSet(("", "a"))]
+    return aa, a_b, b, rest, regular
+
+
+def test_solve_matches_exhaustive_oracle_three_components(ab):
+    """Families over ab with three-block partitions and near misses: the
+    words starting aa, ab or b, and the same split by square length."""
+    sq = Predicate("square-length")
+    aa, a_b, b, rest, regular = three_family_members()
     exact = list_family("three", ab, regular)
     mixed = list_family("three-mixed", ab, regular + [
         Inter((aa, sq)), Union((Inter((aa, Complement(sq))), a_b)),
@@ -261,6 +268,46 @@ def test_solve_conditional_matches_oracle_on_opaque_list_family(ab):
             assert (got.indices, got.injection) == want
             assert got.status == "horizon" and got.has_condition_block
     assert found >= 3
+
+
+def test_solve_conditional_matches_oracle_on_exact_list_family(ab):
+    """Exact families: a block 0 whose window row fits but whose language
+    does not is rejected by is_partition alone.  The near misses put in
+    front of ``three`` match the row of the rest (words starting b, plus
+    the empty word and a) up to the horizon, but overlap the words
+    starting aa or miss a word beyond the window."""
+    sq = Predicate("square-length")
+    aa, a_b, b, rest, regular = three_family_members()
+    near = [Union((rest, FiniteSet(("a" * 12,)))),
+            Inter((rest, Complement(FiniteSet(("b" * 8,)))))]
+    three = list_family("three", ab, regular)
+    near_three = list_family("three-near", ab, near + regular)
+    assert three.exact and near_three.exact
+    instances = [
+        (EMPTY, [aa, a_b]),
+        (FiniteSet(("",)), [aa, b]),
+        (FiniteSet(("", "a")), [b]),
+        (mark("a"), [b]),
+        (aa, [a_b, Inter((b, sq))]),
+        (EMPTY, [aa, a_b, b]),
+        (FiniteSet(("",)), [mark("a")]),
+        (FiniteSet(("a",)), [a_b, aa]),
+    ]
+    found, missed, statuses = 0, 0, set()
+    for family, index_bound in ((three, len(regular)), (near_three, len(near + regular))):
+        for condition, comps in instances:
+            cond = ConditionalProblem(condition, ClassificationProblem(tuple(comps), ab))
+            got = solve_conditional(cond, family, index_bound, horizon=60)
+            want = brute_solve_conditional(cond, family, index_bound, 60)
+            if want is None:
+                missed += 1
+                assert isinstance(got, SolveNotFound)
+            else:
+                found += 1
+                assert isinstance(got, PartitionCertificate)
+                assert (got.indices, got.injection) == want
+                statuses.add(got.status)
+    assert found >= 10 and missed >= 2 and statuses == {"exact", "horizon"}
 
 
 def test_row_cache_one_entry_per_horizon_and_hits(ab, monkeypatch):

@@ -265,3 +265,24 @@ def test_bounds_without_evidence_exit_2(tmp_path, capsys, length_family_file,
         main([command, *inputs, "--family", length_family_file, flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,expr", [
+    ("cohesive", {"finite": ["ac"]}),
+    ("cohesive", {"predicate": "equal-counts-ac"}),
+    ("solve", {"op": "leftmark", "symbol": "c", "arg": expr_to_json(FULL)}),
+    ("solve", {"op": "leftquotient", "word": "ca", "arg": expr_to_json(FULL)})])
+def test_symbol_outside_alphabet_exits_2(tmp_path, capsys, reg_family_file,
+                                         command, expr):
+    """These used to end in an AlphabetMismatch traceback with exit 1."""
+    if command == "cohesive":
+        inputs = ["--target", write(tmp_path, "lang.json",
+                                    {"alphabet": "ab", "expr": expr})]
+    else:
+        inputs = ["--problem", write(tmp_path, "problem.json", {
+            "alphabet": "ab", "condition": None,
+            "components": [expr, expr_to_json(LeftMark("b", FULL))]})]
+    code, out, err = run_main([command, *inputs, "--family", reg_family_file,
+                               "--index-bound", "50"], capsys)
+    assert code == 2 and out == ""
+    assert "symbol 'c' not in alphabet 'ab'" in err

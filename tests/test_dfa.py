@@ -135,3 +135,13 @@ def test_count_accepted_deep_chain(ab):
     v = is_finite(length_family(ab).expr(3000), ab)
     assert v.is_finite and v.exact
     assert v.count == 2 ** 3000
+
+
+def test_transition_array_built_on_first_batch_use(ab):
+    d = Dfa(2, ((1, 0), (1, 1)), 0, frozenset({1}))
+    assert "_trans_array" not in vars(d)
+    words = ("", "a", "b", "aa", "ab", "ba", "bb")
+    assert d.accepts_batch(window(ab, 7)).tolist() == [d.accepts(ab, w) for w in words]
+    assert "_trans_array" in vars(d)
+    fresh = Dfa(2, ((1, 0), (1, 1)), 0, frozenset({1}))
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)

@@ -11,7 +11,7 @@ from cptk.kernels import row_bits
 from cptk.langs import (FULL, Complement, LeftMark, Predicate,
                         StepBudgetExceeded, is_finite, member_batch, step_budget,
                         to_automaton)
-from cptk.words import ord_, window, window_for_horizon
+from cptk.words import AlphabetMismatch, ord_, window, window_for_horizon
 
 
 def test_regular_enumeration_trivia(reg_ab, ab):
@@ -190,6 +190,10 @@ def test_family_from_json(ab):
         family_from_json({"alphabet": "ab", "builtin": "contextfree"})
     with pytest.raises(ValueError):
         family_from_json({"alphabet": "ab"})
+    # the predicate stops automaton conversion before it reaches the word
+    hidden = {"op": "union", "args": [{"predicate": "square-length"}, {"finite": ["ac"]}]}
+    with pytest.raises(AlphabetMismatch):
+        family_from_json({"alphabet": "ab", "list": [hidden]})
 
 
 def test_list_family_periodic(ab):

@@ -1,12 +1,15 @@
 import json
+from math import isqrt
 
 import numpy as np
 import pytest
 
+from cptk import langs
+from cptk.classify import disjoint_verdict
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, LeftQuotient, NonRegularLeaf, Predicate,
-                        StepBudgetExceeded, Union, UnknownPredicate, equivalent,
-                        expr_from_json, expr_to_json, is_finite, member,
+                        StepBudgetExceeded, Union, UnknownPredicate, emptiness,
+                        equivalent, expr_from_json, expr_to_json, is_finite, member,
                         member_batch, regular_view, simplify, step_budget,
                         subset_of, to_automaton)
 from cptk.words import window, window_for_horizon
@@ -199,6 +202,47 @@ def test_equivalent(ab):
                       Complement(FiniteSet(("",))), ab).is_certified
     v = equivalent(LeftMark("a", FULL), FULL, ab)
     assert v.is_refuted and v.witness == ""
+
+
+def test_emptiness_witness_is_first_window_word(ab):
+    """Subset, equivalence and disjointness are emptiness of e1 minus e2,
+    of the symmetric difference and of the intersection.  Whatever route
+    answers, a member inside the window makes the witness the first window
+    word of the raw membership vectors; on the window route, no member
+    leaves the answer unknown at the horizon."""
+    rng = np.random.default_rng(52)
+    horizon = 150
+    packed = window_for_horizon(ab, horizon)
+    window_refutations = 0
+    for _ in range(80):
+        e1, e2 = random_mixed_expr(rng, ab), random_mixed_expr(rng, ab)
+        v1, v2 = member_batch(e1, packed), member_batch(e2, packed)
+        for got, vec in ((emptiness(e1, ab, horizon), v1),
+                         (subset_of(e1, e2, ab, horizon), v1 & ~v2),
+                         (equivalent(e1, e2, ab, horizon), v1 != v2),
+                         (disjoint_verdict(e1, e2, ab, horizon), v1 & v2)):
+            hits = np.nonzero(vec)[0]
+            if hits.size:
+                assert got.is_refuted and got.exact
+                assert got.witness == packed.word(int(hits[0]))
+                window_refutations += got.detail == {"route": "window"}
+            else:
+                assert got.exact or (got.is_unknown and got.horizon == horizon)
+    assert window_refutations >= 30
+
+
+def test_prime_sieve_is_one_growing_array(ab):
+    def is_prime(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    for n in (7, 300, 2, 1500, 64, 2000, 1999, 0, 31):
+        assert langs._prime_mask(n)[n] == is_prime(n)
+    top = langs._prime_mask(2000)
+    assert [bool(x) for x in top[:2001]] == [is_prime(n) for n in range(2001)]
+    # every later query up to the longest is served by the one held array
+    assert all(langs._prime_mask(n) is top for n in range(2001))
+    assert langs._prime_sieve is top
+    assert member(Predicate("prime-length"), "a" * 1997, ab)
 
 
 def test_json_roundtrip_bit_exact(ab):
