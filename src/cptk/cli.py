@@ -44,6 +44,10 @@ EXIT_INCONCLUSIVE = 4
 EXIT_VIOLATION = 5
 
 
+# what parsing raises on valid JSON of the wrong shape or type
+MALFORMED = (KeyError, ValueError, TypeError, AttributeError)
+
+
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -66,7 +70,7 @@ def _load_language(path: str):
     try:
         alphabet = Alphabet.parse(data["alphabet"], data.get("order"))
         expr = check_symbols(expr_from_json(data["expr"], alphabet.size), alphabet)
-    except (KeyError, ValueError) as exc:
+    except MALFORMED as exc:
         raise CliError(EXIT_USAGE, f"{path}: {exc}")
     return alphabet, expr
 
@@ -74,7 +78,7 @@ def _load_language(path: str):
 def _load_family(path: str):
     try:
         return family_from_json(_read_json(path))
-    except (KeyError, ValueError) as exc:
+    except MALFORMED as exc:
         raise CliError(EXIT_USAGE, f"{path}: {exc}")
 
 
@@ -87,7 +91,7 @@ def _load_problem_file(path: str, horizon: int):
         condition = data.get("condition")
         cond_expr = None if condition is None else check_symbols(
             expr_from_json(condition, alphabet.size), alphabet)
-    except (KeyError, ValueError) as exc:
+    except MALFORMED as exc:
         raise CliError(EXIT_USAGE, f"{path}: {exc}")
     try:
         if cond_expr is None:

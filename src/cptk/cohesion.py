@@ -1,10 +1,11 @@
 """Cohesiveness checks with refutation witnesses, and core status reports.
 
 An infinite language is cohesive against a family when no member-with-
-complement splits it into two infinite parts.  The checker scans
-complement pairs below an index bound and returns either a re-verifiable
-refutation witness or "consistent up to these bounds" — never a positive
-cohesiveness claim, which no finite procedure could back.
+complement splits it into two infinite parts.  The checker scans the
+language classes below an index bound, one least complement pair per
+class, and returns either a re-verifiable refutation witness or
+"consistent up to these bounds" — never a positive cohesiveness claim,
+which no finite procedure could back.
 
 Core status combines two routes: cohesiveness of the component union, and
 bounded solvability of sampled subproblems.  On automaton-backed families
@@ -23,7 +24,7 @@ from .classify import (ClassificationProblem, ClosureFlagsAbsent, ConditionalPro
                        PartitionCertificate, disjoint_verdict, set_of, solve,
                        solve_conditional, validate_bounds,
                        INFINITE_EVIDENCE_THRESHOLD)
-from .families import DcMember, FamilyEnum, dc_members
+from .families import DcMember, FamilyEnum, dc_member, language_classes
 from .langs import (Complement, Inter, LangExpr, expr_to_json, is_finite,
                     regular_view, simplify, subset_of)
 from .verdicts import FinitenessVerdict
@@ -72,17 +73,17 @@ def infinite_evidence(expr: LangExpr, alphabet, horizon: int,
     return (v.count or 0) >= threshold, v
 
 
-def _scan_order(members: list[DcMember]) -> list[DcMember]:
-    return sorted(members, key=lambda m: codec.pair(m.i, m.j))
-
-
 def check_cohesive(a: LangExpr, family: FamilyEnum, index_bound: int,
                    horizon: int = 300,
                    threshold: int = INFINITE_EVIDENCE_THRESHOLD) -> CohesionVerdict:
     """Scan complement pairs for one splitting the language both ways.
 
     The witness is the least (i, j) pair in pair-code order; both sides of
-    a refutation carry their own finiteness evidence.
+    a refutation carry their own finiteness evidence.  Whether a pair
+    splits depends only on the language class C of i, and ``codec.pair``
+    is strictly increasing in both arguments, so the least pair of a class
+    is (min C, min C^c): the scan tries one candidate per class, in that
+    pair's order.
     """
     return _check_cohesive_restricted(a, None, family, index_bound, horizon, threshold)
 
@@ -102,34 +103,22 @@ def check_ccohesive(a: LangExpr, region: LangExpr, family: FamilyEnum,
 def _check_cohesive_restricted(a, region, family, index_bound, horizon, threshold):
     validate_bounds(index_bound, horizon)
     alphabet = family.alphabet
-    # outcome per language class: enumerations repeat languages across
-    # indices, and the verdict depends only on the language
-    class_outcome: dict[object, tuple] = {}
-    rows = None if family.exact else family.rows(index_bound, horizon)
-    for m in _scan_order(dc_members(family, index_bound, horizon)):
-        key = family.canonical(m.i) if family.exact else rows[m.i]
-        if key in class_outcome:
-            hit = class_outcome[key]
-        else:
-            q = family.expr(m.i)
-            hit = None
-            usable = True
-            if region is not None:
-                usable = subset_of(q, region, alphabet, horizon).is_certified
-            if usable:
-                side_in, ev_in = infinite_evidence(Inter((a, q)), alphabet,
-                                                   horizon, threshold)
-                if side_in:
-                    side_out, ev_out = infinite_evidence(Inter((a, Complement(q))),
-                                                         alphabet, horizon, threshold)
-                    if side_out:
-                        hit = (ev_in, ev_out)
-            class_outcome[key] = hit
-        if hit is not None:
-            ev_in, ev_out = hit
+    least_pairs = [(members[0], complements[0]) for members, complements
+                   in language_classes(family, index_bound, horizon) if complements]
+    for i, j in sorted(least_pairs, key=lambda p: codec.pair(*p)):
+        q = family.expr(i)
+        if region is not None and not subset_of(q, region, alphabet, horizon).is_certified:
+            continue
+        side_in, ev_in = infinite_evidence(Inter((a, q)), alphabet, horizon, threshold)
+        if not side_in:
+            continue
+        side_out, ev_out = infinite_evidence(Inter((a, Complement(q))), alphabet,
+                                             horizon, threshold)
+        if side_out:
+            m = dc_member(family, i, j, horizon)
             exact = ev_in.exact and ev_out.exact and m.status == "exact"
-            return CohesionVerdict("refuted", index_bound, horizon, m,
-                                   family.expr(m.i), (ev_in, ev_out), exact)
+            return CohesionVerdict("refuted", index_bound, horizon, m, q,
+                                   (ev_in, ev_out), exact)
     return CohesionVerdict("consistent", index_bound, horizon)
 
 

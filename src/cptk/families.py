@@ -64,7 +64,6 @@ class FamilyEnum:
         self._exprs: dict[int, LangExpr] = {}
         self._rows: dict[int, list[int]] = {}
         self._canon: dict[int, tuple] = {}
-        self._dc: dict[tuple[int, int], list] = {}
 
     def __repr__(self):
         return f"FamilyEnum({self.name!r}, alphabet={self.alphabet})"
@@ -274,7 +273,7 @@ CLOSURES = {"u": close_u, "s": close_s, "co": close_co, "cc": close_cc, "b": clo
 
 
 # ---------------------------------------------------------------------------
-# complement pairs inside a family
+# language classes and complement pairs inside a family
 
 
 @dataclass(frozen=True)
@@ -304,32 +303,34 @@ def complement_key(canonical: tuple) -> tuple:
             tuple(s for s in range(len(transitions)) if s not in acc))
 
 
+def language_classes(family: FamilyEnum, index_bound: int,
+                     horizon: int) -> list[tuple[list[int], list[int]]]:
+    """The indices below the bound grouped by language (canonical automaton
+    on exact families, window row on the others) in order of least index,
+    each class with the indices of its complement class, if any."""
+    full = (1 << (horizon + 1)) - 1
+    exact = family.exact
+    keys = ([family.canonical(i) for i in range(index_bound)] if exact
+            else family.rows(index_bound, horizon))
+    classes: dict[object, list[int]] = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    return [(members, classes.get(complement_key(key) if exact else full & ~key, []))
+            for key, members in classes.items()]
+
+
+def dc_member(family: FamilyEnum, i: int, j: int, horizon: int) -> DcMember:
+    """A pair of indices from complement classes: proven on exact
+    families, checked to the horizon on the others."""
+    return DcMember(i, j, "exact") if family.exact else DcMember(i, j, "horizon", horizon)
+
+
 def dc_members(family: FamilyEnum, index_bound: int, horizon: int) -> list[DcMember]:
     """All pairs (i, j) below the bound with e(i) = e(j)^c, in (i, j) order."""
-    cached = family._dc.get((index_bound, horizon))
-    if cached is not None:
-        return cached
-    out: list[DcMember] = []
-    if family.exact:
-        by_canon: dict[tuple, list[int]] = {}
-        for i in range(index_bound):
-            by_canon.setdefault(family.canonical(i), []).append(i)
-        for j in range(index_bound):
-            for i in by_canon.get(complement_key(family.canonical(j)), ()):
-                out.append(DcMember(i, j, "exact"))
-        out.sort(key=lambda m: (m.i, m.j))
-        family._dc[(index_bound, horizon)] = out
-        return out
-    rows = family.rows(index_bound, horizon)
-    full = (1 << (horizon + 1)) - 1
-    by_row: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        by_row.setdefault(row, []).append(i)
-    for j, row in enumerate(rows):
-        for i in by_row.get(full & ~row, ()):
-            out.append(DcMember(i, j, "horizon", horizon))
+    out = [dc_member(family, i, j, horizon)
+           for members, complements in language_classes(family, index_bound, horizon)
+           for i in members for j in complements]
     out.sort(key=lambda m: (m.i, m.j))
-    family._dc[(index_bound, horizon)] = out
     return out
 
 

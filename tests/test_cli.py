@@ -286,3 +286,35 @@ def test_symbol_outside_alphabet_exits_2(tmp_path, capsys, reg_family_file,
                                "--index-bound", "50"], capsys)
     assert code == 2 and out == ""
     assert "symbol 'c' not in alphabet 'ab'" in err
+
+
+@pytest.mark.parametrize("command,data", [
+    ("cohesive", {"alphabet": "ab", "expr": {"finite": [1]}}),
+    ("cohesive", {"alphabet": "ab",
+                  "expr": {"op": "leftmark", "symbol": "a", "arg": 5}}),
+    ("cohesive", [1, 2]),
+    ("solve", [1, 2]),
+    ("solve", {"alphabet": "ab", "condition": None, "components": 5})])
+def test_wrongly_typed_input_exits_2(tmp_path, capsys, reg_family_file,
+                                     command, data):
+    """Valid JSON of the wrong type used to end in a TypeError traceback."""
+    flag = {"cohesive": "--target", "solve": "--problem"}[command]
+    code, out, err = run_main([command, flag, write(tmp_path, "bad.json", data),
+                               "--family", reg_family_file, "--index-bound", "5"],
+                              capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "bad.json" in err
+
+
+@pytest.mark.parametrize("family", [
+    {"alphabet": "ab", "list": [{"finite": [1]}]},
+    {"alphabet": "ab", "list": [expr_to_json(FULL)], "flags": []},
+    [1, 2]])
+def test_wrongly_typed_family_exits_2(tmp_path, capsys, family):
+    target = write(tmp_path, "target.json",
+                   {"alphabet": "ab", "expr": expr_to_json(FULL)})
+    code, out, err = run_main(["cohesive", "--target", target,
+                               "--family", write(tmp_path, "fam.json", family),
+                               "--index-bound", "5"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "fam.json" in err

@@ -1,21 +1,26 @@
 import pytest
 
-from cptk.classify import (ClassificationProblem, ClosureFlagsAbsent,
-                           load_conditional, load_problem)
+from cptk.classify import (INFINITE_EVIDENCE_THRESHOLD, ClassificationProblem,
+                           ClosureFlagsAbsent, load_conditional, load_problem)
 from cptk.codec import pair
-from cptk.cohesion import (ccore1_check, check_ccohesive, check_ccore,
-                           check_cohesive, check_core, infinite_evidence)
+from cptk.cohesion import (CohesionVerdict, ccore1_check, check_ccohesive,
+                           check_ccore, check_cohesive, check_core,
+                           infinite_evidence)
 from cptk.dfa import Dfa
-from cptk.families import (FamilyFlags, canonical_index, dc_members,
-                           list_family)
+from cptk.families import (DcMember, FamilyFlags, canonical_index, close_cc,
+                           complement_key, dc_members, list_family)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, Predicate, Union, equivalent, member_batch,
-                        to_automaton)
+                        subset_of, to_automaton)
 from cptk.words import window_for_horizon
 
 
 A_ONLY = DfaAtom(Dfa(2, ((0, 1), (1, 1)), 0, frozenset({0})))        # b-free words
 EVEN_A_RUN = DfaAtom(Dfa(2, ((1, 2), (0, 2), (2, 2)), 0, frozenset({0})))  # (aa)*
+A_FREE = DfaAtom(Dfa(2, ((1, 0), (1, 1)), 0, frozenset({0})))        # b*
+AB_RUN = DfaAtom(Dfa(2, ((1, 2), (2, 0), (2, 2)), 0, frozenset({0})))  # (ab)*
+A_THEN_B = DfaAtom(Dfa(2, ((0, 1), (2, 1), (2, 2)), 0, frozenset({0, 1})))  # a*b*
+SQ = Predicate("square-length")
 
 
 def verify_refutation(verdict, a_expr, family, horizon=300, threshold=32):
@@ -39,6 +44,124 @@ def verify_refutation(verdict, a_expr, family, horizon=300, threshold=32):
             assert (side.count or 0) >= threshold
             assert count >= threshold
     return q
+
+
+def pair_scan_dc_members(family, index_bound, horizon):
+    """Every complement pair below the bound, found pair by pair."""
+    out = []
+    if family.exact:
+        by_canon = {}
+        for i in range(index_bound):
+            by_canon.setdefault(family.canonical(i), []).append(i)
+        for j in range(index_bound):
+            for i in by_canon.get(complement_key(family.canonical(j)), ()):
+                out.append(DcMember(i, j, "exact"))
+    else:
+        rows = family.rows(index_bound, horizon)
+        full = (1 << (horizon + 1)) - 1
+        by_row = {}
+        for i, row in enumerate(rows):
+            by_row.setdefault(row, []).append(i)
+        for j, row in enumerate(rows):
+            for i in by_row.get(full & ~row, ()):
+                out.append(DcMember(i, j, "horizon", horizon))
+    out.sort(key=lambda m: (m.i, m.j))
+    return out
+
+
+def pair_scan(a, region, family, index_bound, horizon,
+              threshold=INFINITE_EVIDENCE_THRESHOLD):
+    """The former cohesion scan, kept as the differential oracle: every
+    complement pair in pair-code order, one outcome memoized per language
+    class."""
+    alphabet = family.alphabet
+    class_outcome = {}
+    rows = None if family.exact else family.rows(index_bound, horizon)
+    members = pair_scan_dc_members(family, index_bound, horizon)
+    assert members == dc_members(family, index_bound, horizon)
+    for m in sorted(members, key=lambda m: pair(m.i, m.j)):
+        key = family.canonical(m.i) if family.exact else rows[m.i]
+        if key in class_outcome:
+            hit = class_outcome[key]
+        else:
+            q = family.expr(m.i)
+            hit = None
+            usable = True
+            if region is not None:
+                usable = subset_of(q, region, alphabet, horizon).is_certified
+            if usable:
+                side_in, ev_in = infinite_evidence(Inter((a, q)), alphabet,
+                                                   horizon, threshold)
+                if side_in:
+                    side_out, ev_out = infinite_evidence(Inter((a, Complement(q))),
+                                                         alphabet, horizon, threshold)
+                    if side_out:
+                        hit = (ev_in, ev_out)
+            class_outcome[key] = hit
+        if hit is not None:
+            ev_in, ev_out = hit
+            exact = ev_in.exact and ev_out.exact and m.status == "exact"
+            return CohesionVerdict("refuted", index_bound, horizon, m,
+                                   family.expr(m.i), (ev_in, ev_out), exact)
+    return CohesionVerdict("consistent", index_bound, horizon)
+
+
+def assert_matches_pair_scan(a, family, index_bound, horizon, region=None):
+    if region is None:
+        got = check_cohesive(a, family, index_bound, horizon)
+    else:
+        got = check_ccohesive(a, region, family, index_bound, horizon)
+    assert got.to_json() == pair_scan(a, region, family, index_bound, horizon).to_json()
+    return got
+
+
+@pytest.mark.parametrize("target", [A_ONLY, A_FREE, AB_RUN, A_THEN_B, LeftMark("a", SQ)],
+                         ids=["a*", "b*", "(ab)*", "a*b*", "leftmark-a-square"])
+def test_class_scan_matches_pair_scan_regular_ab(reg_ab, target):
+    assert_matches_pair_scan(target, reg_ab, 400, 300)
+
+
+def test_class_scan_matches_pair_scan_regular_abc(abc, reg_abc):
+    a_only = DfaAtom(Dfa(3, ((0, 1, 1), (1, 1, 1)), 0, frozenset({0})))
+    for target in (a_only, LeftMark("b", SQ), LeftMark("c", FULL)):
+        assert_matches_pair_scan(target, reg_abc, 150, 200)
+
+
+def test_class_scan_matches_pair_scan_predicate_family(ab):
+    fam = close_cc(list_family("preds", ab, [SQ, LeftMark("a", FULL),
+                                             Predicate("prime-length"),
+                                             LeftMark("a", SQ), SQ]))
+    assert not fam.exact
+    verdicts = [assert_matches_pair_scan(t, fam, 10, 200)
+                for t in (A_ONLY, LeftMark("b", FULL), Predicate("equal-counts-ab"))]
+    assert any(v.is_refuted for v in verdicts)
+    assert all(v.witness.status == "horizon" for v in verdicts if v.is_refuted)
+
+
+def test_class_scan_matches_pair_scan_repeated_list_family(ab):
+    # several indices per language, complements listed before and after
+    even_a_copy = DfaAtom(Dfa(2, ((1, 3), (2, 3), (1, 3), (3, 3)), 0,
+                              frozenset({0, 2})))
+    fam = list_family("repeats", ab, [LeftMark("a", FULL), EMPTY, EVEN_A_RUN,
+                                      Complement(LeftMark("a", FULL)), FULL,
+                                      even_a_copy, Complement(EVEN_A_RUN), EMPTY])
+    assert fam.exact
+    verdicts = [assert_matches_pair_scan(t, fam, 16, 300)
+                for t in (A_ONLY, A_FREE, LeftMark("b", SQ))]
+    assert [v.is_refuted for v in verdicts] == [True, False, False]
+
+
+@pytest.mark.parametrize("region", [LeftMark("a", FULL), Complement(FiniteSet(("",))),
+                                    Union((EVEN_A_RUN, LeftMark("b", FULL)))],
+                         ids=["a-started", "nonempty-words", "even-a-or-b-started"])
+def test_class_scan_matches_pair_scan_in_region(reg_ab, region):
+    assert_matches_pair_scan(A_ONLY, reg_ab, 400, 300, region)
+
+
+def test_a_star_witness(reg_ab):
+    v = check_cohesive(A_ONLY, reg_ab, index_bound=400, horizon=300)
+    assert v.is_refuted and v.exact
+    assert (v.witness.i, v.witness.j) == (36, 35)
 
 
 def test_b_free_words_refuted(ab, reg_ab):
