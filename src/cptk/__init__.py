@@ -17,7 +17,7 @@ from .dfa import Dfa
 from .families import (FamilyEnum, FamilyFlags, DcMember, close_b, close_cc,
                        close_co, close_s, close_u, dc_members, check_law,
                        regular_family, finite_family, length_family,
-                       list_family, canonical_index, word_e)
+                       list_family, canonical_index)
 from .classify import (ClassificationProblem, ConditionalProblem,
                        PartitionCertificate, SolveNotFound, load_problem,
                        load_conditional, set_of, refines, is_partition, solve,

@@ -26,7 +26,7 @@ from .classify import (ClassificationProblem, ClosureFlagsAbsent, ConditionalPro
                        INFINITE_EVIDENCE_THRESHOLD)
 from .families import DcMember, FamilyEnum, dc_member, language_classes
 from .langs import (Complement, Inter, LangExpr, expr_to_json, is_finite,
-                    regular_view, simplify, subset_of)
+                    regular_view, simplify)
 from .verdicts import FinitenessVerdict
 
 
@@ -100,6 +100,13 @@ def check_ccohesive(a: LangExpr, region: LangExpr, family: FamilyEnum,
     return _check_cohesive_restricted(a, region, family, index_bound, horizon, threshold)
 
 
+def _certified_inside(q, region, alphabet) -> bool:
+    """``subset_of(q, region).is_certified``, without the window scan:
+    only the exact route of :func:`langs.emptiness` can certify."""
+    view = regular_view(simplify(Inter((q, Complement(region))), alphabet), alphabet)
+    return view is not None and view.least_accepted() is None
+
+
 def _check_cohesive_restricted(a, region, family, index_bound, horizon, threshold):
     validate_bounds(index_bound, horizon)
     alphabet = family.alphabet
@@ -107,7 +114,7 @@ def _check_cohesive_restricted(a, region, family, index_bound, horizon, threshol
                    in language_classes(family, index_bound, horizon) if complements]
     for i, j in sorted(least_pairs, key=lambda p: codec.pair(*p)):
         q = family.expr(i)
-        if region is not None and not subset_of(q, region, alphabet, horizon).is_certified:
+        if region is not None and not _certified_inside(q, region, alphabet):
             continue
         side_in, ev_in = infinite_evidence(Inter((a, q)), alphabet, horizon, threshold)
         if not side_in:

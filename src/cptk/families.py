@@ -109,10 +109,6 @@ class FamilyEnum:
         return cached[:index_bound]
 
 
-def word_e(family: FamilyEnum, i: int, j: int) -> bool:
-    return family.word_e(i, j)
-
-
 # ---------------------------------------------------------------------------
 # shipped families
 

@@ -4,9 +4,16 @@ The loop walks words in length-lexicographic order.  A word inside the
 condition cancels every guarded index whose language contains it; a word
 inside the target is accepted only if no uncancelled guarded index claims
 it.  Guarded means index at most the current accepted count, inclusive.
-The construction is inherently sequential, so the driver is a pure step
-function iterated a bounded number of steps, emitting one trace entry per
+The construction is inherently sequential and emits one trace entry per
 word; traces are bit-reproducible and replay-verifiable.
+
+:func:`hardcore_step` is the one-step reference on scalar membership.
+:func:`hardcore_run` and :func:`verify_trace` produce the same entries
+from int bitset window rows: the condition and target rows over every
+rank, and the family rows of the guarded indices folded into one column
+bitset per rank, so a step reads one column instead of asking each
+guarded language about its word.  The verifier still looks up each
+cancellation witness by scalar membership.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from dataclasses import dataclass
 
 from .classify import ConditionalProblem, INFINITE_EVIDENCE_THRESHOLD
 from .families import FamilyEnum
-from .langs import Inter, LangExpr, is_finite, member, subset_of
-from .words import Alphabet, lex, ord_
+from .langs import Inter, LangExpr, is_finite, member, subset_of, window_rows
+from .words import Alphabet, lex, words_up_to
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,8 @@ def _indexed_member(family: FamilyEnum, i: int, w: str) -> bool:
 def hardcore_step(state: DiagonalizationState, family: FamilyEnum,
                   condition: LangExpr, target: LangExpr,
                   alphabet: Alphabet) -> tuple[DiagonalizationState, TraceEntry]:
-    """One loop iteration on the word of rank ``state.n``."""
+    """One loop iteration on the word of rank ``state.n``, by scalar
+    membership: the reference that :func:`hardcore_run` reproduces."""
     w = lex(alphabet, state.n)
     card = state.card
     cancel = state.cancelled
@@ -115,21 +123,89 @@ def hardcore_step(state: DiagonalizationState, family: FamilyEnum,
     return new_state, entry
 
 
+class _Guards:
+    """The guarded indices by rank over lex(0..steps-1): bit i of
+    ``cols[j]`` is set when index i is guarded at rank j and lex(j) lies
+    in its language.
+
+    Family rows are fetched for the indices below a bound that doubles as
+    more indices become guarded, and never passes ``steps``.
+    """
+
+    def __init__(self, family: FamilyEnum, steps: int):
+        self.family = family
+        self.steps = steps
+        self.cols = [0] * steps
+        self.rows: list[int] = []
+
+    def guard(self, i: int, n: int) -> None:
+        """Index i is guarded from rank n on."""
+        if n >= self.steps:
+            return
+        if i >= len(self.rows):
+            bound = min(self.steps, max(2 * len(self.rows), i + 1))
+            self.rows = self.family.rows(bound, self.steps - 1)
+        bit = 1 << i
+        cols = self.cols
+        for j in _bits(self.rows[i] >> n):
+            cols[n + j] |= bit
+
+
+def _bits(mask: int):
+    """The set bits of an int bitset, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
                  alphabet: Alphabet, steps: int
                  ) -> tuple[DiagonalizationState, list[TraceEntry]]:
-    """Iterate the step function over the first ``steps`` words.
+    """The diagonalization over the first ``steps`` words, on window rows.
+
+    Produces exactly what iterating :func:`hardcore_step` does.  The
+    condition and target rows cover every rank; a guarded index adds its
+    family row to the column bitsets of the ranks still to come, so each
+    step reads one column: its uncancelled bits are the indices the word
+    cancels (condition) or the least of them blocks it (target).
 
     The accepted prefix decides membership below rank ``steps`` exactly
     (accept exactly the listed words); beyond that the run says nothing.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    state = initial_state()
+    cond_row, target_row = window_rows([condition, target], alphabet, steps)
+    guards = _Guards(family, steps)
+    guards.guard(0, 0)
+    accepted: list[str] = []
+    cancelled = 0
     trace: list[TraceEntry] = []
-    for _ in range(steps):
-        state, entry = hardcore_step(state, family, condition, target, alphabet)
-        trace.append(entry)
+    for n, w in enumerate(words_up_to(alphabet, steps)):
+        in_condition = cond_row >> n & 1
+        newly_cancelled: tuple[int, ...] = ()
+        if in_condition:
+            hits = guards.cols[n] & ~cancelled
+            newly_cancelled = tuple(_bits(hits))
+            cancelled |= hits
+        action, reason, blocking = SKIPPED, None, None
+        if target_row >> n & 1:
+            claims = guards.cols[n] & ~cancelled
+            if claims:
+                reason, blocking = REASON_BLOCKED, (claims & -claims).bit_length() - 1
+            else:
+                accepted.append(w)
+                action = ACCEPTED
+                guards.guard(len(accepted), n + 1)
+        elif in_condition:
+            reason = REASON_IN_CONDITION
+        else:
+            reason = REASON_NOT_IN_TARGET
+        if action == SKIPPED and newly_cancelled:
+            action = CANCELLED
+        trace.append(TraceEntry(n, w, action, newly_cancelled, len(accepted),
+                                reason, blocking))
+    state = DiagonalizationState(steps, tuple(accepted), frozenset(_bits(cancelled)))
     return state, trace
 
 
@@ -147,84 +223,93 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
 
     Checks: (a) every accepted word avoids every uncancelled guarded
     language at its step; (b) every cancellation has its in-condition
-    witness; (c) finally-uncancelled guarded languages meet the accepted
-    prefix only among the words accepted before they became guarded;
-    (d) the prefix lies in the target, avoids the condition, and is
-    strictly increasing; and full equality with an independent replay.
+    witness and names a guarded index; (c) finally-uncancelled guarded
+    languages meet the accepted prefix only among the words accepted
+    before they became guarded; (d) the prefix lies in the target and
+    avoids the condition (it is strictly increasing because every checked
+    entry holds the word of its step); and full equality with a replay by
+    :func:`hardcore_run`.
+
+    Checks (a), (c) and (d) read window rows over ``len(trace)`` words;
+    the witnesses of (b) are looked up by scalar membership, once per
+    listed cancellation.  An index outside the guard is reported without
+    looking up its language.
     """
+    steps = len(trace)
     violations = []
-    accepted_so_far: list[tuple[str, int]] = []   # (word, card before acceptance)
+    cond_row, target_row = window_rows([condition, target], alphabet, steps)
+    guards = _Guards(family, steps)
+    guards.guard(0, 0)
+    accepted_ranks: list[int] = []
     cancel: set[int] = set()
-    cancel_step: dict[int, int] = {}
-    prev_rank = -1
-    for pos, entry in enumerate(trace):
+    cancel_mask = 0   # the cancelled indices that can ever be guarded
+    for pos, (entry, w) in enumerate(zip(trace, words_up_to(alphabet, steps))):
         if entry.n != pos:
             violations.append(_violation(entry.n, "step-numbering",
                                          f"expected step {pos}"))
             break
-        w = lex(alphabet, entry.n)
         if entry.word != w:
-            violations.append(_violation(entry.n, "word-rank",
-                                         f"word {entry.word!r} is not lex({entry.n})"))
+            violations.append(_violation(pos, "word-rank",
+                                         f"word {entry.word!r} is not lex({pos})"))
             continue
-        card_before = len(accepted_so_far)
+        card_before = len(accepted_ranks)
         # (b) cancellations need their condition witness
         for i in entry.cancelled:
+            guarded = 0 <= i <= card_before
             if not member(condition, w, alphabet):
-                violations.append(_violation(entry.n, "cancel-no-condition-witness",
+                violations.append(_violation(pos, "cancel-no-condition-witness",
                                              f"index {i} cancelled on {w!r} not in the condition"))
-            elif not _indexed_member(family, i, w):
-                violations.append(_violation(entry.n, "cancel-no-membership-witness",
+            elif guarded and not _indexed_member(family, i, w):
+                violations.append(_violation(pos, "cancel-no-membership-witness",
                                              f"index {i} cancelled but {w!r} not in language {i}"))
-            if i > card_before:
-                violations.append(_violation(entry.n, "cancel-outside-guard",
-                                             f"index {i} beyond guard {card_before}"))
+            if not guarded:
+                where = "negative" if i < 0 else f"beyond guard {card_before}"
+                violations.append(_violation(pos, "cancel-outside-guard",
+                                             f"index {i} {where}"))
             if i in cancel:
-                violations.append(_violation(entry.n, "cancel-repeated",
+                violations.append(_violation(pos, "cancel-repeated",
                                              f"index {i} already cancelled"))
             cancel.add(i)
-            cancel_step.setdefault(i, entry.n)
+            if 0 <= i < steps:
+                cancel_mask |= 1 << i
         if entry.action == ACCEPTED:
             # (d) prefix discipline
-            if not member(target, w, alphabet):
-                violations.append(_violation(entry.n, "accept-outside-target", w))
-            if member(condition, w, alphabet):
-                violations.append(_violation(entry.n, "accept-inside-condition", w))
-            rank = ord_(alphabet, w)
-            if rank <= prev_rank:
-                violations.append(_violation(entry.n, "accept-order",
-                                             f"{w!r} not above the previous accepted word"))
-            prev_rank = max(prev_rank, rank)
+            if not target_row >> pos & 1:
+                violations.append(_violation(pos, "accept-outside-target", w))
+            if cond_row >> pos & 1:
+                violations.append(_violation(pos, "accept-inside-condition", w))
             # (a) acceptance guard
-            for i in range(card_before + 1):
-                if i not in cancel and _indexed_member(family, i, w):
-                    violations.append(_violation(entry.n, "accept-blocked",
-                                                 f"uncancelled index {i} contains {w!r}"))
-            accepted_so_far.append((w, card_before))
-        if entry.card != len(accepted_so_far):
-            violations.append(_violation(entry.n, "card-mismatch",
-                                         f"declared {entry.card}, replay has {len(accepted_so_far)}"))
-    # (c) finite-intersection bound for surviving guarded indices
-    final_card = len(accepted_so_far)
-    for i in range(final_card + 1):
-        if i in cancel:
-            continue
-        hits = [(w, cb) for w, cb in accepted_so_far if _indexed_member(family, i, w)]
-        late = [w for w, cb in hits if cb >= i]
-        if late:
+            for i in _bits(guards.cols[pos] & ~cancel_mask):
+                violations.append(_violation(pos, "accept-blocked",
+                                             f"uncancelled index {i} contains {w!r}"))
+            accepted_ranks.append(pos)
+            guards.guard(len(accepted_ranks), pos + 1)
+        if entry.card != len(accepted_ranks):
+            violations.append(_violation(pos, "card-mismatch",
+                                         f"declared {entry.card}, replay has {len(accepted_ranks)}"))
+    # (c) finite-intersection bound for surviving guarded indices: index i
+    # was guarded when the words from the i-th accepted one on were accepted
+    final_card = len(accepted_ranks)
+    since = [0] * (final_card + 1)
+    for k in reversed(range(final_card)):
+        since[k] = since[k + 1] | 1 << accepted_ranks[k]
+    for i, row in enumerate(family.rows(final_card, steps - 1)):
+        late = row & since[i]
+        if late and i not in cancel:
+            words = [lex(alphabet, r) for r in _bits(late)]
             violations.append(_violation(None, "late-intersection",
-                                         f"index {i} meets words accepted while guarded: {late}"))
-    # independent replay must reproduce the trace bit for bit
-    state = initial_state()
-    for pos, entry in enumerate(trace):
-        state, expected = hardcore_step(state, family, condition, target, alphabet)
-        if expected != entry:
-            violations.append(_violation(pos, "replay-divergence",
-                                         {"expected": expected.to_json(),
-                                          "found": entry.to_json()}))
-            break
+                                         f"index {i} meets words accepted while guarded: {words}"))
+    # the trace must equal a fresh run bit for bit
+    if trace:
+        _, expected = hardcore_run(family, condition, target, alphabet, steps)
+        for pos, (want, found) in enumerate(zip(expected, trace)):
+            if want != found:
+                violations.append(_violation(pos, "replay-divergence",
+                                             {"expected": want.to_json(),
+                                              "found": found.to_json()}))
+                break
     return {"ok": not violations, "violations": violations,
-            "steps": len(trace), "final_card": final_card,
+            "steps": steps, "final_card": final_card,
             "cancelled": sorted(cancel)}
 
 

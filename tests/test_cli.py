@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from cptk.cli import main
+from cptk.families import FamilyEnum
 from cptk.langs import expr_to_json, FULL, LeftMark, Predicate, Complement
 
 
@@ -318,3 +319,27 @@ def test_wrongly_typed_family_exits_2(tmp_path, capsys, family):
                                "--index-bound", "5"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "fam.json" in err
+
+
+@pytest.mark.parametrize("index", [-1, 10 ** 20])
+def test_verify_trace_cancellation_outside_guard_exits_5(tmp_path, capsys, monkeypatch,
+                                                         index):
+    real_expr = FamilyEnum.expr
+
+    def expr(self, i):
+        assert 0 <= i <= 1, f"language {i} looked up"
+        return real_expr(self, i)
+
+    monkeypatch.setattr(FamilyEnum, "expr", expr)
+    family = write(tmp_path, "finite.json", {"alphabet": "ab", "builtin": "finite"})
+    full = write(tmp_path, "full.json", {"alphabet": "ab", "expr": expr_to_json(FULL)})
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text(json.dumps({"n": 0, "word": "", "action": "cancelled",
+                                      "cancelled": [index], "card": 0}) + "\n")
+    code, out, _ = run_main(["verify-trace", "--trace", str(trace_path),
+                             "--family", family, "--condition", full,
+                             "--target", full], capsys)
+    assert code == 5
+    report = json.loads(out)
+    assert report["violations"][0]["code"] == "cancel-outside-guard"
+    assert report["cancelled"] == [index]

@@ -3,15 +3,15 @@ import pytest
 from cptk.classify import (INFINITE_EVIDENCE_THRESHOLD, ClassificationProblem,
                            ClosureFlagsAbsent, load_conditional, load_problem)
 from cptk.codec import pair
-from cptk.cohesion import (CohesionVerdict, ccore1_check, check_ccohesive,
-                           check_ccore, check_cohesive, check_core,
-                           infinite_evidence)
+from cptk.cohesion import (CohesionVerdict, _certified_inside, ccore1_check,
+                           check_ccohesive, check_ccore, check_cohesive,
+                           check_core, infinite_evidence)
 from cptk.dfa import Dfa
 from cptk.families import (DcMember, FamilyFlags, canonical_index, close_cc,
                            complement_key, dc_members, list_family)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, Predicate, Union, equivalent, member_batch,
-                        subset_of, to_automaton)
+                        simplify, subset_of, to_automaton)
 from cptk.words import window_for_horizon
 
 
@@ -156,6 +156,36 @@ def test_class_scan_matches_pair_scan_repeated_list_family(ab):
                          ids=["a-started", "nonempty-words", "even-a-or-b-started"])
 def test_class_scan_matches_pair_scan_in_region(reg_ab, region):
     assert_matches_pair_scan(A_ONLY, reg_ab, 400, 300, region)
+
+
+# the regions of the ccohesive tests, and the regions (complements of the
+# conditions) that the ccore tests check against
+CCORE_REGIONS = {
+    "a-started": LeftMark("a", FULL),
+    "nonempty-words": Complement(FiniteSet(("",))),
+    "even-a-or-b-started": Union((EVEN_A_RUN, LeftMark("b", FULL))),
+    "even-a-run": EVEN_A_RUN,
+    "full": FULL,
+    "not-b-started": Complement(LeftMark("b", FULL)),
+    "example-26": Complement(Union((LeftMark("a", SQ), LeftMark("b", Complement(SQ))))),
+    "not-b-or-bb": Complement(FiniteSet(("b", "bb"))),
+}
+
+
+@pytest.mark.parametrize("region", sorted(CCORE_REGIONS))
+def test_region_check_matches_subset_certificate(ab, reg_ab, region):
+    region = simplify(CCORE_REGIONS[region], ab)
+    preds = close_cc(list_family("preds", ab, [SQ, LeftMark("a", FULL),
+                                               Predicate("prime-length"),
+                                               LeftMark("a", SQ), EMPTY]))
+    certified = 0
+    for family, bound in ((reg_ab, 300), (preds, 10)):
+        for i in range(bound):
+            q = family.expr(i)
+            want = subset_of(q, region, ab, 300).is_certified
+            assert _certified_inside(q, region, ab) == want, i
+            certified += want
+    assert certified
 
 
 def test_a_star_witness(reg_ab):

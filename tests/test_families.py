@@ -6,7 +6,7 @@ from cptk.families import (LAW_IDS, canonical_index, check_law, close_b,
                            close_cc, close_co, close_s, close_u, dc_members,
                            family_from_json, finite_family, length_family,
                            list_family, regular_family, regular_index_decode,
-                           regular_index_encode, word_e)
+                           regular_index_encode)
 from cptk.kernels import row_bits
 from cptk.langs import (FULL, Complement, LeftMark, Predicate,
                         StepBudgetExceeded, is_finite, member_batch, step_budget,
@@ -61,11 +61,11 @@ def test_regular_family_semantically_closed_under_union(reg_ab, ab):
 
 
 def test_word_e(reg_ab, ab):
-    assert word_e(reg_ab, 1, 0) is True
-    assert word_e(reg_ab, 0, 0) is False
+    assert reg_ab.word_e(1, 0) is True
+    assert reg_ab.word_e(0, 0) is False
     lf = length_family(ab)
-    assert word_e(lf, 2, ord_(ab, "ab")) is True
-    assert word_e(lf, 2, ord_(ab, "abb")) is False
+    assert lf.word_e(2, ord_(ab, "ab")) is True
+    assert lf.word_e(2, ord_(ab, "abb")) is False
 
 
 def test_word_e_total_under_step_budget(ab):
@@ -76,7 +76,7 @@ def test_word_e_total_under_step_budget(ab):
             for _ in range(60):
                 i = int(rng.integers(0, 10 ** 4))
                 j = int(rng.integers(0, 10 ** 4))
-                assert word_e(fam, i, j) in (True, False)
+                assert fam.word_e(i, j) in (True, False)
 
 
 def test_closures_preserve_totality(reg_ab, ab):
@@ -88,7 +88,7 @@ def test_closures_preserve_totality(reg_ab, ab):
             for _ in range(25):
                 i = int(rng.integers(0, 10 ** 4))
                 j = int(rng.integers(0, 2000))
-                assert word_e(fam, i, j) in (True, False)
+                assert fam.word_e(i, j) in (True, False)
 
 
 def test_close_u_singleton_identity(reg_ab, ab):

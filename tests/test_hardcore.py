@@ -2,15 +2,18 @@ import itertools
 
 import pytest
 
+import cptk.hardcore
+import cptk.langs
 from cptk.classify import load_conditional
 from cptk.dfa import Dfa
-from cptk.families import FamilyFlags, length_family, list_family
-from cptk.hardcore import (TraceEntry, hardcore_componentwise, hardcore_run,
+from cptk.families import (FamilyFlags, finite_family, length_family, list_family,
+                           regular_family)
+from cptk.hardcore import (ACCEPTED, TraceEntry, hardcore_componentwise, hardcore_run,
                            hardcore_step, initial_state, is_proper_hardcore,
                            trace_from_jsonl, trace_to_jsonl, verify_trace)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet,
                         LeftMark, Predicate, member)
-from cptk.words import ord_
+from cptk.words import lex, ord_
 
 
 def simulate(family_member, in_condition, in_target, alphabet_symbols, steps):
@@ -249,3 +252,252 @@ def test_componentwise_runs(ab, reg_ab):
     assert not (words_sets[0] & words_sets[1])  # disjoint markers, disjoint prefixes
     for entry, marker in zip(results, "ab"):
         assert all(w.startswith(marker) for w in entry["state"].accepted)
+
+
+# ---------------------------------------------------------------------------
+# the row-driven run and verifier against their scalar references
+
+
+def step_run(family, condition, target, alphabet, steps):
+    """The run as iterated scalar steps: the reference for hardcore_run."""
+    state = initial_state()
+    trace = []
+    for _ in range(steps):
+        state, entry = hardcore_step(state, family, condition, target, alphabet)
+        trace.append(entry)
+    return state, trace
+
+
+def scalar_verify_trace(trace, family, condition, target, alphabet):
+    """The verifier as it was on scalar membership, kept as the oracle of
+    the row-driven one."""
+    def indexed_member(i, w):
+        return member(family.expr(i), w, alphabet)
+
+    def violation(step, code, detail):
+        return {"step": step, "code": code, "detail": detail}
+
+    violations = []
+    accepted_so_far = []
+    cancel = set()
+    prev_rank = -1
+    for pos, entry in enumerate(trace):
+        if entry.n != pos:
+            violations.append(violation(entry.n, "step-numbering", f"expected step {pos}"))
+            break
+        w = lex(alphabet, entry.n)
+        if entry.word != w:
+            violations.append(violation(entry.n, "word-rank",
+                                        f"word {entry.word!r} is not lex({entry.n})"))
+            continue
+        card_before = len(accepted_so_far)
+        for i in entry.cancelled:
+            if not member(condition, w, alphabet):
+                violations.append(violation(entry.n, "cancel-no-condition-witness",
+                                            f"index {i} cancelled on {w!r} not in the condition"))
+            elif not indexed_member(i, w):
+                violations.append(violation(entry.n, "cancel-no-membership-witness",
+                                            f"index {i} cancelled but {w!r} not in language {i}"))
+            if i > card_before:
+                violations.append(violation(entry.n, "cancel-outside-guard",
+                                            f"index {i} beyond guard {card_before}"))
+            if i in cancel:
+                violations.append(violation(entry.n, "cancel-repeated",
+                                            f"index {i} already cancelled"))
+            cancel.add(i)
+        if entry.action == ACCEPTED:
+            if not member(target, w, alphabet):
+                violations.append(violation(entry.n, "accept-outside-target", w))
+            if member(condition, w, alphabet):
+                violations.append(violation(entry.n, "accept-inside-condition", w))
+            rank = ord_(alphabet, w)
+            if rank <= prev_rank:
+                violations.append(violation(entry.n, "accept-order",
+                                            f"{w!r} not above the previous accepted word"))
+            prev_rank = max(prev_rank, rank)
+            for i in range(card_before + 1):
+                if i not in cancel and indexed_member(i, w):
+                    violations.append(violation(entry.n, "accept-blocked",
+                                                f"uncancelled index {i} contains {w!r}"))
+            accepted_so_far.append((w, card_before))
+        if entry.card != len(accepted_so_far):
+            violations.append(violation(entry.n, "card-mismatch",
+                                        f"declared {entry.card}, replay has {len(accepted_so_far)}"))
+    final_card = len(accepted_so_far)
+    for i in range(final_card + 1):
+        if i in cancel:
+            continue
+        late = [w for w, cb in accepted_so_far if indexed_member(i, w) and cb >= i]
+        if late:
+            violations.append(violation(None, "late-intersection",
+                                        f"index {i} meets words accepted while guarded: {late}"))
+    state = initial_state()
+    for pos, entry in enumerate(trace):
+        state, expected = hardcore_step(state, family, condition, target, alphabet)
+        if expected != entry:
+            violations.append(violation(pos, "replay-divergence",
+                                        {"expected": expected.to_json(),
+                                         "found": entry.to_json()}))
+            break
+    return {"ok": not violations, "violations": violations,
+            "steps": len(trace), "final_card": final_card,
+            "cancelled": sorted(cancel)}
+
+
+SQ = Predicate("square-length")
+MARKERS = {"empty": (EMPTY, FULL),
+           "a.A-b.notA": (LeftMark("a", SQ), LeftMark("b", Complement(SQ))),
+           "a-b": (LeftMark("a", FULL), LeftMark("b", FULL))}
+# a language listed twice: both copies can claim one target word (the
+# least blocks it) or be cancelled by one condition word
+LONG = Complement(FiniteSet(("", "a", "b", "aa", "ab", "ba", "bb")))
+BUILTINS = {"finite": finite_family, "length": length_family, "regular": regular_family,
+            "repeats": lambda ab: list_family("repeats", ab,
+                                              [EMPTY, LONG, LONG, LeftMark("b", FULL)])}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 64, 600])
+@pytest.mark.parametrize("languages", sorted(MARKERS))
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_row_run_matches_scalar_steps(ab, builtin, languages, steps):
+    condition, target = MARKERS[languages]
+    family = BUILTINS[builtin](ab)
+    state, trace = hardcore_run(family, condition, target, ab, steps)
+    # the reference gets a fresh family, so that no row or expression
+    # cache is shared between the two
+    want_state, want_trace = step_run(BUILTINS[builtin](ab), condition, target,
+                                      ab, steps)
+    assert state == want_state
+    assert trace_to_jsonl(trace) == trace_to_jsonl(want_trace)
+    sim_accepted, sim_cancel = simulate(
+        lambda i, w: member(family.expr(i), w, ab),
+        lambda w: member(condition, w, ab), lambda w: member(target, w, ab),
+        "ab", steps)
+    assert list(state.accepted) == sim_accepted
+    assert set(state.cancelled) == sim_cancel
+
+
+def tampered_traces(trace):
+    """The clean trace and the tamperings of the tests above, by name."""
+    out = {"clean": list(trace)}
+    blocked = next((k for k, e in enumerate(trace) if e.reason == "blocked"), None)
+    if blocked is not None:
+        # inserted acceptance; the blocker then meets a word accepted
+        # while it was guarded, a late intersection
+        t = list(trace)
+        e = t[blocked]
+        t[blocked] = TraceEntry(e.n, e.word, "accepted", e.cancelled, e.card + 1)
+        for k in range(blocked + 1, len(t)):
+            e = t[k]
+            t[k] = TraceEntry(e.n, e.word, e.action, e.cancelled, e.card + 1,
+                              e.reason, e.blocking)
+        out["inserted-acceptance"] = t
+    skipped = next((k for k, e in enumerate(trace) if e.action == "skipped"), None)
+    if skipped is not None:
+        t = list(trace)
+        e = t[skipped]
+        t[skipped] = TraceEntry(e.n, e.word, "cancelled", (0,), e.card)
+        out["missing-witness"] = t
+    accepted = [k for k, e in enumerate(trace) if e.action == "accepted"]
+    if len(accepted) >= 3:
+        t = list(trace)
+        i1, i2 = accepted[1], accepted[2]
+        e1, e2 = t[i1], t[i2]
+        t[i1] = TraceEntry(e1.n, e2.word, e1.action, e1.cancelled, e1.card,
+                           e1.reason, e1.blocking)
+        t[i2] = TraceEntry(e2.n, e1.word, e2.action, e2.cancelled, e2.card,
+                           e2.reason, e2.blocking)
+        out["reordered-prefix"] = t
+    return out
+
+
+@pytest.mark.parametrize("languages", sorted(MARKERS))
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_row_verifier_matches_scalar_verifier(ab, builtin, languages):
+    condition, target = MARKERS[languages]
+    family = BUILTINS[builtin](ab)
+    _, trace = hardcore_run(family, condition, target, ab, 200)
+    codes = set()
+    for name, t in tampered_traces(trace).items():
+        got = verify_trace(t, family, condition, target, ab)
+        want = scalar_verify_trace(t, BUILTINS[builtin](ab), condition, target, ab)
+        assert got == want, name
+        assert got["ok"] == (name == "clean")
+        codes |= {v["code"] for v in want["violations"]}
+    if builtin == "length":
+        assert {"accept-blocked", "late-intersection", "word-rank"} <= codes
+        assert codes & {"cancel-no-condition-witness", "cancel-no-membership-witness"}
+
+
+def test_row_verifier_matches_scalar_verifier_on_cancellations(ab, reg_ab):
+    # a run that cancels, and the same trace with one cancellation dropped
+    # (the index then blocks nothing it should not) or duplicated
+    cond, target = LeftMark("a", FULL), LeftMark("b", Predicate("equal-counts-ab"))
+    _, trace = hardcore_run(reg_ab, cond, target, ab, 400)
+    k = next(k for k, e in enumerate(trace) if e.cancelled)
+    e = trace[k]
+    dropped = list(trace)
+    dropped[k] = TraceEntry(e.n, e.word, e.action, e.cancelled[1:], e.card,
+                            e.reason, e.blocking)
+    repeated = list(trace)
+    repeated[k] = TraceEntry(e.n, e.word, e.action, e.cancelled + e.cancelled[:1],
+                             e.card, e.reason, e.blocking)
+    for t in (trace, dropped, repeated):
+        assert (verify_trace(t, reg_ab, cond, target, ab)
+                == scalar_verify_trace(t, reg_ab, cond, target, ab))
+
+
+@pytest.mark.parametrize("index", [-1, 10 ** 20])
+def test_verify_reports_cancellation_outside_guard(ab, index, monkeypatch):
+    family = finite_family(ab)
+    trace = [TraceEntry(0, "", "cancelled", (index,), 0)]
+    real_expr, real_rows = family.expr, family.rows
+
+    # neither the language nor a row of an index outside the trace's
+    # guards is ever asked for
+    def expr(i):
+        assert 0 <= i <= len(trace), f"language {i} looked up"
+        return real_expr(i)
+
+    def rows(bound, horizon):
+        assert bound <= len(trace) + 1, f"rows below {bound} asked for"
+        return real_rows(bound, horizon)
+
+    monkeypatch.setattr(family, "expr", expr)
+    monkeypatch.setattr(family, "rows", rows)
+    rep = verify_trace(trace, family, FULL, FULL, ab)
+    assert not rep["ok"]
+    assert rep["violations"][0] == {
+        "step": 0, "code": "cancel-outside-guard",
+        "detail": f"index {index} " + ("negative" if index < 0 else "beyond guard 0")}
+    assert rep["cancelled"] == [index]
+
+
+def count_family_member_calls(monkeypatch, family):
+    """Count scalar membership calls whose expression is a family one."""
+    calls = []
+    real = cptk.langs.member
+
+    def counting(expr, word, alphabet):
+        if any(expr is e for e in family._exprs.values()):
+            calls.append((expr, word))
+        return real(expr, word, alphabet)
+
+    monkeypatch.setattr(cptk.langs, "member", counting)
+    monkeypatch.setattr(cptk.hardcore, "member", counting)
+    return calls
+
+
+@pytest.mark.parametrize("builtin,steps,languages", [
+    ("finite", 600, "empty"), ("regular", 600, "a.A-b.notA")])
+def test_run_and_verifier_read_rows(ab, monkeypatch, builtin, steps, languages):
+    condition, target = MARKERS[languages]
+    family = BUILTINS[builtin](ab)
+    calls = count_family_member_calls(monkeypatch, family)
+    _, trace = hardcore_run(family, condition, target, ab, steps)
+    assert calls == []
+    assert verify_trace(trace, family, condition, target, ab)["ok"]
+    assert len(calls) <= sum(len(e.cancelled) for e in trace)
+    # the counter does see scalar lookups: the step reference makes them
+    step_run(family, condition, target, ab, 16)
+    assert calls
