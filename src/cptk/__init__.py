@@ -15,7 +15,7 @@ from .langs import (Complement, DfaAtom, FiniteSet, Inter, LangExpr, LeftMark,
                     expr_from_json)
 from .dfa import Dfa
 from .families import (FamilyEnum, FamilyFlags, DcMember, close_b, close_cc,
-                       close_co, close_s, close_u, dc_members, check_law,
+                       close_co, close_s, close_u, check_law,
                        regular_family, finite_family, length_family,
                        list_family, canonical_index)
 from .classify import (ClassificationProblem, ConditionalProblem,

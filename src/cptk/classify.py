@@ -228,31 +228,28 @@ def is_partition(blocks, alphabet: Alphabet, family: FamilyEnum | None = None,
         flags.append("cover horizon-checked")
     member_indices = None
     if family is not None:
+        # an index with another row than the block's is always refuted, and
+        # the indices of one class share the verdict of its least index
+        index = family.classes(index_bound, horizon)
+        packed = window_for_horizon(family.alphabet, horizon)
         member_indices = []
         for t, block in enumerate(blocks):
-            idx, verdict = _family_index_of(family, block, index_bound, horizon)
-            if idx is None:
+            for i in index.leaders.get(row_bits(member_batch(block, packed)), ()):
+                verdict = equivalent(family.expr(i), block, family.alphabet, horizon)
+                if not verdict.is_refuted:
+                    break
+            else:
                 return PartitionVerdict(
                     REFUTED, False, None, "membership",
                     flags=(f"block {t} matches no family index below {index_bound}",))
             if not verdict.exact:
                 exact = False
                 flags.append(f"membership({t}) horizon-checked")
-            member_indices.append(idx)
+            member_indices.append(i)
         member_indices = tuple(member_indices)
     status = CERTIFIED if exact else UNKNOWN
     return PartitionVerdict(status, exact, member_indices=member_indices,
                             flags=tuple(flags))
-
-
-def _family_index_of(family, expr, index_bound, horizon):
-    for i in range(index_bound):
-        v = equivalent(family.expr(i), expr, family.alphabet, horizon)
-        if v.is_certified:
-            return i, v
-        if v.is_unknown:
-            return i, v
-    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -297,30 +294,6 @@ class SolveNotFound:
                 "horizon": self.horizon, "note": self.note}
 
 
-def _dedup_candidates(family, indices):
-    """Keep the least index per language (safe: tuple codes are strictly
-    monotone in every coordinate, and all filters are language-level)."""
-    if not family.exact:
-        return list(indices)
-    seen = {}
-    for i in indices:
-        key = family.canonical(i)
-        if key not in seen:
-            seen[key] = i
-    return sorted(seen.values())
-
-
-def _containment_candidates(rows, comp):
-    return [i for i, row in enumerate(rows) if not comp & ~row]
-
-
-def _by_row(rows, indices):
-    out: dict[int, list[int]] = {}
-    for i in indices:
-        out.setdefault(rows[i], []).append(i)
-    return out
-
-
 def _disjoint_tuples(rows, pools, prefix=(), acc=0):
     """Every tuple taking slot s from ``pools[s]`` whose rows are pairwise
     disjoint, with the union of its rows; in product order."""
@@ -360,25 +333,25 @@ def _search(problem, family, index_bound, horizon, condition=None):
     validate_bounds(index_bound, horizon)
     k = len(problem)
     alphabet = problem.alphabet
-    rows = family.rows(index_bound, horizon)
+    index = family.classes(index_bound, horizon)
+    rows, full, leaders = index.rows, index.full, index.leaders
     packed = window_for_horizon(alphabet, horizon)
+    comp_rows = [row_bits(member_batch(c, packed)) for c in problem.components]
     # each component's containment candidates, one index per language
-    cand = [_dedup_candidates(family, _containment_candidates(
-                rows, row_bits(member_batch(c, packed)))) for c in problem.components]
+    cand = [sorted(i for row, ls in leaders.items() if not comp & ~row for i in ls)
+            for comp in comp_rows]
     if not all(cand):
         return SolveNotFound(index_bound, horizon)
-    full = (1 << len(packed)) - 1
-    if condition is None:
-        forced = [_by_row(rows, c) for c in cand]
-    else:
-        cond_row = row_bits(member_batch(condition, packed))
-        forced = [_by_row(rows, _containment_candidates(rows, cond_row))] * k
     offset = 0 if condition is None else 1
+    # the row that slot 0 must contain, by the component heading ``perm``
+    hosted = comp_rows if condition is None else [row_bits(member_batch(condition, packed))] * k
     tuples: dict[tuple, list[tuple]] = {}
     for perm in itertools.permutations(range(k)):
         pools = [cand[t] for t in perm[1 - offset:]]  # the slots after slot 0
         for rest, acc in _disjoint_tuples(rows, pools):
-            for i in forced[perm[0]].get(full & ~acc, ()):
+            if hosted[perm[0]] & acc:
+                continue
+            for i in leaders.get(full & ~acc, ()):
                 tuples.setdefault((i,) + rest, []).append(perm)
     for slots in sorted(tuples, key=codec.tuple_code):
         blocks = tuple(family.expr(i) for i in slots)

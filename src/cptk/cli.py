@@ -303,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lex", help="print the first N words in order")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--order", help="explicit symbol order override")
-    p.add_argument("--count", type=int, default=16)
+    p.add_argument("--count", type=_int_at_least(0), default=16)
     p.set_defaults(func=cmd_lex)
 
     p = sub.add_parser("laws", help="spot-check closure-algebra identities")
     p.add_argument("--family", required=True)
     p.add_argument("--law", default="all", choices=("all",) + LAW_IDS)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_int_at_least(1), default=50)
     add_bounds(p)
     p.set_defaults(func=cmd_laws)
 
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ccore", help="core / conditional-core status report")
     p.add_argument("--problem", required=True)
     p.add_argument("--family", required=True)
-    p.add_argument("--samples", type=int, default=4,
+    p.add_argument("--samples", type=_int_at_least(0), default=4,
                    help="sliced subproblems sampled (default 4)")
     add_bounds(p)
     p.set_defaults(func=cmd_ccore)

@@ -133,14 +133,6 @@ def _check_cohesive_restricted(a, region, family, index_bound, horizon, threshol
 # core reports
 
 
-def _find_family_index(family: FamilyEnum, view, index_bound: int) -> int | None:
-    key = view.canonical_key()
-    for i in range(index_bound):
-        if family.canonical(i) == key:
-            return i
-    return None
-
-
 def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: int,
                horizon: int = 300, subset_samples: int = 4, seed: int = 0,
                threshold: int = INFINITE_EVIDENCE_THRESHOLD) -> dict:
@@ -206,16 +198,15 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
     # cross-check: an exactly solvable subproblem induces a splitting pair
     linked = []
     inconsistent = False
-    for entry, res in zip([f for f in findings if "pair" in f["subproblem"]],
-                          pair_results.values()):
+    for res in pair_results.values():
         if not isinstance(res, PartitionCertificate) or res.status != "exact":
             continue
         sep = res.blocks[res.injection[0]]
         view = regular_view(sep, alphabet)
         if view is None:
             continue
-        sep_index = _find_family_index(family, view, index_bound)
-        comp_index = _find_family_index(family, view.complement(), index_bound)
+        index = family.classes(index_bound, horizon)
+        sep_index, comp_index = index.index_of(view), index.index_of(view.complement())
         both_in, ev_in = infinite_evidence(Inter((set_of(problem), sep)),
                                            alphabet, horizon, threshold)
         both_out, ev_out = infinite_evidence(

@@ -15,6 +15,7 @@ automata are computable in both directions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -63,7 +64,9 @@ class FamilyEnum:
         self.flags = flags
         self._exprs: dict[int, LangExpr] = {}
         self._rows: dict[int, list[int]] = {}
-        self._canon: dict[int, tuple] = {}
+        #: ``classes(index_bound, horizon)``, the ``ROW_HORIZONS`` latest kept
+        self.classes = functools.lru_cache(ROW_HORIZONS)(
+            lambda index_bound, horizon: ClassIndex(self, index_bound, horizon))
 
     def __repr__(self):
         return f"FamilyEnum({self.name!r}, alphabet={self.alphabet})"
@@ -83,12 +86,8 @@ class FamilyEnum:
 
     def canonical(self, i: int) -> tuple | None:
         """Canonical automaton key of the i-th language, if regular."""
-        if i in self._canon:
-            return self._canon[i]
         view = regular_view(self.expr(i), self.alphabet)
-        key = view.canonical_key() if view is not None else None
-        self._canon[i] = key
-        return key
+        return view.canonical_key() if view is not None else None
 
     def rows(self, index_bound: int, horizon: int) -> list[int]:
         """Window rows of the indices below the bound: bit j of row i is
@@ -107,6 +106,66 @@ class FamilyEnum:
             cached.extend(window_rows([self.expr(i) for i in new], self.alphabet,
                                       horizon + 1))
         return cached[:index_bound]
+
+
+class ClassIndex:
+    """The indices below a bound grouped by language, keyed by their rows
+    over lex(0..horizon).
+
+    Equal languages have equal rows.  Automata with at most N states whose
+    languages differ, or are not complements, show it on a word of length
+    at most 2N - 2 (Moore 1956).  So on an exact family whose indices
+    below the bound are automaton atoms with at most N states, equal rows
+    mean equal languages once the window holds every word that short.  On
+    the other exact families a row shared by several indices is split by
+    canonical automaton, and complement classes are confirmed by minimal
+    automaton.  On families that are not exact, a class is a row group.
+    """
+
+    def __init__(self, family: FamilyEnum, index_bound: int, horizon: int):
+        self.family, self.horizon = family, horizon
+        self.rows = family.rows(index_bound, horizon)
+        self.full = (1 << (horizon + 1)) - 1
+        by_row = _group(range(index_bound), self.rows.__getitem__)
+        exprs = [family.expr(i) for i in range(index_bound)]
+        self.split = family.exact and not (
+            all(isinstance(e, DfaAtom) for e in exprs)
+            and len(lex(family.alphabet, horizon + 1))
+            > 2 * max((e.dfa.n_states for e in exprs), default=1) - 2)
+        self._at = {row: list(_group(members, family.canonical).values())
+                    if self.split and len(members) > 1 else [members]
+                    for row, members in by_row.items()}
+        #: the classes in order of least index
+        self.classes = sorted((c for at in self._at.values() for c in at),
+                              key=lambda c: c[0])
+        #: the indices with a row that lookups tell apart, ascending: the
+        #: least of each class on exact families, every index on the others
+        self.leaders = ({row: [c[0] for c in at] for row, at in self._at.items()}
+                        if family.exact else by_row)
+
+    def complement(self, cls: list[int]) -> list[int]:
+        """The class of the complement of a class's language, or []."""
+        others = self._at.get(self.full & ~self.rows[cls[0]], [])
+        if self.split and others:
+            least = self.index_of(regular_view(self.family.expr(cls[0]),
+                                               self.family.alphabet).complement())
+            others = [c for c in others if c[0] == least]
+        return others[0] if others else []
+
+    def index_of(self, dfa: Dfa) -> int | None:
+        """The least index whose minimal automaton, from
+        :func:`langs.regular_view`, is the minimal automaton ``dfa``."""
+        row = window_rows([DfaAtom(dfa)], self.family.alphabet, self.horizon + 1)[0]
+        return next((i for i in self.leaders.get(row, ())
+                     if regular_view(self.family.expr(i), self.family.alphabet) == dfa),
+                    None)
+
+
+def _group(indices, key) -> dict:
+    out: dict = {}
+    for i in indices:
+        out.setdefault(key(i), []).append(i)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,45 +348,18 @@ class DcMember:
         return out
 
 
-def complement_key(canonical: tuple) -> tuple:
-    """Canonical key of the complement language, derived in place: the
-    minimal automaton of the complement shares the transition structure,
-    only the accepting set flips."""
-    n_symbols, transitions, accepting = canonical
-    acc = set(accepting)
-    return (n_symbols, transitions,
-            tuple(s for s in range(len(transitions)) if s not in acc))
-
-
 def language_classes(family: FamilyEnum, index_bound: int,
                      horizon: int) -> list[tuple[list[int], list[int]]]:
-    """The indices below the bound grouped by language (canonical automaton
-    on exact families, window row on the others) in order of least index,
-    each class with the indices of its complement class, if any."""
-    full = (1 << (horizon + 1)) - 1
-    exact = family.exact
-    keys = ([family.canonical(i) for i in range(index_bound)] if exact
-            else family.rows(index_bound, horizon))
-    classes: dict[object, list[int]] = {}
-    for i, key in enumerate(keys):
-        classes.setdefault(key, []).append(i)
-    return [(members, classes.get(complement_key(key) if exact else full & ~key, []))
-            for key, members in classes.items()]
+    """The language classes below the bound (see :class:`ClassIndex`) in order
+    of least index, each with the indices of its complement class, if any."""
+    index = family.classes(index_bound, horizon)
+    return [(cls, index.complement(cls)) for cls in index.classes]
 
 
 def dc_member(family: FamilyEnum, i: int, j: int, horizon: int) -> DcMember:
     """A pair of indices from complement classes: proven on exact
     families, checked to the horizon on the others."""
     return DcMember(i, j, "exact") if family.exact else DcMember(i, j, "horizon", horizon)
-
-
-def dc_members(family: FamilyEnum, index_bound: int, horizon: int) -> list[DcMember]:
-    """All pairs (i, j) below the bound with e(i) = e(j)^c, in (i, j) order."""
-    out = [dc_member(family, i, j, horizon)
-           for members, complements in language_classes(family, index_bound, horizon)
-           for i in members for j in complements]
-    out.sort(key=lambda m: (m.i, m.j))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +490,8 @@ def family_from_json(data: dict) -> FamilyEnum:
         fam = list_family(data.get("name", "user"), alphabet, exprs, flags)
     else:
         raise ValueError("family JSON needs 'builtin' or 'list'")
+    if not isinstance(data.get("closure", []), list):
+        raise ValueError("'closure' must be a list of operator names")
     for op_name in data.get("closure", []):
         try:
             fam = CLOSURES[op_name](fam)

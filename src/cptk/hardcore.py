@@ -329,17 +329,18 @@ def is_proper_hardcore(b: LangExpr, target: LangExpr, family: FamilyEnum,
     alphabet = family.alphabet
     b_finiteness = is_finite(b, alphabet, horizon)
     containment = subset_of(b, target, alphabet, horizon)
-    violations = []
-    suspects = []
-    for i in range(index_bound):
-        inside = subset_of(family.expr(i), target, alphabet, horizon)
-        if not inside.is_certified:
-            continue
-        meet = is_finite(Inter((b, family.expr(i))), alphabet, horizon)
-        if meet.is_infinite:
-            violations.append({"index": i, "evidence": meet.to_json()})
-        elif meet.is_unknown and (meet.count or 0) >= threshold:
-            suspects.append({"index": i, "members_seen": meet.count})
+    # both checks depend only on the language: once per class on exact families
+    groups = (family.classes(index_bound, horizon).classes if family.exact
+              else [[i] for i in range(index_bound)])
+    meets = {}
+    for members in groups:
+        e = family.expr(members[0])
+        if subset_of(e, target, alphabet, horizon).is_certified:
+            meets.update(dict.fromkeys(members, is_finite(Inter((b, e)), alphabet, horizon)))
+    ordered = sorted(meets.items())
+    violations = [{"index": i, "evidence": m.to_json()} for i, m in ordered if m.is_infinite]
+    suspects = [{"index": i, "members_seen": m.count} for i, m in ordered
+                if m.is_unknown and (m.count or 0) >= threshold]
     holds = (not violations) and not containment.is_refuted \
         and not b_finiteness.is_finite
     return {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cptk.dfa import Dfa
-from cptk.families import regular_family
+from cptk.families import language_classes, regular_family
 from cptk.langs import (Complement, DfaAtom, FiniteSet, Inter, LeftMark,
                         LeftQuotient, Predicate, Union)
 from cptk.words import Alphabet
@@ -28,6 +28,14 @@ def reg_ab(ab):
 @pytest.fixture(scope="session")
 def reg_abc(abc):
     return regular_family(abc)
+
+
+def complement_pairs(family, index_bound: int, horizon: int) -> list[tuple[int, int]]:
+    """Every (i, j) below the bound whose languages are complements, as
+    the language classes pair them, in (i, j) order."""
+    return sorted((i, j) for members, complements
+                  in language_classes(family, index_bound, horizon)
+                  for i in members for j in complements)
 
 
 def brute_words(alphabet: Alphabet, count: int) -> list[str]:

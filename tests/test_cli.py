@@ -268,6 +268,27 @@ def test_bounds_without_evidence_exit_2(tmp_path, capsys, length_family_file,
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["lex", "--alphabet", "ab", "--count", "-1"], "--count"),
+    (["laws", "--samples", "0"], "--samples"),
+    (["laws", "--samples", "-3"], "--samples"),
+    (["ccore", "--problem", "p.json", "--samples", "-1"], "--samples")])
+def test_counts_that_check_nothing_exit_2(capsys, reg_family_file, argv, flag):
+    """``laws --samples 0`` used to report zero disagreements after no
+    check, and negative counts were echoed back."""
+    if argv[0] != "lex":
+        argv = argv + ["--family", reg_family_file]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{flag}: must be at least" in captured.err
+
+
+def test_lex_count_zero_prints_nothing(capsys):
+    assert run_main(["lex", "--alphabet", "ab", "--count", "0"], capsys)[:2] == (0, "")
+
+
 @pytest.mark.parametrize("command,expr", [
     ("cohesive", {"finite": ["ac"]}),
     ("cohesive", {"predicate": "equal-counts-ac"}),
@@ -310,7 +331,11 @@ def test_wrongly_typed_input_exits_2(tmp_path, capsys, reg_family_file,
 @pytest.mark.parametrize("family", [
     {"alphabet": "ab", "list": [{"finite": [1]}]},
     {"alphabet": "ab", "list": [expr_to_json(FULL)], "flags": []},
-    [1, 2]])
+    [1, 2],
+    # a string used to be read as one operator per character
+    {"alphabet": "ab", "builtin": "regular", "closure": "u"},
+    {"alphabet": "ab", "builtin": "regular", "closure": "co"},
+    {"alphabet": "ab", "builtin": "regular", "closure": [1]}])
 def test_wrongly_typed_family_exits_2(tmp_path, capsys, family):
     target = write(tmp_path, "target.json",
                    {"alphabet": "ab", "expr": expr_to_json(FULL)})

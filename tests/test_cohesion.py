@@ -8,11 +8,13 @@ from cptk.cohesion import (CohesionVerdict, _certified_inside, ccore1_check,
                            check_core, infinite_evidence)
 from cptk.dfa import Dfa
 from cptk.families import (DcMember, FamilyFlags, canonical_index, close_cc,
-                           complement_key, dc_members, list_family)
+                           dc_member, list_family)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, Predicate, Union, equivalent, member_batch,
                         simplify, subset_of, to_automaton)
 from cptk.words import window_for_horizon
+
+from .conftest import complement_pairs
 
 
 A_ONLY = DfaAtom(Dfa(2, ((0, 1), (1, 1)), 0, frozenset({0})))        # b-free words
@@ -44,6 +46,14 @@ def verify_refutation(verdict, a_expr, family, horizon=300, threshold=32):
             assert (side.count or 0) >= threshold
             assert count >= threshold
     return q
+
+
+def complement_key(canonical):
+    """Canonical key of the complement language: the same transition
+    structure with the accepting set flipped."""
+    n_symbols, transitions, accepting = canonical
+    return (n_symbols, transitions,
+            tuple(s for s in range(len(transitions)) if s not in accepting))
 
 
 def pair_scan_dc_members(family, index_bound, horizon):
@@ -78,7 +88,8 @@ def pair_scan(a, region, family, index_bound, horizon,
     class_outcome = {}
     rows = None if family.exact else family.rows(index_bound, horizon)
     members = pair_scan_dc_members(family, index_bound, horizon)
-    assert members == dc_members(family, index_bound, horizon)
+    assert members == [dc_member(family, i, j, horizon)
+                       for i, j in complement_pairs(family, index_bound, horizon)]
     for m in sorted(members, key=lambda m: pair(m.i, m.j)):
         key = family.canonical(m.i) if family.exact else rows[m.i]
         if key in class_outcome:
@@ -200,15 +211,14 @@ def test_b_free_words_refuted(ab, reg_ab):
     q = verify_refutation(v, A_ONLY, reg_ab)
     # witness is the least dc pair in pair-code order among refuting pairs
     refuting = []
-    for m in dc_members(reg_ab, 120, horizon=300):
-        qq = reg_ab.expr(m.i)
+    for i, j in complement_pairs(reg_ab, 120, horizon=300):
+        qq = reg_ab.expr(i)
         one, _ = infinite_evidence(Inter((A_ONLY, qq)), ab, 300)
         two, _ = infinite_evidence(Inter((A_ONLY, Complement(qq))), ab, 300)
         if one and two:
-            refuting.append(m)
+            refuting.append((i, j))
     assert refuting
-    least = min(refuting, key=lambda m: pair(m.i, m.j))
-    assert (v.witness.i, v.witness.j) == (least.i, least.j)
+    assert (v.witness.i, v.witness.j) == min(refuting, key=lambda p: pair(*p))
 
 
 def test_trivial_family_always_consistent(ab):

@@ -3,7 +3,7 @@ import pytest
 
 from cptk.codec import seq_code
 from cptk.families import (LAW_IDS, canonical_index, check_law, close_b,
-                           close_cc, close_co, close_s, close_u, dc_members,
+                           close_cc, close_co, close_s, close_u, dc_member,
                            family_from_json, finite_family, length_family,
                            list_family, regular_family, regular_index_decode,
                            regular_index_encode)
@@ -12,6 +12,8 @@ from cptk.langs import (FULL, Complement, LeftMark, Predicate,
                         StepBudgetExceeded, is_finite, member_batch, step_budget,
                         to_automaton)
 from cptk.words import AlphabetMismatch, ord_, window, window_for_horizon
+
+from .conftest import complement_pairs
 
 
 def test_regular_enumeration_trivia(reg_ab, ab):
@@ -119,36 +121,36 @@ def test_co_involution_membership(reg_ab, ab):
 
 
 def test_dc_members_regular(reg_ab, ab):
-    pairs = dc_members(reg_ab, 66, horizon=300)
-    assert all(m.status == "exact" for m in pairs)
-    assert (1, 0) in {(m.i, m.j) for m in pairs}  # everything = complement of empty
-    for m in pairs[:40]:
-        vi = to_automaton(reg_ab.expr(m.i), ab)
-        vj = to_automaton(reg_ab.expr(m.j), ab)
+    pairs = complement_pairs(reg_ab, 66, horizon=300)
+    assert all(dc_member(reg_ab, i, j, 300).status == "exact" for i, j in pairs)
+    assert (1, 0) in pairs  # everything = complement of empty
+    for i, j in pairs[:40]:
+        vi = to_automaton(reg_ab.expr(i), ab)
+        vj = to_automaton(reg_ab.expr(j), ab)
         assert vi.same_language(vj.complement())
 
 
 def test_dc_members_length_family_empty(ab):
-    assert dc_members(length_family(ab), 40, horizon=200) == []
+    assert complement_pairs(length_family(ab), 40, horizon=200) == []
 
 
 def test_dc_members_finite_family_empty(ab):
-    assert dc_members(finite_family(ab), 60, horizon=200) == []
+    assert complement_pairs(finite_family(ab), 60, horizon=200) == []
 
 
 def test_dc_members_of_cc_nonempty(reg_ab, ab):
     cc = close_cc(reg_ab)
-    pairs = dc_members(cc, 8, horizon=300)
+    pairs = complement_pairs(cc, 8, horizon=300)
     assert pairs  # each language sits next to its complement by construction
-    assert {(m.i, m.j) for m in pairs} >= {(0, 1), (1, 0)}
+    assert set(pairs) >= {(0, 1), (1, 0)}
 
 
 def test_dc_members_opaque_horizon(ab):
     sq = Predicate("square-length")
     fam = list_family("u", ab, [sq, Complement(sq), LeftMark("a", FULL)])
-    pairs = dc_members(fam, 3, horizon=300)
-    assert {(m.i, m.j) for m in pairs} == {(0, 1), (1, 0)}
-    assert all(m.status == "horizon" for m in pairs)
+    pairs = complement_pairs(fam, 3, horizon=300)
+    assert set(pairs) == {(0, 1), (1, 0)}
+    assert all(dc_member(fam, i, j, 300).status == "horizon" for i, j in pairs)
 
 
 def test_finite_family_all_finite(ab):

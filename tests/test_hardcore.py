@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -11,8 +12,8 @@ from cptk.families import (FamilyFlags, finite_family, length_family, list_famil
 from cptk.hardcore import (ACCEPTED, TraceEntry, hardcore_componentwise, hardcore_run,
                            hardcore_step, initial_state, is_proper_hardcore,
                            trace_from_jsonl, trace_to_jsonl, verify_trace)
-from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet,
-                        LeftMark, Predicate, member)
+from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
+                        LeftMark, Predicate, is_finite, member, subset_of)
 from cptk.words import lex, ord_
 
 
@@ -235,6 +236,57 @@ def test_marker_language_fails_against_family_containing_it(ab):
     report = is_proper_hardcore(a_marked, FULL, fam, index_bound=4, horizon=300)
     assert not report["holds_up_to_bounds"]
     assert any(v["index"] in (0, 2) for v in report["violations"])
+
+
+def scalar_is_proper_hardcore(b, target, family, index_bound, horizon=300,
+                              threshold=32):
+    """The per-index check that the class walk replaced, kept as oracle."""
+    alphabet = family.alphabet
+    b_finiteness = is_finite(b, alphabet, horizon)
+    containment = subset_of(b, target, alphabet, horizon)
+    violations = []
+    suspects = []
+    for i in range(index_bound):
+        inside = subset_of(family.expr(i), target, alphabet, horizon)
+        if not inside.is_certified:
+            continue
+        meet = is_finite(Inter((b, family.expr(i))), alphabet, horizon)
+        if meet.is_infinite:
+            violations.append({"index": i, "evidence": meet.to_json()})
+        elif meet.is_unknown and (meet.count or 0) >= threshold:
+            suspects.append({"index": i, "members_seen": meet.count})
+    holds = (not violations) and not containment.is_refuted \
+        and not b_finiteness.is_finite
+    return {
+        "holds_up_to_bounds": holds,
+        "b_infinite": b_finiteness.to_json(),
+        "containment": containment.to_json(),
+        "violations": violations,
+        "suspects": suspects,
+        "index_bound": index_bound,
+        "horizon": horizon,
+    }
+
+
+A_RUNS = DfaAtom(Dfa(2, ((1, 2), (1, 2), (2, 2)), 0, frozenset({1})))  # a a*
+B_FREE = DfaAtom(Dfa(2, ((0, 1), (1, 1)), 0, frozenset({0})))  # a*
+
+
+@pytest.mark.parametrize("family_name,bound,b,target", [
+    ("length", 40, A_RUNS, FULL),
+    ("regular", 200, B_FREE, FULL),
+    ("regular", 200, B_FREE, Complement(LeftMark("b", FULL))),
+    ("regular", 200, LeftMark("a", Predicate("prime-length")), LeftMark("a", FULL)),
+    ("regular", 200, Predicate("prime-length"), FULL),
+    ("finite", 60, A_RUNS, FULL),
+    ("finite", 60, Predicate("square-length"), FULL)])
+def test_proper_hardcore_class_walk_matches_per_index_check(ab, family_name, bound,
+                                                            b, target):
+    make = {"length": length_family, "regular": regular_family,
+            "finite": finite_family}[family_name]
+    report = is_proper_hardcore(b, target, make(ab), index_bound=bound, horizon=300)
+    expected = scalar_is_proper_hardcore(b, target, make(ab), bound, horizon=300)
+    assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_componentwise_runs(ab, reg_ab):
