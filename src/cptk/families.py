@@ -237,12 +237,18 @@ def length_family(alphabet: Alphabet) -> FamilyEnum:
 
 def finite_family(alphabet: Alphabet) -> FamilyEnum:
     """All finite languages: index 0 is empty, others decode rank tuples."""
+    # lex(0..r) for the largest rank r decoded so far; the ranks of index
+    # i are below i, so this list never outgrows the family's expressions
+    words: list[str] = []
 
     def gen(i: int) -> LangExpr:
         if i == 0:
             return EMPTY
         ranks = codec.seq_decode(i - 1)
-        return FiniteSet(tuple(lex(alphabet, r) for r in ranks))
+        top = max(ranks)
+        if top >= len(words):
+            words.extend(lex(alphabet, r) for r in range(len(words), top + 1))
+        return FiniteSet(tuple(words[r] for r in ranks))
 
     return FamilyEnum("finite", alphabet, gen, exact=True,
                       flags=FamilyFlags(nontrivial=False, union_closed=True,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .classify import ConditionalProblem, INFINITE_EVIDENCE_THRESHOLD
 from .families import FamilyEnum
@@ -73,10 +74,42 @@ class TraceEntry:
         return out
 
     @classmethod
-    def from_json(cls, data: dict) -> "TraceEntry":
-        return cls(int(data["n"]), data["word"], data["action"],
-                   tuple(int(i) for i in data["cancelled"]), int(data["card"]),
-                   data.get("reason"), data.get("blocking"))
+    def from_json(cls, data) -> "TraceEntry":
+        """The entry of one decoded trace line.
+
+        ``n``, ``card`` and each element of the list ``cancelled`` must be
+        JSON integers, ``word`` and ``action`` strings; ``blocking`` is an
+        integer and ``reason`` a string, or either is null or absent.
+        Anything else raises :class:`ValueError`.
+        """
+        if type(data) is not dict:
+            raise ValueError("entry is not a JSON object")
+        # exact types: a JSON boolean decodes to bool, a subclass of int
+        for key, kind in _REQUIRED_FIELDS:
+            if type(data.get(key)) is not kind:
+                raise _field_error(data, key, kind)
+        for key, kind in _OPTIONAL_FIELDS:
+            value = data.get(key)
+            if value is not None and type(value) is not kind:
+                raise _field_error(data, key, kind)
+        cancelled = data["cancelled"]
+        if any(type(i) is not int for i in cancelled):
+            raise ValueError(f"field 'cancelled' must list integers, not {cancelled!r}")
+        return cls(data["n"], data["word"], data["action"], tuple(cancelled),
+                   data["card"], data.get("reason"), data.get("blocking"))
+
+
+# the JSON type of each trace field; the optional ones may be null or absent
+_REQUIRED_FIELDS = (("n", int), ("word", str), ("action", str),
+                    ("cancelled", list), ("card", int))
+_OPTIONAL_FIELDS = (("reason", str), ("blocking", int))
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _field_error(data: dict, key: str, kind: type) -> ValueError:
+    if key not in data:
+        return ValueError(f"missing field {key!r}")
+    return ValueError(f"field {key!r} must be {_JSON_TYPE_NAMES[kind]}, not {data[key]!r}")
 
 
 def _indexed_member(family: FamilyEnum, i: int, w: str) -> bool:
@@ -371,8 +404,17 @@ def hardcore_componentwise(cond: ConditionalProblem, family: FamilyEnum,
 
 
 def trace_to_jsonl(trace: list[TraceEntry]) -> str:
-    return "".join(json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-                   for e in trace)
+    """One line per entry: the bytes of ``json.dumps(e.to_json(),
+    sort_keys=True, separators=(",", ":"))``, written field by field."""
+    return "".join(map(_trace_line, trace))
+
+
+def _trace_line(e: TraceEntry) -> str:
+    blocking = "" if e.blocking is None else f',"blocking":{e.blocking}'
+    reason = "" if e.reason is None else f',"reason":{_quote(e.reason)}'
+    cancelled = ",".join(map(str, e.cancelled))
+    return (f'{{"action":{_quote(e.action)}{blocking},"cancelled":[{cancelled}],'
+            f'"card":{e.card},"n":{e.n}{reason},"word":{_quote(e.word)}}}\n')
 
 
 def trace_from_jsonl(text: str) -> list[TraceEntry]:
@@ -382,6 +424,6 @@ def trace_from_jsonl(text: str) -> list[TraceEntry]:
             continue
         try:
             out.append(TraceEntry.from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from exc
     return out

@@ -13,6 +13,7 @@ marked opaque languages — still get exact answers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from contextlib import contextmanager
@@ -25,7 +26,7 @@ from . import kernels
 from .dfa import Dfa, dfa_for_finite, dfa_word_starts_with
 from .verdicts import (CERTIFIED, FINITE, INFINITE, REFUTED, UNKNOWN,
                        FinitenessVerdict, Verdict)
-from .words import Alphabet, PackedWords, window, window_for_horizon
+from .words import Alphabet, PackedWords, lex, ord_, window, window_for_horizon
 
 
 class NonRegularLeaf(ValueError):
@@ -337,7 +338,8 @@ def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
     Automaton atoms share stacked passes of
     :func:`kernels.window_final_states`: each distinct (transitions,
     initial) table runs once, and an atom's row is the union of the rows
-    of its accepting states.  Other expressions go through
+    of its accepting states.  A finite set's row sets the ranks of its
+    words below ``count``.  Other expressions go through
     :func:`member_batch`.  Each atom charges the step budget one step per
     word, as :func:`member_batch` does.
     """
@@ -348,6 +350,9 @@ def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
     for k, e in enumerate(exprs):
         if isinstance(e, DfaAtom) and e.dfa.n_symbols == alphabet.size:
             tables.setdefault((e.dfa.transitions, e.dfa.initial), []).append(k)
+            continue
+        if isinstance(e, FiniteSet):
+            out[k] = _finite_row(e, alphabet, count)
             continue
         if packed is None:
             packed = window(alphabet, count)
@@ -371,6 +376,22 @@ def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
                     row |= state_bits[s]
                 out[k] = row
     return out
+
+
+def _finite_row(e: FiniteSet, alphabet: Alphabet, count: int) -> int:
+    """The row of a finite set over lex(0..count-1).  Like
+    :func:`member_batch`, it checks the symbols of the words no longer
+    than the window's longest and skips the longer ones."""
+    _tick(count)
+    longest = len(lex(alphabet, count - 1)) if count else -1
+    row = 0
+    for w in e.words:  # sorted by length
+        if len(w) > longest:
+            break
+        r = ord_(alphabet, w)
+        if r < count:
+            row |= 1 << r
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -566,26 +587,18 @@ def _simplify_quotient(word, arg, alphabet):
 # ---------------------------------------------------------------------------
 # automaton backend
 
-_convert_lock = threading.Lock()
-_convert_cache: dict[tuple[LangExpr, int], Dfa] = {}
-_view_cache: dict[tuple[LangExpr, Alphabet], Dfa | None] = {}
+# entries each automaton cache keeps, least recently used evicted first
+AUTOMATON_CACHE_SIZE = 4096
 
 
+@functools.lru_cache(maxsize=AUTOMATON_CACHE_SIZE)
 def to_automaton(expr: LangExpr, alphabet: Alphabet) -> Dfa:
     """Exact minimized automaton; requires every leaf to be regular.
 
     Raises :class:`NonRegularLeaf` if a named predicate occurs anywhere in
     the tree.
     """
-    key = (expr, alphabet.size)
-    with _convert_lock:
-        hit = _convert_cache.get(key)
-    if hit is not None:
-        return hit
-    dfa = _convert(expr, alphabet).minimize()
-    with _convert_lock:
-        _convert_cache[key] = dfa
-    return dfa
+    return _convert(expr, alphabet).minimize()
 
 
 def _convert(expr, alphabet):
@@ -620,19 +633,13 @@ def _convert(expr, alphabet):
     raise TypeError(f"not a language expression: {expr!r}")
 
 
+@functools.lru_cache(maxsize=AUTOMATON_CACHE_SIZE)
 def regular_view(expr: LangExpr, alphabet: Alphabet) -> Dfa | None:
     """Minimized automaton for the simplified expression, if it is regular."""
-    key = (expr, alphabet)
-    with _convert_lock:
-        if key in _view_cache:
-            return _view_cache[key]
     try:
-        dfa = to_automaton(simplify(expr, alphabet), alphabet)
+        return to_automaton(simplify(expr, alphabet), alphabet)
     except NonRegularLeaf:
-        dfa = None
-    with _convert_lock:
-        _view_cache[key] = dfa
-    return dfa
+        return None
 
 
 # ---------------------------------------------------------------------------

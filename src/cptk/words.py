@@ -6,6 +6,7 @@ string is the first word.  Ranks are 0-based: ``lex(0) == ""``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,11 +138,19 @@ def ord_(alphabet: Alphabet, w: str) -> int:
 
 
 def words_up_to(alphabet: Alphabet, count: int):
-    """Yield the first ``count`` words in order."""
-    w = ""
-    for _ in range(count):
-        yield w
-        w = succ(alphabet, w)
+    """Yield the first ``count`` words in order, one length block at a time.
+
+    Each block of words of one length is the Cartesian power of the
+    symbols in alphabet order, the last position varying fastest: the
+    order in which :func:`succ` steps through it.
+    """
+    length = 0
+    while count > 0:
+        for symbols in itertools.islice(
+                itertools.product(alphabet.symbols, repeat=length), count):
+            yield "".join(symbols)
+        count -= alphabet.size ** length
+        length += 1
 
 
 @dataclass(frozen=True, eq=False)

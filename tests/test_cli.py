@@ -368,3 +368,58 @@ def test_verify_trace_cancellation_outside_guard_exits_5(tmp_path, capsys, monke
     report = json.loads(out)
     assert report["violations"][0]["code"] == "cancel-outside-guard"
     assert report["cancelled"] == [index]
+
+
+@pytest.fixture
+def finite_trace(tmp_path, capsys):
+    """A 5-step trace of the finite family of ab under a full target, and
+    the verify-trace arguments for it."""
+    family = write(tmp_path, "finite.json", {"alphabet": "ab", "builtin": "finite"})
+    full = write(tmp_path, "full.json", {"alphabet": "ab", "expr": expr_to_json(FULL)})
+    trace_path = tmp_path / "trace.jsonl"
+    code, _, _ = run_main(["hardcore", "--family", family, "--target", full,
+                           "--steps", "5", "--trace", str(trace_path)], capsys)
+    assert code == 0
+    return trace_path, ["verify-trace", "--trace", str(trace_path),
+                        "--family", family, "--target", full]
+
+
+def test_verify_trace_accepts_null_optional_fields(finite_trace, capsys):
+    trace_path, argv = finite_trace
+    lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    lines[0].update(reason=None, blocking=None)
+    trace_path.write_text("".join(json.dumps(e) + "\n" for e in lines))
+    assert run_main(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("line,field,value", [
+    (0, "n", 0.9), (1, "n", True), (0, "n", "0"), (0, "n", None),
+    (0, "card", 1.0), (0, "card", False), (0, "card", "1"),
+    (0, "cancelled", "12"), (0, "cancelled", [True]), (0, "cancelled", [0.0]),
+    (0, "cancelled", ["0"]), (0, "cancelled", None), (0, "cancelled", {"0": 0}),
+    (0, "blocking", True), (0, "blocking", 1.5), (0, "blocking", "0"),
+    (0, "blocking", [0]),
+    (0, "word", 0), (0, "word", None), (0, "word", [""]),
+    (0, "action", 1), (0, "action", None), (0, "action", ["accepted"]),
+    (0, "reason", 0), (0, "reason", False), (0, "reason", ["blocked"])])
+def test_verify_trace_mistyped_field_exits_2(finite_trace, capsys, line, field, value):
+    """Mistyped fields used to be coerced: ``"n": 0.9`` on one line and
+    ``"n": true`` on the next verified, and ``"cancelled": "12"`` read as
+    (1, 2)."""
+    trace_path, argv = finite_trace
+    lines = [json.loads(text) for text in trace_path.read_text().splitlines()]
+    lines[line][field] = value
+    trace_path.write_text("".join(json.dumps(e) + "\n" for e in lines))
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"trace line {line + 1}: " in err and repr(field) in err
+
+
+@pytest.mark.parametrize("text", ["[1]\n", '"entry"\n', "5\n", "null\n",
+                                  '{"n": 0, "word": "", "action": "accepted"}\n'])
+def test_verify_trace_malformed_line_exits_2(finite_trace, capsys, text):
+    trace_path, argv = finite_trace
+    trace_path.write_text(text)
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    assert "trace line 1: " in err

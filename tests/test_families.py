@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from cptk.codec import seq_code
+from cptk.codec import seq_code, seq_decode
 from cptk.families import (LAW_IDS, canonical_index, check_law, close_b,
                            close_cc, close_co, close_s, close_u, dc_member,
                            family_from_json, finite_family, length_family,
                            list_family, regular_family, regular_index_decode,
                            regular_index_encode)
 from cptk.kernels import row_bits
-from cptk.langs import (FULL, Complement, LeftMark, Predicate,
+from cptk.langs import (EMPTY, FULL, Complement, FiniteSet, LeftMark, Predicate,
                         StepBudgetExceeded, is_finite, member_batch, step_budget,
                         to_automaton)
-from cptk.words import AlphabetMismatch, ord_, window, window_for_horizon
+from cptk.words import Alphabet, AlphabetMismatch, lex, ord_, window, window_for_horizon
 
 from .conftest import complement_pairs
 
@@ -158,6 +158,26 @@ def test_finite_family_all_finite(ab):
     for i in range(0, 200, 13):
         v = is_finite(fam.expr(i), ab)
         assert v.is_finite and v.exact
+
+
+def lex_finite_gen(alphabet, i):
+    """The finite family's generator before it kept a word list: one
+    :func:`lex` per decoded rank."""
+    if i == 0:
+        return EMPTY
+    return FiniteSet(tuple(lex(alphabet, r) for r in seq_decode(i - 1)))
+
+
+@pytest.mark.parametrize("symbols,order", [("a", None), ("ab", None), ("ab", "ba"),
+                                           ("abc", "cab")])
+def test_finite_family_matches_lex_decoding(symbols, order):
+    alphabet = Alphabet.parse(symbols, order)
+    want = [lex_finite_gen(alphabet, i) for i in range(2000)]
+    assert [finite_family(alphabet).expr(i) for i in range(2000)] == want
+    # decoded out of order, the word list grows in jumps and is reused
+    fam = finite_family(alphabet)
+    for i in (1999, 0, 5, 1500, 1998, 7, 1000):
+        assert fam.expr(i) == want[i]
 
 
 def test_length_family_exact(ab):

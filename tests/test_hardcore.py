@@ -14,7 +14,7 @@ from cptk.hardcore import (ACCEPTED, TraceEntry, hardcore_componentwise, hardcor
                            trace_from_jsonl, trace_to_jsonl, verify_trace)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, Predicate, is_finite, member, subset_of)
-from cptk.words import lex, ord_
+from cptk.words import Alphabet, lex, ord_
 
 
 def simulate(family_member, in_condition, in_target, alphabet_symbols, steps):
@@ -158,6 +158,46 @@ def test_trace_jsonl_roundtrip(ab, len_ab):
     assert trace_from_jsonl(text) == trace
     with pytest.raises(ValueError):
         trace_from_jsonl('{"n": 0}\n')
+
+
+def json_trace_to_jsonl(trace):
+    """The serializer that ``trace_to_jsonl`` replaced: ``json.dumps`` of
+    each entry's sorted dict."""
+    return "".join(json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+                   for e in trace)
+
+
+# entries with and without reason and blocking, big integers and strings
+# that JSON escapes: quotes, backslashes, controls, non-ASCII, non-BMP
+HAND_BUILT = [
+    TraceEntry(0, "", ACCEPTED, (), 1),
+    TraceEntry(7, '"\\é', "cancelled", (0, 3, 10 ** 20), 2, "in-condition"),
+    TraceEntry(8, "a\nb\t\x00\x7f", "skipped", (), 2, "blocked", 5),
+    TraceEntry(9, "\U0001f600\u2028", "skipped", (), 0, None, 0),
+    TraceEntry(10 ** 30, "x", 'odd "action"\\', (1,), 3, "ü", None),
+]
+
+
+@pytest.mark.parametrize("symbols", ["ab", '"\\é'])
+def test_trace_lines_match_json_dumps(symbols):
+    alphabet = Alphabet.parse(symbols)
+    x, y = alphabet.symbols[:2]
+    runs = [(finite_family, EMPTY, FULL),
+            (length_family, LeftMark(x, FULL), LeftMark(y, FULL)),
+            (regular_family, LeftMark(x, SQ), LeftMark(y, Complement(SQ)))]
+    seen = set()
+    for build, condition, target in runs:
+        _, trace = hardcore_run(build(alphabet), condition, target, alphabet, 300)
+        text = trace_to_jsonl(trace)
+        assert text == json_trace_to_jsonl(trace)
+        assert trace_from_jsonl(text) == trace
+        seen |= {(e.action, e.reason, e.blocking is None) for e in trace}
+    # every action, and lines with and without reason and blocking
+    assert seen >= {(ACCEPTED, None, True), ("cancelled", "in-condition", True),
+                    ("skipped", "blocked", False), ("skipped", "not-in-target", True)}
+    assert trace_to_jsonl(HAND_BUILT) == json_trace_to_jsonl(HAND_BUILT)
+    assert trace_from_jsonl(trace_to_jsonl(HAND_BUILT)) == HAND_BUILT
+    assert trace_to_jsonl([]) == ""
 
 
 # ---------------------------------------------------------------------------

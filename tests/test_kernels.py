@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from cptk import kernels
-from cptk.langs import (Complement, DfaAtom, LeftMark, StepBudgetExceeded, member,
-                        member_batch, step_budget, window_rows)
-from cptk.words import Alphabet, window
+from cptk.langs import (Complement, DfaAtom, FiniteSet, LeftMark, Predicate,
+                        StepBudgetExceeded, member, member_batch, step_budget,
+                        window_rows)
+from cptk.words import Alphabet, AlphabetMismatch, lex, window
 
 from .conftest import random_dfa, random_mixed_expr
 
@@ -129,3 +130,71 @@ def test_window_rows_charge_step_budget(ab):
         window_rows(exprs, ab, 50)
     with step_budget(6 * 50 - 1), pytest.raises(StepBudgetExceeded):
         window_rows(atoms, ab, 50)
+
+
+def batch_row(expr, alphabet, count):
+    """A finite set's row the way ``window_rows`` built it before it read
+    word ranks: ``member_batch`` over the packed window."""
+    return kernels.row_bits(member_batch(expr, window(alphabet, count)))
+
+
+def outcome(build):
+    try:
+        return build()
+    except (AlphabetMismatch, StepBudgetExceeded) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("symbols,order", [("a", None), ("ab", None), ("ab", "ba"),
+                                           ("abc", None), ("abc", "cab")])
+def test_finite_set_rows_match_member_batch(symbols, order):
+    alphabet = Alphabet.parse(symbols, order)
+    rng = np.random.default_rng(11)
+    sets = [FiniteSet(()), FiniteSet(("",))]
+    for _ in range(40):
+        words = ["".join(rng.choice(list(symbols), size=int(rng.integers(0, 9))))
+                 for _ in range(int(rng.integers(1, 12)))]
+        sets.append(FiniteSet(tuple(words)))
+    # every word of the window, and words just beyond it
+    sets.append(FiniteSet(tuple(lex(alphabet, r) for r in range(40))))
+    for count in (0, 1, 2, 3, 4, 7, 13, 14, 31, 40, 301):
+        rows = window_rows(sets, alphabet, count)
+        assert rows == [batch_row(e, alphabet, count) for e in sets]
+
+
+def test_finite_set_row_alphabet_mismatch_as_member_batch(ab):
+    """Words no longer than the window's longest are checked, as
+    ``member_batch`` checks them; longer ones are skipped by both."""
+    # lex(0..6) runs up to length 2, lex(0..7) reaches length 3
+    for words in [("ac",), ("c",), ("a", "bc"), ("aac",), ("", "ccc"), ("aaaac",)]:
+        for count in (0, 1, 3, 6, 7, 8, 15, 40):
+            e = FiniteSet(words)
+            got = outcome(lambda: window_rows([e], ab, count)[0])
+            assert got == outcome(lambda: batch_row(e, ab, count)), (words, count)
+    with pytest.raises(AlphabetMismatch):
+        window_rows([FiniteSet(("aac",))], ab, 8)
+    assert window_rows([FiniteSet(("a", "aac"))], ab, 7) == [0b10]
+
+
+def test_finite_set_rows_charge_step_budget_in_order(ab):
+    """A finite set charges one step per word before it looks at its words,
+    in expression order, as ``member_batch`` did."""
+    sets = [FiniteSet(("aa", "b")), Predicate("square-length"), FiniteSet(("ac",))]
+
+    def reference():
+        return [batch_row(e, ab, 50) for e in sets]
+
+    for budget in (49, 50, 99, 100, 149, 150, 151):
+        def rows():
+            with step_budget(budget):
+                return window_rows(sets, ab, 50)
+
+        def want():
+            with step_budget(budget):
+                return reference()
+
+        assert outcome(rows) == outcome(want)
+    with step_budget(149), pytest.raises(StepBudgetExceeded):
+        window_rows(sets, ab, 50)
+    with step_budget(150), pytest.raises(AlphabetMismatch):
+        window_rows(sets, ab, 50)

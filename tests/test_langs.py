@@ -12,7 +12,7 @@ from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         equivalent, expr_from_json, expr_to_json, is_finite, member,
                         member_batch, regular_view, simplify, step_budget,
                         subset_of, to_automaton)
-from cptk.words import window, window_for_horizon
+from cptk.words import Alphabet, AlphabetMismatch, lex, window, window_for_horizon
 
 from .conftest import random_mixed_expr, random_regular_expr
 
@@ -128,6 +128,43 @@ def test_to_automaton_examples(ab):
     assert both.same_language(d)  # X* minus the empty word
     with pytest.raises(NonRegularLeaf):
         to_automaton(Predicate("square-length"), ab)
+
+
+def test_to_automaton_keys_on_the_whole_alphabet(ab):
+    """Keyed on the alphabet size alone, the cache handed {a} over the
+    order b < a the automaton of {b} once {a} over ab was cached, and {a}
+    over cd an automaton instead of a mismatch."""
+    ba = Alphabet.parse("ab", order="ba")
+    e = FiniteSet(("a",))
+    for alphabet in (ab, ba, ab):
+        for d in (to_automaton(e, alphabet), regular_view(e, alphabet)):
+            assert d.accepts(alphabet, "a") and not d.accepts(alphabet, "b")
+    with pytest.raises(AlphabetMismatch):
+        to_automaton(e, Alphabet.parse("cd"))
+
+
+def test_automaton_caches_are_bounded_lru(ab):
+    """Both automaton caches keep the most recently used
+    ``AUTOMATON_CACHE_SIZE`` entries; an evicted one is rebuilt equal."""
+    size = langs.AUTOMATON_CACHE_SIZE
+    langs.regular_view.cache_clear()
+    langs.to_automaton.cache_clear()
+    exprs = [FiniteSet((lex(ab, i),)) for i in range(size + 1)]
+    views = [regular_view(e, ab) for e in exprs[:size]]
+    regular_view(exprs[0], ab)  # now the most recently used: exprs[1] goes next
+    views.append(regular_view(exprs[size], ab))
+    for cache in (langs.regular_view, langs.to_automaton):
+        assert cache.cache_info().currsize == size
+    misses = langs.regular_view.cache_info().misses
+    assert regular_view(exprs[0], ab) is views[0]
+    assert regular_view(exprs[size], ab) is views[size]
+    assert langs.regular_view.cache_info().misses == misses
+    assert regular_view(exprs[1], ab) == views[1]
+    assert langs.regular_view.cache_info().misses == misses + 1
+    # cached results equal conversions that no cache touched
+    for i in (0, 1, size // 2, size):
+        assert views[i] == langs._convert(exprs[i], ab).minimize()
+        assert views[i].accepts(ab, lex(ab, i)) and views[i].count_accepted() == 1
 
 
 def test_is_finite_examples(ab):

@@ -52,6 +52,28 @@ def test_enumeration_matches_independent_product_order(symbols):
     assert [ord_(alphabet, w) for w in expected] == list(range(200))
 
 
+def succ_words_up_to(alphabet, count):
+    """The odometer enumeration that ``words_up_to`` replaced: one
+    :func:`succ` per word."""
+    w = ""
+    for _ in range(count):
+        yield w
+        w = succ(alphabet, w)
+
+
+@pytest.mark.parametrize("symbols,order", [
+    ("a", None), ("ab", None), ("ab", "ba"), ("abc", None), ("abc", "cab"),
+    ("abc", "bca")])
+def test_words_up_to_matches_successor(symbols, order):
+    alphabet = Alphabet.parse(symbols, order)
+    b = alphabet.size
+    # the ranks where each length block starts, for lengths 0..6
+    starts = [sum(b ** k for k in range(length)) for length in range(7)]
+    counts = sorted({-1, 0, 1} | {s + d for s in starts for d in (-1, 0, 1)})
+    for count in counts:
+        assert list(words_up_to(alphabet, count)) == list(succ_words_up_to(alphabet, count))
+
+
 def test_lex_examples(ab):
     assert lex(ab, 0) == ""
     assert lex(ab, 3) == "aa"
