@@ -18,6 +18,30 @@ from .words import Alphabet, PackedWords
 from . import kernels
 
 
+# transition tables whose check :func:`_table_fault` remembers: the
+# automata that share a table are mostly built one after another (the
+# indices of one table in the regular family, a complement), and a short
+# memo keeps few large tables alive
+TABLE_CHECKS = 64
+
+
+@lru_cache(maxsize=TABLE_CHECKS)
+def _table_fault(n_symbols: int, transitions) -> str | None:
+    """Why the table is not a complete transition table over ``n_symbols``
+    symbols, checking row width then targets, row by row; None if it is.
+
+    Remembered per table, so automata that share one (the indices of one
+    table in the regular family, complements, quotients) check it once.
+    """
+    n = len(transitions)
+    for row in transitions:
+        if len(row) != n_symbols:
+            return "transition row width must equal alphabet size"
+        if any(not 0 <= t < n for t in row):
+            return "transition target out of range"
+    return None
+
+
 @dataclass(frozen=True)
 class Dfa:
     """A complete DFA over an alphabet of ``n_symbols`` symbols.
@@ -35,11 +59,12 @@ class Dfa:
         n = len(self.transitions)
         if not (0 <= self.initial < n):
             raise ValueError("initial state out of range")
-        for row in self.transitions:
-            if len(row) != self.n_symbols:
-                raise ValueError("transition row width must equal alphabet size")
-            if any(not 0 <= t < n for t in row):
-                raise ValueError("transition target out of range")
+        try:
+            fault = _table_fault(self.n_symbols, self.transitions)
+        except TypeError:  # an unhashable table, such as a list of rows
+            fault = _table_fault.__wrapped__(self.n_symbols, self.transitions)
+        if fault is not None:
+            raise ValueError(fault)
         if any(not 0 <= s < n for s in self.accepting):
             raise ValueError("accepting state out of range")
 

@@ -15,6 +15,7 @@ automata are computable in both directions.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -195,6 +196,17 @@ def regular_index_decode(i: int, n_symbols: int) -> Dfa:
     return Dfa(n_symbols, rows, 0, accepting)
 
 
+def _regular_table(table_rank: int, n: int, n_symbols: int) -> tuple:
+    """The rows of the n-state transition table of this rank, the first
+    position most significant."""
+    digits = []
+    for _ in range(n * n_symbols):
+        table_rank, d = divmod(table_rank, n)
+        digits.append(d)
+    digits.reverse()
+    return tuple(tuple(digits[s * n_symbols:(s + 1) * n_symbols]) for s in range(n))
+
+
 def regular_index_encode(dfa: Dfa) -> int:
     """Index of this exact automaton shape (not of its minimal form)."""
     n = dfa.n_states
@@ -215,11 +227,33 @@ def canonical_index(dfa: Dfa) -> int:
 
 
 def regular_family(alphabet: Alphabet) -> FamilyEnum:
-    """Every regular language over the alphabet, with many duplicate indices."""
+    """Every regular language over the alphabet, with many duplicate indices.
+
+    Index i decodes as :func:`regular_index_decode` does, one transition
+    table at a time: the 2^n indices of an n-state table differ only in
+    their accepting set, so they share one rows tuple (decoded and
+    checked once), and the accepting sets are shared per (n, rank).
+    """
     n_symbols = alphabet.size
+    starts = [0]  # starts[n - 1]: the first index of the n-state block
+    tables: dict[tuple[int, int], tuple] = {}
+    accepting: dict[tuple[int, int], frozenset[int]] = {}
 
     def gen(i: int) -> LangExpr:
-        return DfaAtom(regular_index_decode(i, n_symbols))
+        if i < 0:
+            raise ValueError("index must be nonnegative")
+        while starts[-1] <= i:
+            starts.append(starts[-1] + _regular_block(len(starts), n_symbols))
+        n = bisect.bisect_right(starts, i)
+        table_rank, acc_rank = divmod(i - starts[n - 1], 2 ** n)
+        rows = tables.get((n, table_rank))
+        if rows is None:
+            rows = tables[n, table_rank] = _regular_table(table_rank, n, n_symbols)
+        acc = accepting.get((n, acc_rank))
+        if acc is None:
+            acc = accepting[n, acc_rank] = frozenset(
+                s for s in range(n) if acc_rank & (1 << (n - 1 - s)))
+        return DfaAtom(Dfa(n_symbols, rows, 0, acc))
 
     return FamilyEnum("regular", alphabet, gen, exact=True,
                       flags=FamilyFlags(nontrivial=True, union_closed=True,

@@ -1,11 +1,12 @@
 """Streaming diagonalization against a family enumeration.
 
 The loop walks words in length-lexicographic order.  A word inside the
-condition cancels every guarded index whose language contains it; a word
-inside the target is accepted only if no uncancelled guarded index claims
-it.  Guarded means index at most the current accepted count, inclusive.
-The construction is inherently sequential and emits one trace entry per
-word; traces are bit-reproducible and replay-verifiable.
+condition cancels every guarded index whose language contains it and is
+never accepted; a word inside the target and outside the condition is
+accepted only if no uncancelled guarded index claims it.  Guarded means
+index at most the current accepted count, inclusive.  The construction
+is inherently sequential and emits one trace entry per word; traces are
+bit-reproducible and replay-verifiable.
 
 :func:`hardcore_step` is the one-step reference on scalar membership.
 :func:`hardcore_run` and :func:`verify_trace` produce the same entries
@@ -125,7 +126,8 @@ def hardcore_step(state: DiagonalizationState, family: FamilyEnum,
     card = state.card
     cancel = state.cancelled
     newly_cancelled: list[int] = []
-    if member(condition, w, alphabet):
+    in_condition = member(condition, w, alphabet)
+    if in_condition:
         for i in range(card + 1):
             if i not in cancel and _indexed_member(family, i, w):
                 newly_cancelled.append(i)
@@ -133,7 +135,7 @@ def hardcore_step(state: DiagonalizationState, family: FamilyEnum,
             cancel = cancel | frozenset(newly_cancelled)
     accepted = state.accepted
     action, reason, blocking = SKIPPED, None, None
-    if member(target, w, alphabet):
+    if not in_condition and member(target, w, alphabet):
         blocker = None
         for i in range(card + 1):
             if i not in cancel and _indexed_member(family, i, w):
@@ -144,7 +146,7 @@ def hardcore_step(state: DiagonalizationState, family: FamilyEnum,
             action = ACCEPTED
         else:
             reason, blocking = REASON_BLOCKED, blocker
-    elif member(condition, w, alphabet):
+    elif in_condition:
         reason = REASON_IN_CONDITION
     else:
         reason = REASON_NOT_IN_TARGET
@@ -201,7 +203,8 @@ def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
     condition and target rows cover every rank; a guarded index adds its
     family row to the column bitsets of the ranks still to come, so each
     step reads one column: its uncancelled bits are the indices the word
-    cancels (condition) or the least of them blocks it (target).
+    cancels (condition) or the least of them blocks it (target, outside
+    the condition).
 
     The accepted prefix decides membership below rank ``steps`` exactly
     (accept exactly the listed words); beyond that the run says nothing.
@@ -222,7 +225,7 @@ def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
             newly_cancelled = tuple(_bits(hits))
             cancelled |= hits
         action, reason, blocking = SKIPPED, None, None
-        if target_row >> n & 1:
+        if target_row >> n & 1 and not in_condition:
             claims = guards.cols[n] & ~cancelled
             if claims:
                 reason, blocking = REASON_BLOCKED, (claims & -claims).bit_length() - 1

@@ -338,8 +338,10 @@ def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
     Automaton atoms share stacked passes of
     :func:`kernels.window_final_states`: each distinct (transitions,
     initial) table runs once, and an atom's row is the union of the rows
-    of its accepting states.  A finite set's row sets the ranks of its
-    words below ``count``.  Other expressions go through
+    of its accepting states.  The state rows of a stack come from one
+    ``np.packbits`` call over a one-hot of its final states against the
+    ids of the states some atom accepts in.  A finite set's row sets the
+    ranks of its words below ``count``.  Other expressions go through
     :func:`member_batch`.  Each atom charges the step budget one step per
     word, as :func:`member_batch` does.
     """
@@ -361,19 +363,32 @@ def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
     groups = list(tables.values())
     step = max(1, _STACK_WORDS // max(count, 1))
     for lo in range(0, len(groups), step):
-        dfas = [exprs[ks[0]].dfa for ks in groups[lo:lo + step]]
+        stack = groups[lo:lo + step]
+        dfas = [exprs[ks[0]].dfa for ks in stack]
         offsets = np.cumsum([0] + [d.n_states for d in dfas])
         trans = np.concatenate([d._trans_array + off
                                 for d, off in zip(dfas, offsets)]).astype(np.int32)
         initials = offsets[:-1] + [d.initial for d in dfas]
         finals = kernels.window_final_states(trans, initials, count)
-        for ks, d, off, states in zip(groups[lo:lo + step], dfas, offsets, finals):
-            used = set().union(*(exprs[k].dfa.accepting for k in ks))
-            state_bits = {s: kernels.row_bits(states == off + s) for s in used}
+        # one packed pass over the states some atom accepts in: byte row p
+        # holds the ranks that end in state used[p]; the others share a
+        # spare last row
+        starts = offsets.tolist()
+        used = [off + s for ks, off in zip(stack, starts)
+                for s in set().union(*(exprs[k].dfa.accepting for k in ks))]
+        slot = np.full(starts[-1], len(used), dtype=np.int32)
+        slot[used] = np.arange(len(used))
+        hot = np.zeros((len(used) + 1, count), dtype=bool)
+        hot[slot[finals], np.arange(count)] = True
+        width = -(-count // 8)
+        data = np.packbits(hot, axis=1, bitorder="little").tobytes()
+        state_bits = {g: int.from_bytes(data[p * width:(p + 1) * width], "little")
+                      for p, g in enumerate(used)}
+        for ks, off in zip(stack, starts):
             for k in ks:
                 row = 0
                 for s in exprs[k].dfa.accepting:
-                    row |= state_bits[s]
+                    row |= state_bits[off + s]
                 out[k] = row
     return out
 

@@ -166,6 +166,43 @@ def test_hardcore_and_verify_roundtrip(tmp_path, capsys, length_family_file):
     assert not json.loads(out)["ok"]
 
 
+def test_hardcore_trace_with_condition_words_in_target_verifies(tmp_path, capsys):
+    """Condition words inside the target are not accepted, so verify-trace
+    accepts the trace of the run that wrote it."""
+    family = write(tmp_path, "finite.json", {"alphabet": "ab", "builtin": "finite"})
+    condition = write(tmp_path, "cond.json", {
+        "alphabet": "ab", "expr": {"finite": ["", "a", "ab", "bbb", "aaaaa"]}})
+    full = write(tmp_path, "full.json", {"alphabet": "ab", "expr": expr_to_json(FULL)})
+    trace_path = str(tmp_path / "trace.jsonl")
+    languages = ["--family", family, "--condition", condition, "--target", full]
+    code, out, _ = run_main(["hardcore", *languages, "--steps", "64",
+                             "--trace", trace_path], capsys)
+    assert code == 0
+    accepted = json.loads(out)["accepted"]
+    assert len(accepted) == 59
+    assert not {"", "a", "ab", "bbb", "aaaaa"} & set(accepted)
+    code, out, _ = run_main(["verify-trace", "--trace", trace_path, *languages],
+                            capsys)
+    assert code == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("dfa", [
+    {"states": 1, "initial": 1, "transitions": [[0, 0]], "accepting": []},
+    {"states": 1, "initial": 0, "transitions": [[0]], "accepting": []},
+    {"states": 2, "initial": 0, "transitions": [[0, 2], [1, 1]], "accepting": []},
+    {"states": 2, "initial": 0, "transitions": [[0, 1], [1, 1]], "accepting": [2]},
+    {"states": 2, "initial": 0, "transitions": [[0, 1]], "accepting": []}])
+def test_malformed_automaton_exits_2(tmp_path, capsys, reg_family_file, dfa):
+    """Twice in one process, so that a remembered table check still fails."""
+    target = write(tmp_path, "target.json", {"alphabet": "ab", "expr": {"dfa": dfa}})
+    for _ in range(2):
+        code, out, err = run_main(["cohesive", "--target", target,
+                                   "--family", reg_family_file,
+                                   "--index-bound", "5"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "target.json" in err
+
+
 def test_hardcore_reproducible_byte_for_byte(tmp_path, capsys, length_family_file):
     target = write(tmp_path, "t.json", {"alphabet": "ab", "expr": expr_to_json(FULL)})
     outputs = []

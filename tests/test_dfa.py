@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from cptk import dfa as dfa_module
 from cptk.dfa import (Dfa, dfa_for_finite, dfa_length_equals,
                       dfa_word_starts_with, empty_dfa, full_dfa)
 from cptk.families import length_family
@@ -23,6 +26,124 @@ def test_totality_enforced():
         Dfa(2, ((0, 5),), 0, frozenset())
     with pytest.raises(ValueError):
         Dfa(2, ((0, 0),), 3, frozenset())
+
+
+def reference_fault(n_symbols, transitions, initial, accepting):
+    """The checks of ``Dfa.__post_init__`` as it ran them on every
+    construction, before it remembered tables: the message of the first
+    fault, or None."""
+    n = len(transitions)
+    if not (0 <= initial < n):
+        return "initial state out of range"
+    for row in transitions:
+        if len(row) != n_symbols:
+            return "transition row width must equal alphabet size"
+        if any(not 0 <= t < n for t in row):
+            return "transition target out of range"
+    if any(not 0 <= s < n for s in accepting):
+        return "accepting state out of range"
+    return None
+
+
+def construction_fault(n_symbols, transitions, initial, accepting):
+    try:
+        Dfa(n_symbols, transitions, initial, accepting)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+INITIAL = "initial state out of range"
+WIDTH = "transition row width must equal alphabet size"
+TARGET = "transition target out of range"
+ACCEPTING = "accepting state out of range"
+
+
+@pytest.mark.parametrize("args,message", [
+    ((2, ((0, 0),), 1, frozenset()), INITIAL),
+    ((2, ((0, 0),), -1, frozenset()), INITIAL),
+    ((2, ((0,),), 0, frozenset()), WIDTH),
+    ((2, ((0, 0, 0),), 0, frozenset()), WIDTH),
+    ((2, ((0, 5),), 0, frozenset()), TARGET),
+    ((2, ((0, -1),), 0, frozenset()), TARGET),
+    ((2, ((0, 0),), 0, frozenset({1})), ACCEPTING),
+    ((2, ((0, 0),), 0, frozenset({-1})), ACCEPTING),
+    # two faults: the first check in order wins
+    ((2, ((0,),), 3, frozenset()), INITIAL),
+    ((2, ((0, 0),), 1, frozenset({4})), INITIAL),
+    ((2, ((0, 5), (0,)), 0, frozenset()), TARGET),    # row 0 before row 1
+    ((2, ((0, 0), (0, 5, 1)), 0, frozenset()), WIDTH),  # width before targets
+    ((2, ((0,), (0, 5)), 0, frozenset()), WIDTH),
+    ((2, ((0, 5),), 0, frozenset({3})), TARGET),      # table before accepting
+    ((2, ((0, 0, 0),), 0, frozenset({3})), WIDTH)])
+def test_validation_messages_and_order(args, message):
+    assert reference_fault(*args) == message
+    # a remembered table raises on every construction
+    for _ in range(3):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dfa(*args)
+
+
+def test_remembered_table_still_checks_initial_and_accepting():
+    rows = ((1, 0), (1, 1))
+    assert Dfa(2, rows, 0, frozenset({1})).n_states == 2
+    with pytest.raises(ValueError, match=f"^{INITIAL}$"):
+        Dfa(2, rows, 2, frozenset({1}))
+    with pytest.raises(ValueError, match=f"^{ACCEPTING}$"):
+        Dfa(2, rows, 0, frozenset({2}))
+    assert Dfa(2, rows, 1, frozenset()).initial == 1
+
+
+def test_validation_matches_reference_on_random_tables():
+    """Random tables, some with a fault or two, each constructed twice."""
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(3000):
+        b = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 5))
+        rows = []
+        for _ in range(n):
+            width = b if rng.random() < 0.9 else int(rng.integers(0, b + 2))
+            rows.append(tuple(int(rng.integers(-1, n + 1)) if rng.random() < 0.05
+                              else int(rng.integers(0, n)) for _ in range(width)))
+        rows = tuple(rows)
+        initial = int(rng.integers(-1, n + 1)) if rng.random() < 0.1 else 0
+        accepting = frozenset(int(rng.integers(-1, n + 2)) if rng.random() < 0.1
+                              else s for s in range(n) if rng.random() < 0.5)
+        want = reference_fault(b, rows, initial, accepting)
+        seen.add(want)
+        for _ in range(2):
+            assert construction_fault(b, rows, initial, accepting) == want
+    assert seen == {None, INITIAL, WIDTH, TARGET, ACCEPTING}
+
+
+def test_list_valued_transitions_still_construct():
+    """A table of lists cannot key the memo; it is checked unremembered."""
+    d = Dfa(2, [[1, 0], [1, 1]], 0, frozenset({1}))
+    assert d.accepts_codes([1, 0]) and not d.accepts_codes([1])
+    assert construction_fault(2, [[0, 5]], 0, frozenset()) == TARGET
+    assert construction_fault(2, ([0], [0, 0]), 0, frozenset()) == WIDTH
+    assert construction_fault(2, [(0, 0)], 0, frozenset({1})) == ACCEPTING
+
+
+def test_table_checked_once_per_distinct_table(monkeypatch):
+    checked = []
+    check = dfa_module._table_fault.__wrapped__
+
+    def counted(n_symbols, transitions):
+        checked.append(transitions)
+        return check(n_symbols, transitions)
+
+    monkeypatch.setattr(dfa_module, "_table_fault",
+                        functools.lru_cache(dfa_module.TABLE_CHECKS)(counted))
+    rows = ((1, 0), (1, 1))
+    for acc in (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})):
+        Dfa(2, rows, 0, acc).complement()
+    assert checked == [rows]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Dfa(2, ((0, 2),), 0, frozenset())
+    assert checked == [rows, ((0, 2),)]
 
 
 def test_product_and_complement_agree_with_membership(ab):

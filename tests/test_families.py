@@ -1,7 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
+from cptk import dfa as dfa_module
+from cptk import families
 from cptk.codec import seq_code, seq_decode
+from cptk.dfa import Dfa
 from cptk.families import (LAW_IDS, canonical_index, check_law, close_b,
                            close_cc, close_co, close_s, close_u, dc_member,
                            family_from_json, finite_family, length_family,
@@ -216,6 +221,65 @@ def test_family_from_json(ab):
     hidden = {"op": "union", "args": [{"predicate": "square-length"}, {"finite": ["ac"]}]}
     with pytest.raises(AlphabetMismatch):
         family_from_json({"alphabet": "ab", "list": [hidden]})
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+def test_regular_family_decodes_as_reference(symbols, order):
+    """The table-at-a-time decode against ``regular_index_decode`` over the
+    first 6000 indices (block starts 2, 66 and 5898 over ``ab``), in an
+    order that the shared-table memo does not choose."""
+    alphabet = Alphabet.parse(symbols)
+    indices = list(range(6000))
+    if order == "descending":
+        indices.reverse()
+    elif order == "shuffled":
+        np.random.default_rng(13).shuffle(indices)
+    gen = regular_family(alphabet).generator
+    for i in indices:
+        assert gen(i).dfa == regular_index_decode(i, alphabet.size), i
+
+
+def test_regular_family_block_starts_and_shared_tables(ab):
+    gen = regular_family(ab).generator
+    assert gen(0).dfa == regular_index_decode(0, 2) == Dfa(2, ((0, 0),), 0, frozenset())
+    states = {i: gen(i).dfa.n_states for i in (0, 1, 2, 65, 66, 5897, 5898)}
+    assert states == {0: 1, 1: 1, 2: 2, 65: 2, 66: 3, 5897: 3, 5898: 4}
+    # the 2^n indices of one table share its rows tuple
+    assert gen(66).dfa.transitions is gen(73).dfa.transitions
+    assert gen(66).dfa.transitions != gen(74).dfa.transitions
+    with pytest.raises(ValueError):
+        gen(-1)
+    with pytest.raises(ValueError):
+        regular_index_decode(-1, 2)
+    with pytest.raises(ValueError):
+        regular_family(ab).expr(-1)
+
+
+def test_regular_classes_decode_and_check_each_table_once(ab, monkeypatch):
+    """Building the README class index decodes and checks one table per
+    distinct table (472), not one per index (3700)."""
+    decoded = []
+    decode = families._regular_table
+    checked = []
+    check = dfa_module._table_fault.__wrapped__
+
+    def counted_decode(*args):
+        decoded.append(args)
+        return decode(*args)
+
+    def counted_check(n_symbols, transitions):
+        checked.append(transitions)
+        return check(n_symbols, transitions)
+
+    monkeypatch.setattr(families, "_regular_table", counted_decode)
+    monkeypatch.setattr(dfa_module, "_table_fault",
+                        functools.lru_cache(dfa_module.TABLE_CHECKS)(counted_check))
+    fam = regular_family(ab)
+    fam.classes(3700, 300)
+    tables = {fam.expr(i).dfa.transitions for i in range(3700)}
+    assert len(tables) == 472
+    assert len(decoded) <= 472 and len(checked) <= 472
 
 
 def test_list_family_periodic(ab):

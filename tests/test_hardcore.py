@@ -37,7 +37,7 @@ def simulate(family_member, in_condition, in_target, alphabet_symbols, steps):
             for i in range(card + 1):
                 if i not in cancel and family_member(i, w):
                     cancel.add(i)
-        if in_target(w):
+        if in_target(w) and not in_condition(w):
             if all(i in cancel or not family_member(i, w) for i in range(card + 1)):
                 accepted.append(w)
                 card += 1
@@ -439,7 +439,10 @@ def scalar_verify_trace(trace, family, condition, target, alphabet):
 SQ = Predicate("square-length")
 MARKERS = {"empty": (EMPTY, FULL),
            "a.A-b.notA": (LeftMark("a", SQ), LeftMark("b", Complement(SQ))),
-           "a-b": (LeftMark("a", FULL), LeftMark("b", FULL))}
+           "a-b": (LeftMark("a", FULL), LeftMark("b", FULL)),
+           # condition words inside the target: they cancel, never accept
+           "overlap-finite": (FiniteSet(("", "a", "ab", "bbb", "aaaaa")), FULL),
+           "overlap-a": (LeftMark("a", FULL), Complement(FiniteSet(("",))))}
 # a language listed twice: both copies can claim one target word (the
 # least blocks it) or be cancelled by one condition word
 LONG = Complement(FiniteSet(("", "a", "b", "aa", "ab", "ba", "bb")))
@@ -593,3 +596,30 @@ def test_run_and_verifier_read_rows(ab, monkeypatch, builtin, steps, languages):
     # the counter does see scalar lookups: the step reference makes them
     step_run(family, condition, target, ab, 16)
     assert calls
+
+
+def test_condition_words_inside_the_target_are_not_accepted(ab):
+    """Over the finite family, with five condition words inside a full
+    target, the run accepts none of them and its own trace verifies."""
+    condition = FiniteSet(("", "a", "ab", "bbb", "aaaaa"))
+    state, trace = hardcore_run(finite_family(ab), condition, FULL, ab, 64)
+    assert not set(state.accepted) & set(condition.words)
+    inside = [e for e in trace if e.word in condition.words]
+    assert len(inside) == 5
+    assert all(e.action != ACCEPTED and e.reason == "in-condition"
+               and e.blocking is None for e in inside)
+    want_state, want_trace = step_run(finite_family(ab), condition, FULL, ab, 64)
+    assert state == want_state and trace == want_trace
+    report = verify_trace(trace, finite_family(ab), condition, FULL, ab)
+    assert report["ok"], report["violations"]
+
+
+def test_condition_words_inside_the_target_still_cancel(ab, reg_ab):
+    condition, target = MARKERS["overlap-a"]
+    state, trace = hardcore_run(reg_ab, condition, target, ab, 600)
+    cancelling = [e for e in trace if e.cancelled]
+    assert cancelling and all(e.word.startswith("a") and e.reason == "in-condition"
+                              for e in cancelling)
+    assert all(not w.startswith("a") for w in state.accepted)
+    assert trace == step_run(regular_family(ab), condition, target, ab, 600)[1]
+    assert verify_trace(trace, reg_ab, condition, target, ab)["ok"]

@@ -4,7 +4,8 @@ the stacked pass over a window, and the int bitset rows built on it."""
 import numpy as np
 import pytest
 
-from cptk import kernels
+from cptk import kernels, langs
+from cptk.families import regular_family
 from cptk.langs import (Complement, DfaAtom, FiniteSet, LeftMark, Predicate,
                         StepBudgetExceeded, member, member_batch, step_budget,
                         window_rows)
@@ -130,6 +131,99 @@ def test_window_rows_charge_step_budget(ab):
         window_rows(exprs, ab, 50)
     with step_budget(6 * 50 - 1), pytest.raises(StepBudgetExceeded):
         window_rows(atoms, ab, 50)
+
+
+def per_state_window_rows(exprs, alphabet, count):
+    """``window_rows`` as it read each state's row with its own
+    ``kernels.row_bits`` call: the reference for the packed pass."""
+    exprs = list(exprs)
+    out = [0] * len(exprs)
+    tables = {}
+    packed = None
+    for k, e in enumerate(exprs):
+        if isinstance(e, DfaAtom) and e.dfa.n_symbols == alphabet.size:
+            tables.setdefault((e.dfa.transitions, e.dfa.initial), []).append(k)
+            continue
+        if isinstance(e, FiniteSet):
+            out[k] = langs._finite_row(e, alphabet, count)
+            continue
+        if packed is None:
+            packed = window(alphabet, count)
+        out[k] = kernels.row_bits(member_batch(e, packed))
+    langs._tick(count * sum(len(ks) for ks in tables.values()))
+    groups = list(tables.values())
+    step = max(1, langs._STACK_WORDS // max(count, 1))
+    for lo in range(0, len(groups), step):
+        dfas = [exprs[ks[0]].dfa for ks in groups[lo:lo + step]]
+        offsets = np.cumsum([0] + [d.n_states for d in dfas])
+        trans = np.concatenate([d._trans_array + off
+                                for d, off in zip(dfas, offsets)]).astype(np.int32)
+        initials = offsets[:-1] + [d.initial for d in dfas]
+        finals = kernels.window_final_states(trans, initials, count)
+        for ks, d, off, states in zip(groups[lo:lo + step], dfas, offsets, finals):
+            used = set().union(*(exprs[k].dfa.accepting for k in ks))
+            state_bits = {s: kernels.row_bits(states == off + s) for s in used}
+            for k in ks:
+                row = 0
+                for s in exprs[k].dfa.accepting:
+                    row |= state_bits[s]
+                out[k] = row
+    return out
+
+
+def shared_table_exprs(alphabet, rng):
+    """Atoms sharing tables but not accepting sets or initial states, mixed
+    with finite sets, predicates and a marked atom."""
+    exprs = []
+    for _ in range(6):
+        dfa = random_dfa(rng, alphabet.size)
+        n = dfa.n_states
+        exprs += [DfaAtom(type(dfa)(dfa.n_symbols, dfa.transitions, 0, acc))
+                  for acc in (frozenset(), frozenset(range(n)), dfa.accepting)]
+        exprs += [DfaAtom(dfa.left_quotient(alphabet.codes(w)))
+                  for w in (alphabet.symbols[0], alphabet.symbols[-1] * 2)]
+        exprs.append(DfaAtom(dfa.complement()))
+    exprs += [FiniteSet(("", alphabet.symbols[-1] * 3)), Predicate("square-length"),
+              LeftMark(alphabet.symbols[0], exprs[0]), FiniteSet(())]
+    return exprs
+
+
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 301])
+def test_packed_rows_match_per_state_rows(symbols, count):
+    alphabet = Alphabet.parse(symbols)
+    exprs = shared_table_exprs(alphabet, np.random.default_rng(count))
+    assert window_rows(exprs, alphabet, count) == \
+        per_state_window_rows(exprs, alphabet, count)
+
+
+def test_packed_rows_match_per_state_rows_over_many_stacks(ab, monkeypatch):
+    """The first 3000 regular indices hold more tables than one stack of
+    301 words; a smaller stack bound splits short windows too."""
+    exprs = [regular_family(ab).expr(i) for i in range(3000)]
+    exprs += shared_table_exprs(ab, np.random.default_rng(3))
+    assert len({e.dfa.transitions for e in exprs[:3000]}) > langs._STACK_WORDS // 301
+    assert window_rows(exprs, ab, 301) == per_state_window_rows(exprs, ab, 301)
+    monkeypatch.setattr(langs, "_STACK_WORDS", 16)
+    for count in (1, 8, 9, 40):
+        assert window_rows(exprs, ab, count) == per_state_window_rows(exprs, ab, count)
+
+
+def test_packed_rows_charge_step_budget_as_per_state_rows(ab):
+    exprs = shared_table_exprs(ab, np.random.default_rng(21))
+    atoms = sum(isinstance(e, DfaAtom) for e in exprs)
+    with step_budget(10 ** 9):
+        per_state_window_rows(exprs, ab, 40)
+        full = 10 ** 9 - langs._budget_state.remaining
+
+    def run(build, budget):
+        with step_budget(budget):
+            return outcome(lambda: build(exprs, ab, 40))
+
+    for budget in (0, 39, 40, 41, 40 * atoms - 1, 40 * atoms, full - 1, full):
+        assert run(window_rows, budget) == run(per_state_window_rows, budget)
+    assert run(window_rows, full - 1) is StepBudgetExceeded
+    assert isinstance(run(window_rows, full), list)
 
 
 def batch_row(expr, alphabet, count):
