@@ -7,10 +7,10 @@ cohesion checks with refutation witnesses, and a trace-verified
 diagonalization loop for building hard cores.
 """
 
-from .words import Alphabet, compare, lex, ord_, succ, window, PackedWords
+from .words import Alphabet, compare, lex, ord_, succ
 from .langs import (Complement, DfaAtom, FiniteSet, Inter, LangExpr, LeftMark,
                     LeftQuotient, Predicate, Union, EMPTY, FULL, member,
-                    member_batch, simplify, to_automaton, regular_view,
+                    simplify, to_automaton, regular_view,
                     is_finite, subset_of, equivalent, expr_to_json,
                     expr_from_json)
 from .dfa import Dfa

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 from . import codec
 from .families import FamilyEnum
-from .kernels import row_bits
 from .langs import (FULL, Complement, Inter, LangExpr, Union, emptiness,
-                    equivalent, is_finite, member_batch, simplify, subset_of)
+                    equivalent, is_finite, simplify, subset_of, window_rows)
 from .verdicts import CERTIFIED, REFUTED, UNKNOWN, FinitenessVerdict, Verdict
-from .words import Alphabet, window_for_horizon
+from .words import Alphabet
 
 INFINITE_EVIDENCE_THRESHOLD = 32
 
@@ -231,10 +230,10 @@ def is_partition(blocks, alphabet: Alphabet, family: FamilyEnum | None = None,
         # an index with another row than the block's is always refuted, and
         # the indices of one class share the verdict of its least index
         index = family.classes(index_bound, horizon)
-        packed = window_for_horizon(family.alphabet, horizon)
+        block_rows = window_rows(blocks, family.alphabet, horizon + 1)
         member_indices = []
-        for t, block in enumerate(blocks):
-            for i in index.leaders.get(row_bits(member_batch(block, packed)), ()):
+        for t, (block, row) in enumerate(zip(blocks, block_rows)):
+            for i in index.leaders.get(row, ()):
                 verdict = equivalent(family.expr(i), block, family.alphabet, horizon)
                 if not verdict.is_refuted:
                     break
@@ -335,8 +334,10 @@ def _search(problem, family, index_bound, horizon, condition=None):
     alphabet = problem.alphabet
     index = family.classes(index_bound, horizon)
     rows, full, leaders = index.rows, index.full, index.leaders
-    packed = window_for_horizon(alphabet, horizon)
-    comp_rows = [row_bits(member_batch(c, packed)) for c in problem.components]
+    # the components' rows, then the condition's
+    given = window_rows(problem.components + (() if condition is None else (condition,)),
+                        alphabet, horizon + 1)
+    comp_rows = given[:k]
     # each component's containment candidates, one index per language
     cand = [sorted(i for row, ls in leaders.items() if not comp & ~row for i in ls)
             for comp in comp_rows]
@@ -344,7 +345,7 @@ def _search(problem, family, index_bound, horizon, condition=None):
         return SolveNotFound(index_bound, horizon)
     offset = 0 if condition is None else 1
     # the row that slot 0 must contain, by the component heading ``perm``
-    hosted = comp_rows if condition is None else [row_bits(member_batch(condition, packed))] * k
+    hosted = comp_rows if condition is None else given[k:] * k
     tuples: dict[tuple, list[tuple]] = {}
     for perm in itertools.permutations(range(k)):
         pools = [cand[t] for t in perm[1 - offset:]]  # the slots after slot 0

@@ -82,6 +82,14 @@ def _load_family(path: str):
         raise CliError(EXIT_USAGE, f"{path}: {exc}")
 
 
+def _check_alphabet(family, alphabet: Alphabet, what: str) -> None:
+    """Refuse a file whose alphabet is not the family's, symbols and order:
+    automaton symbol codes and the word order depend on both."""
+    if str(alphabet) != str(family.alphabet):
+        raise CliError(EXIT_USAGE, f"{what} alphabet {str(alphabet)!r} differs "
+                                   f"from the family alphabet {str(family.alphabet)!r}")
+
+
 def _load_problem_file(path: str, horizon: int):
     data = _read_json(path)
     try:
@@ -148,7 +156,8 @@ def cmd_laws(args) -> int:
 
 def cmd_solve(args) -> int:
     family = _load_family(args.family)
-    _, problem, cond = _load_problem_file(args.problem, args.horizon)
+    alphabet, problem, cond = _load_problem_file(args.problem, args.horizon)
+    _check_alphabet(family, alphabet, "problem")
     if cond is None:
         result = solve(problem, family, args.index_bound, args.horizon)
     else:
@@ -165,10 +174,10 @@ def cmd_solve(args) -> int:
 def cmd_cohesive(args) -> int:
     family = _load_family(args.family)
     alphabet, target = _load_language(args.target)
-    if str(alphabet) != str(family.alphabet):
-        raise CliError(EXIT_USAGE, "target and family alphabets differ")
+    _check_alphabet(family, alphabet, "target")
     if args.condition:
-        _, region = _load_language(args.condition)
+        alphabet, region = _load_language(args.condition)
+        _check_alphabet(family, alphabet, "condition")
         verdict = check_ccohesive(target, region, family, args.index_bound,
                                   args.horizon)
     else:
@@ -184,7 +193,8 @@ def cmd_cohesive(args) -> int:
 
 def cmd_ccore(args) -> int:
     family = _load_family(args.family)
-    _, problem, cond = _load_problem_file(args.problem, args.horizon)
+    alphabet, problem, cond = _load_problem_file(args.problem, args.horizon)
+    _check_alphabet(family, alphabet, "problem")
     if cond is None:
         report = check_core(problem, family, args.index_bound, args.horizon,
                             subset_samples=args.samples, seed=args.seed)
@@ -197,15 +207,21 @@ def cmd_ccore(args) -> int:
     return EXIT_OK if status == "refuted" else EXIT_INCONCLUSIVE
 
 
+def _load_condition_and_target(args, family):
+    """The condition (empty by default), and the target with its alphabet,
+    both over the family's alphabet."""
+    condition = EMPTY
+    if args.condition:
+        alphabet, condition = _load_language(args.condition)
+        _check_alphabet(family, alphabet, "condition")
+    alphabet, target = _load_language(args.target)
+    _check_alphabet(family, alphabet, "target")
+    return condition, alphabet, target
+
+
 def cmd_hardcore(args) -> int:
     family = _load_family(args.family)
-    if args.condition:
-        cond_alphabet, condition = _load_language(args.condition)
-    else:
-        cond_alphabet, condition = family.alphabet, EMPTY
-    alphabet, target = _load_language(args.target)
-    if str(alphabet) != str(family.alphabet) or str(cond_alphabet) != str(alphabet):
-        raise CliError(EXIT_USAGE, "family, condition and target alphabets differ")
+    condition, alphabet, target = _load_condition_and_target(args, family)
     state, trace = hardcore_run(family, condition, target, alphabet, args.steps)
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -224,11 +240,7 @@ def cmd_hardcore(args) -> int:
 
 def cmd_verify_trace(args) -> int:
     family = _load_family(args.family)
-    if args.condition:
-        _, condition = _load_language(args.condition)
-    else:
-        condition = EMPTY
-    alphabet, target = _load_language(args.target)
+    condition, alphabet, target = _load_condition_and_target(args, family)
     try:
         with open(args.trace) as fh:
             trace = trace_from_jsonl(fh.read())

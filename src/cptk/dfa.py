@@ -14,8 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .words import Alphabet, PackedWords
-from . import kernels
+from .words import Alphabet
 
 
 # transition tables whose check :func:`_table_fault` remembers: the
@@ -70,7 +69,7 @@ class Dfa:
 
     @cached_property
     def _trans_array(self) -> np.ndarray:
-        """Transition table as an array, for the batch kernels."""
+        """Transition table as an array, for the stacked window pass."""
         return np.array(self.transitions, dtype=np.int64).reshape(self.n_states,
                                                                   self.n_symbols)
 
@@ -86,14 +85,6 @@ class Dfa:
 
     def accepts(self, alphabet: Alphabet, word: str) -> bool:
         return self.accepts_codes(alphabet.codes(word))
-
-    def accepts_batch(self, packed: PackedWords) -> np.ndarray:
-        finals = kernels.dfa_final_states(self._trans_array, self.initial,
-                                          packed.flat, packed.starts, packed.lengths)
-        acc = np.zeros(self.n_states, dtype=bool)
-        for s in self.accepting:
-            acc[s] = True
-        return acc[finals]
 
     # ------------------------------------------------------------------
     # algebra

@@ -25,9 +25,9 @@ import numpy as np
 from . import codec
 from .dfa import Dfa, dfa_length_equals
 from .langs import (EMPTY, Complement, DfaAtom, FiniteSet, Inter, LangExpr,
-                    Union, check_symbols, expr_from_json, member, member_batch,
-                    regular_view, window_rows)
-from .words import Alphabet, lex, window_for_horizon
+                    Union, check_symbols, expr_from_json, member, regular_view,
+                    window_rows)
+from .words import Alphabet, lex
 
 
 @dataclass(frozen=True)
@@ -414,15 +414,15 @@ def _law_report(law, samples, horizon):
             "agreements": 0, "disagreements": 0, "first_counterexample": None}
 
 
-def _compare_on_window(report, family, expr_a, expr_b, packed, label):
-    va = member_batch(expr_a, packed)
-    vb = member_batch(expr_b, packed)
-    diff = np.nonzero(va != vb)[0]
-    if diff.size:
+def _compare_on_window(report, family, expr_a, expr_b, horizon, label):
+    ra, rb = window_rows([expr_a, expr_b], family.alphabet, horizon + 1)
+    diff = ra ^ rb
+    if diff:
         report["disagreements"] += 1
         if report["first_counterexample"] is None:
             report["first_counterexample"] = {
-                "sample": label, "word": packed.word(int(diff[0]))}
+                "sample": label,
+                "word": lex(family.alphabet, (diff & -diff).bit_length() - 1)}
     else:
         report["agreements"] += 1
 
@@ -437,7 +437,6 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
     if law_id not in LAW_IDS:
         raise ValueError(f"unknown law {law_id!r}; choose from {LAW_IDS}")
     rng = np.random.default_rng(seed)
-    packed = window_for_horizon(family.alphabet, horizon)
     report = _law_report(law_id, index_samples, horizon)
 
     if law_id == "distributivity":
@@ -451,7 +450,7 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
             choices = list(itertools.product(*parts))
             union_of_inters = codec.seq_code([codec.seq_code(c) for c in choices])
             _compare_on_window(report, family, fu_s.expr(inter_of_unions),
-                               fs_u.expr(union_of_inters), packed,
+                               fs_u.expr(union_of_inters), horizon,
                                {"parts": parts})
     elif law_id == "deMorgan":
         co_u = close_u(close_co(family))
@@ -461,20 +460,20 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
                      for _ in range(int(rng.integers(1, 4)))]
             code = codec.seq_code(parts)
             _compare_on_window(report, family, co_u.expr(code), s_co.expr(code),
-                               packed, {"parts": parts})
+                               horizon, {"parts": parts})
     elif law_id == "co-involution":
         coco = close_co(close_co(family))
         for _ in range(index_samples):
             i = int(rng.integers(0, index_pool))
             _compare_on_window(report, family, coco.expr(i), family.expr(i),
-                               packed, {"index": i})
+                               horizon, {"index": i})
     elif law_id == "cc-dc-fixpoint":
         cc = close_cc(family)
         for _ in range(index_samples):
             i = int(rng.integers(0, 2 * index_pool))
             partner = i + 1 if i % 2 == 0 else i - 1
             _compare_on_window(report, family, Complement(cc.expr(i)),
-                               cc.expr(partner), packed,
+                               cc.expr(partner), horizon,
                                {"index": i, "partner": partner})
     else:  # nontriviality-preservation
         for op_name, op in CLOSURES.items():
@@ -486,11 +485,12 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
                                                       "word": None}
                 continue
             found_empty = found_full = False
+            full = (1 << (horizon + 1)) - 1
             for i in range(index_pool):
-                row = member_batch(closed.expr(i), packed)
-                if not row.any():
+                row = window_rows([closed.expr(i)], family.alphabet, horizon + 1)[0]
+                if row == 0:
                     found_empty = True
-                if row.all():
+                if row == full:
                     found_full = True
                 if found_empty and found_full:
                     break

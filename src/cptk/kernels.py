@@ -1,34 +1,10 @@
-"""Vector kernels behind the batch evaluator.
-
-* :func:`dfa_final_states` runs one automaton over a packed batch of
-  arbitrary words, one symbol position at a time.
-* :func:`window_final_states` runs a stack of automata over the window
-  lex(0..count-1) in one pass over the ranks.
-* :func:`row_bits` packs a boolean membership vector into an ``int``
-  bitset, the row format of the solvability search.
-"""
+"""The vector kernel behind the window rows: :func:`window_final_states`
+runs a stack of automata over the window lex(0..count-1) in one pass over
+the ranks."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def dfa_final_states(trans: np.ndarray, initial: int, flat: np.ndarray,
-                     starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Final DFA state per packed word."""
-    n = len(starts)
-    out = np.full(n, initial, dtype=np.int64)
-    if n == 0:
-        return out
-    active = lengths > 0
-    for p in range(int(lengths.max())):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        syms = flat[starts[idx] + p].astype(np.int64)
-        out[idx] = trans[out[idx], syms]
-        active[idx] = lengths[idx] > p + 1
-    return out
 
 
 def window_final_states(trans: np.ndarray, initials: np.ndarray,
@@ -56,16 +32,3 @@ def window_final_states(trans: np.ndarray, initials: np.ndarray,
             trans[parents].reshape(len(initials), -1)[:, :width]
         lo, hi = first, first + width
     return out
-
-
-def row_bits(vec: np.ndarray) -> int:
-    """The bool vector as an int whose bit j is ``vec[j]``."""
-    return int.from_bytes(np.packbits(vec, bitorder="little").tobytes(), "little")
-
-
-def symbol_counts(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                  code: int) -> np.ndarray:
-    """Occurrences of one symbol code per packed word (safe on empty words)."""
-    marks = (flat == code).astype(np.int64)
-    csum = np.concatenate(([0], np.cumsum(marks)))
-    return csum[starts + lengths] - csum[starts]

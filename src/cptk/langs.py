@@ -3,7 +3,7 @@
 An expression tree combines atoms (explicit finite sets, automata, named
 total-recursive predicates) under union, intersection, complement, left
 marking and left quotient.  Membership is decided structurally word by
-word, or in bulk over a packed window of words.
+word, or in bulk as int rows over the window lex(0..n-1).
 
 The regular fragment has an exact automaton backend.  A small sound
 rewriter (:func:`simplify`) collapses marker and complement structure, so
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from . import kernels
 from .dfa import Dfa, dfa_for_finite, dfa_word_starts_with
 from .verdicts import (CERTIFIED, FINITE, INFINITE, REFUTED, UNKNOWN,
                        FinitenessVerdict, Verdict)
-from .words import Alphabet, PackedWords, lex, ord_, window, window_for_horizon
+from .words import Alphabet, lex, ord_
 
 
 class NonRegularLeaf(ValueError):
@@ -132,33 +133,35 @@ def _prime_mask(limit: int) -> np.ndarray:
 
 
 class _PredicateImpl:
-    def __init__(self, name, scalar, batch):
+    def __init__(self, name, scalar, automaton):
         self.name = name
         self.scalar = scalar
-        self.batch = batch
+        # automaton(alphabet, longest): a Dfa that agrees with ``scalar`` on
+        # every word of length at most ``longest``
+        self.automaton = automaton
 
 
-def _square_scalar(alphabet, word):
-    n = len(word)
+def _length_predicate(test):
+    """Scalar and automaton of a predicate on word length alone."""
+    def scalar(alphabet, word):
+        return test(len(word))
+
+    def automaton(alphabet, longest):
+        # state n counts the length up to longest, where it stays
+        rows = tuple((min(n + 1, longest),) * alphabet.size for n in range(longest + 1))
+        return Dfa(alphabet.size, rows, 0,
+                   frozenset(n for n in range(longest + 1) if test(n)))
+
+    return scalar, automaton
+
+
+def _is_square(n):
     r = isqrt(n)
     return r * r == n
 
 
-def _square_batch(packed):
-    roots = np.asarray(np.sqrt(packed.lengths).round(), dtype=np.int64)
-    return roots * roots == packed.lengths
-
-
-def _prime_scalar(alphabet, word):
-    n = len(word)
-    if n < 2:
-        return False
-    return bool(_prime_mask(n)[n])
-
-
-def _prime_batch(packed):
-    top = int(packed.lengths.max()) if len(packed) else 2
-    return _prime_mask(top)[packed.lengths]
+def _is_prime(n):
+    return n >= 2 and bool(_prime_mask(n)[n])
 
 
 def _equal_counts(x, y):
@@ -166,39 +169,45 @@ def _equal_counts(x, y):
         alphabet.code(x), alphabet.code(y)
         return word.count(x) == word.count(y)
 
-    def batch(packed):
-        cx = kernels.symbol_counts(packed.flat, packed.starts, packed.lengths,
-                                   packed.alphabet.code(x))
-        cy = kernels.symbol_counts(packed.flat, packed.starts, packed.lengths,
-                                   packed.alphabet.code(y))
-        return cx == cy
+    def automaton(alphabet, longest):
+        # state longest + d holds #x - #y = d; no word of length at most
+        # longest leaves [-longest, longest], where the count is clamped
+        cx, cy = alphabet.code(x), alphabet.code(y)
+        top = 2 * longest
+        rows = tuple(tuple(min(s + 1, top) if c == cx else max(s - 1, 0) if c == cy else s
+                           for c in range(alphabet.size))
+                     for s in range(top + 1))
+        return Dfa(alphabet.size, rows, longest, frozenset({longest}))
 
-    return scalar, batch
+    return scalar, automaton
 
 
 def resolve_predicate(name: str) -> _PredicateImpl:
     if name == "square-length":
-        return _PredicateImpl(name, _square_scalar, _square_batch)
+        return _PredicateImpl(name, *_length_predicate(_is_square))
     if name == "prime-length":
-        return _PredicateImpl(name, _prime_scalar, _prime_batch)
+        return _PredicateImpl(name, *_length_predicate(_is_prime))
     if name.startswith("equal-counts-") and len(name) == len("equal-counts-") + 2:
         x, y = name[-2], name[-1]
         if x != y:
-            scalar, batch = _equal_counts(x, y)
-            return _PredicateImpl(name, scalar, batch)
+            return _PredicateImpl(name, *_equal_counts(x, y))
     raise UnknownPredicate(name)
 
 
 # ---------------------------------------------------------------------------
 # step budget (opt-in guard that membership evaluation stays total and cheap)
 
-_budget_state = threading.local()
+class _BudgetState(threading.local):
+    remaining = None  # no budget in force in this thread
+
+
+_budget_state = _BudgetState()
 
 
 @contextmanager
 def step_budget(limit: int):
     """Bound the number of atom evaluations inside the block."""
-    prev = getattr(_budget_state, "remaining", None)
+    prev = _budget_state.remaining
     _budget_state.remaining = limit
     try:
         yield
@@ -207,7 +216,7 @@ def step_budget(limit: int):
 
 
 def _tick(amount: int = 1) -> None:
-    remaining = getattr(_budget_state, "remaining", None)
+    remaining = _budget_state.remaining
     if remaining is None:
         return
     remaining -= amount
@@ -218,7 +227,7 @@ def _tick(amount: int = 1) -> None:
 
 
 # ---------------------------------------------------------------------------
-# membership: scalar and batch
+# membership: scalar and window rows
 
 
 def member(expr: LangExpr, word: str, alphabet: Alphabet) -> bool:
@@ -260,72 +269,6 @@ def _alphabet_mismatch(expr, alphabet):
         f"automaton over {expr.dfa.n_symbols} symbols used with alphabet of size {alphabet.size}")
 
 
-def member_batch(expr: LangExpr, packed: PackedWords) -> np.ndarray:
-    """Membership of every packed word, as a bool vector."""
-    memo: dict = {}
-    return _eval(expr, packed, memo)
-
-
-def _eval(expr, packed, memo):
-    key = (expr, id(packed))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    alphabet = packed.alphabet
-    if isinstance(expr, FiniteSet):
-        _tick(len(packed))
-        out = np.zeros(len(packed), dtype=bool)
-        if expr.words:
-            by_len: dict[int, np.ndarray] = {}
-            for w in expr.words:
-                idx = by_len.get(len(w))
-                if idx is None:
-                    idx = np.nonzero(packed.lengths == len(w))[0]
-                    by_len[len(w)] = idx
-                if idx.size == 0:
-                    continue
-                if len(w) == 0:
-                    out[idx] = True
-                    continue
-                codes = np.array(alphabet.codes(w), dtype=np.int16)
-                cols = packed.starts[idx][:, None] + np.arange(len(w), dtype=np.int64)[None, :]
-                out[idx] |= (packed.flat[cols] == codes[None, :]).all(axis=1)
-    elif isinstance(expr, DfaAtom):
-        _tick(len(packed))
-        if expr.dfa.n_symbols != alphabet.size:
-            raise _alphabet_mismatch(expr, alphabet)
-        out = expr.dfa.accepts_batch(packed)
-    elif isinstance(expr, Predicate):
-        _tick(len(packed))
-        out = np.asarray(resolve_predicate(expr.name).batch(packed), dtype=bool)
-    elif isinstance(expr, Union):
-        out = np.zeros(len(packed), dtype=bool)
-        for a in expr.args:
-            out |= _eval(a, packed, memo)
-    elif isinstance(expr, Inter):
-        out = np.ones(len(packed), dtype=bool)
-        for a in expr.args:
-            out &= _eval(a, packed, memo)
-    elif isinstance(expr, Complement):
-        out = ~_eval(expr.arg, packed, memo)
-    elif isinstance(expr, LeftMark):
-        out = np.zeros(len(packed), dtype=bool)
-        code = alphabet.code(expr.symbol)
-        nonempty = packed.lengths > 0
-        first = np.full(len(packed), -1, dtype=np.int64)
-        first[nonempty] = packed.flat[packed.starts[nonempty]]
-        sel = first == code
-        if sel.any():
-            out[sel] = _eval(expr.arg, packed.suffixes(sel), memo)
-    elif isinstance(expr, LeftQuotient):
-        shifted = packed.prefixed(alphabet.codes(expr.word))
-        out = _eval(expr.arg, shifted, memo)
-    else:
-        raise TypeError(f"not a language expression: {expr!r}")
-    memo[key] = (packed, out)
-    return out
-
-
 # bound on automata x words per stacked pass, which keeps the int32 state
 # array and the gathers that fill it small
 _STACK_WORDS = 1 << 16
@@ -335,78 +278,226 @@ def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
     """Membership of lex(0..count-1) in each expression, as int bitsets
     whose bit j is set when lex(j) is a member.
 
-    Automaton atoms share stacked passes of
-    :func:`kernels.window_final_states`: each distinct (transitions,
-    initial) table runs once, and an atom's row is the union of the rows
-    of its accepting states.  The state rows of a stack come from one
+    Each tree is lowered with a pending left quotient u: ``LeftQuotient(w,
+    e)`` at u is e at w+u; a mark at a nonempty u consumes u's first
+    symbol or is empty; a mark at the empty u takes its argument's row over
+    the words the marked window words leave once the mark is dropped, and
+    shifts each length block into place.  Automaton atoms at u become the
+    automaton started where u leads; a predicate becomes an automaton that
+    is exact on every word of the window prefixed by u.  All automaton
+    leaves of all expressions share stacked passes of
+    :func:`kernels.window_final_states`, one run per distinct (transitions,
+    initial) table, and a leaf's row is the union of the rows of its
+    accepting states.  The state rows of a stack come from one
     ``np.packbits`` call over a one-hot of its final states against the
-    ids of the states some atom accepts in.  A finite set's row sets the
-    ranks of its words below ``count``.  Other expressions go through
-    :func:`member_batch`.  Each atom charges the step budget one step per
-    word, as :func:`member_batch` does.
+    ids of the states some atom accepts in.  Union, intersection and
+    complement are ``|``, ``&`` and ``full & ~``.
+
+    Step budget: each leaf (finite set, automaton, predicate) charges one
+    step per word of the window it is evaluated on, when it is lowered, in
+    expression order.  A top-level leaf charges ``count``; the top-level
+    automaton atoms over the alphabet charge theirs together, once every
+    expression is lowered.  A nested leaf under quotients charges
+    ``count`` too; under a left mark at the empty u it charges the number
+    of window words that start with the mark, and under a mark that no
+    window word passes it is not evaluated.  Within one expression a leaf
+    charges once per (pending quotient, window), however often it occurs
+    there.
     """
     exprs = list(exprs)
-    out: list[int] = [0] * len(exprs)
-    tables: dict[tuple, list[int]] = {}
-    packed = None
+    out = [0] * len(exprs)
+    lowering = _Lowering(alphabet, count)
+    # a top-level atom only notes its position with its table: thousands of
+    # family indices then add no object each, and no collector work
+    lowered, atoms = [], 0
     for k, e in enumerate(exprs):
-        if isinstance(e, DfaAtom) and e.dfa.n_symbols == alphabet.size:
-            tables.setdefault((e.dfa.transitions, e.dfa.initial), []).append(k)
-            continue
-        if isinstance(e, FiniteSet):
-            out[k] = _finite_row(e, alphabet, count)
-            continue
-        if packed is None:
-            packed = window(alphabet, count)
-        out[k] = kernels.row_bits(member_batch(e, packed))
-    _tick(count * sum(len(ks) for ks in tables.values()))
-    groups = list(tables.values())
-    step = max(1, _STACK_WORDS // max(count, 1))
-    for lo in range(0, len(groups), step):
-        stack = groups[lo:lo + step]
-        dfas = [exprs[ks[0]].dfa for ks in stack]
-        offsets = np.cumsum([0] + [d.n_states for d in dfas])
-        trans = np.concatenate([d._trans_array + off
-                                for d, off in zip(dfas, offsets)]).astype(np.int32)
-        initials = offsets[:-1] + [d.initial for d in dfas]
-        finals = kernels.window_final_states(trans, initials, count)
-        # one packed pass over the states some atom accepts in: byte row p
-        # holds the ranks that end in state used[p]; the others share a
-        # spare last row
-        starts = offsets.tolist()
-        used = [off + s for ks, off in zip(stack, starts)
-                for s in set().union(*(exprs[k].dfa.accepting for k in ks))]
-        slot = np.full(starts[-1], len(used), dtype=np.int32)
-        slot[used] = np.arange(len(used))
-        hot = np.zeros((len(used) + 1, count), dtype=bool)
-        hot[slot[finals], np.arange(count)] = True
-        width = -(-count // 8)
-        data = np.packbits(hot, axis=1, bitorder="little").tobytes()
-        state_bits = {g: int.from_bytes(data[p * width:(p + 1) * width], "little")
-                      for p, g in enumerate(used)}
-        for ks, off in zip(stack, starts):
-            for k in ks:
-                row = 0
-                for s in exprs[k].dfa.accepting:
-                    row |= state_bits[off + s]
-                out[k] = row
+        if type(e) is DfaAtom and e.dfa.n_symbols == alphabet.size:
+            _, accepts, _, ks = lowering.table(e.dfa)
+            accepts.append(e.dfa.accepting)
+            ks.append(k)
+            atoms += 1
+        else:
+            lowered.append((k, lowering.lower(e)))
+    _tick(count * atoms)
+    lowering.run()
+    for k, row in lowered:
+        out[k] = row()
+    for _, _, states, ks in lowering.tables.values():
+        for k in ks:
+            out[k] = _union_rows(states, exprs[k].dfa.accepting)
     return out
 
 
-def _finite_row(e: FiniteSet, alphabet: Alphabet, count: int) -> int:
-    """The row of a finite set over lex(0..count-1).  Like
-    :func:`member_batch`, it checks the symbols of the words no longer
-    than the window's longest and skips the longer ones."""
-    _tick(count)
-    longest = len(lex(alphabet, count - 1)) if count else -1
+class _Lowering:
+    """Expressions lowered to row thunks over one set of stacked passes."""
+
+    def __init__(self, alphabet: Alphabet, count: int):
+        self.alphabet, self.count = alphabet, count
+        # (transitions, initial) -> (automaton, the accepting sets asked
+        # about, {accepted-in state: row} once run, top-level positions)
+        self.tables: dict[tuple, tuple[Dfa, list, dict[int, int], list]] = {}
+
+    def table(self, dfa: Dfa) -> tuple:
+        key = (dfa.transitions, dfa.initial)
+        entry = self.tables.get(key)
+        if entry is None:
+            entry = self.tables[key] = (dfa, [], {}, [])
+        return entry
+
+    def lower(self, e):
+        """The thunk of e's row over the whole window."""
+        return self._lower(e, (), self.count, {})
+
+    def _row(self, e, u, n, memo):
+        """The thunk of u⁻¹e over lex(0..n-1), lowered and evaluated once
+        per expression."""
+        key = (e, u, n)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = _once(self._lower(e, u, n, memo))
+        return hit
+
+    def _lower(self, e, u, n, memo):
+        alphabet = self.alphabet
+        if isinstance(e, DfaAtom):
+            _tick(n)
+            if e.dfa.n_symbols != alphabet.size:
+                raise _alphabet_mismatch(e, alphabet)
+            return self._atom(e.dfa.left_quotient(u) if u else e.dfa, n)
+        if isinstance(e, FiniteSet):
+            row = _finite_row(e, u, alphabet, n)
+            return lambda: row
+        if isinstance(e, Predicate):
+            _tick(n)
+            longest = len(u) + (len(lex(alphabet, n - 1)) if n else 0)
+            dfa = resolve_predicate(e.name).automaton(alphabet, longest)
+            return self._atom(dfa.left_quotient(u) if u else dfa, n)
+        if isinstance(e, (Union, Inter)):
+            parts = [self._row(a, u, n, memo) for a in e.args]
+            op, start = ((operator.or_, 0) if isinstance(e, Union)
+                         else (operator.and_, (1 << n) - 1))
+            return lambda: functools.reduce(op, (p() for p in parts), start)
+        if isinstance(e, Complement):
+            inner = self._row(e.arg, u, n, memo)
+            return lambda: ((1 << n) - 1) & ~inner()
+        if isinstance(e, LeftMark):
+            c = alphabet.code(e.symbol)
+            if u:
+                return self._row(e.arg, u[1:], n, memo) if u[0] == c else lambda: 0
+            m = _marked_count(alphabet.size, c, n)
+            if not m:
+                return lambda: 0
+            inner = self._row(e.arg, (), m, memo)
+            return lambda: _mark_row(inner(), alphabet.size, c, m)
+        if isinstance(e, LeftQuotient):
+            return self._row(e.arg, alphabet.codes(e.word) + u, n, memo)
+        raise TypeError(f"not a language expression: {e!r}")
+
+    def _atom(self, dfa: Dfa, n: int):
+        """The thunk of an automaton's row over lex(0..n-1), n <= count."""
+        _, accepts, states, _ = self.table(dfa)
+        accepting = dfa.accepting
+        accepts.append(accepting)
+        return lambda: _union_rows(states, accepting) & ((1 << n) - 1)
+
+    def run(self) -> None:
+        """Fill the state rows of every table with the stacked passes."""
+        count = self.count
+        groups = list(self.tables.values())
+        step = max(1, _STACK_WORDS // max(count, 1))
+        for lo in range(0, len(groups), step):
+            stack = groups[lo:lo + step]
+            dfas = [d for d, _, _, _ in stack]
+            offsets = np.cumsum([0] + [d.n_states for d in dfas])
+            trans = np.concatenate([d._trans_array + off
+                                    for d, off in zip(dfas, offsets)]).astype(np.int32)
+            initials = offsets[:-1] + [d.initial for d in dfas]
+            finals = kernels.window_final_states(trans, initials, count)
+            # one packed pass over the states some atom accepts in: byte row p
+            # holds the ranks that end in state used[p]; the others share a
+            # spare last row
+            starts = offsets.tolist()
+            for _, accepts, states, _ in stack:
+                states.update(dict.fromkeys(set().union(*accepts), 0))
+            used = [off + s for (_, _, states, _), off in zip(stack, starts) for s in states]
+            slot = np.full(starts[-1], len(used), dtype=np.int32)
+            slot[used] = np.arange(len(used))
+            hot = np.zeros((len(used) + 1, count), dtype=bool)
+            hot[slot[finals], np.arange(count)] = True
+            width = -(-count // 8)
+            data = np.packbits(hot, axis=1, bitorder="little").tobytes()
+            p = 0
+            for _, _, states, _ in stack:
+                for s in states:
+                    states[s] = int.from_bytes(data[p * width:(p + 1) * width], "little")
+                    p += 1
+
+
+def _once(row):
+    """The thunk ``row``, evaluated on its first call only."""
+    done = []
+
+    def once():
+        if not done:
+            done.append(row())
+        return done[0]
+    return once
+
+
+def _union_rows(rows: dict, keys) -> int:
+    out = 0
+    for k in keys:
+        out |= rows[k]
+    return out
+
+
+def _finite_row(e: FiniteSet, u: tuple, alphabet: Alphabet, n: int) -> int:
+    """The row of u⁻¹e over lex(0..n-1).  The symbols of every word as
+    long as some word u·x of the window are checked, also of those that do
+    not start with u; longer words are skipped unchecked."""
+    _tick(n)
+    if not n:
+        return 0
+    lo = len(u)
+    hi = lo + len(lex(alphabet, n - 1))
+    prefix = alphabet.word(u)
     row = 0
     for w in e.words:  # sorted by length
-        if len(w) > longest:
+        if len(w) > hi:
             break
-        r = ord_(alphabet, w)
-        if r < count:
-            row |= 1 << r
+        if len(w) >= lo and alphabet.check(w).startswith(prefix):
+            r = ord_(alphabet, w[lo:])
+            if r < n:
+                row |= 1 << r
     return row
+
+
+def _marked_count(b: int, c: int, n: int) -> int:
+    """How many words of lex(0..n-1) start with the symbol of code c.
+    Dropping that symbol leaves exactly the words lex(0..m-1)."""
+    # the words c·y with y of length k are the b^k = size ranks from
+    # start + c·size on, where start = before(k + 1)
+    m, start, size = 0, 1, 1
+    while start + c * size < n:
+        m += min(size, n - start - c * size)
+        start += size * b
+        size *= b
+    return m
+
+
+def _mark_row(row: int, b: int, c: int, m: int) -> int:
+    """The row of the words c·y, from the row of y over lex(0..m-1): the
+    block of length k, bits before(k) to before(k) + b^k - 1, moves to
+    start at before(k + 1) + c·b^k."""
+    if b == 1:
+        return row << 1
+    out, src, dst, size = 0, 0, 1, 1
+    while src < m:
+        out |= ((row >> src) & ((1 << size) - 1)) << (dst + c * size)
+        src += size
+        dst += size * b
+        size *= b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +767,7 @@ def is_finite(expr: LangExpr, alphabet: Alphabet, horizon: int = 0) -> Finitenes
                        "suffix": alphabet.word(w)}
             return FinitenessVerdict(INFINITE, exact=True, witness=witness)
         return FinitenessVerdict(FINITE, exact=True, count=count)
-    packed = window_for_horizon(alphabet, horizon)
-    seen = int(member_batch(expr, packed).sum())
+    seen = window_rows([expr], alphabet, horizon + 1)[0].bit_count()
     return FinitenessVerdict(UNKNOWN, exact=False, count=seen, horizon=horizon)
 
 
@@ -697,10 +787,10 @@ def emptiness(expr: LangExpr, alphabet: Alphabet, horizon: int = 300) -> Verdict
         if least is None:
             return Verdict(CERTIFIED, exact=True)
         return Verdict(REFUTED, exact=True, witness=alphabet.word(least))
-    packed = window_for_horizon(alphabet, horizon)
-    hits = np.nonzero(member_batch(expr, packed))[0]
-    if hits.size:
-        return Verdict(REFUTED, exact=True, witness=packed.word(int(hits[0])),
+    row = window_rows([expr], alphabet, horizon + 1)[0]
+    if row:
+        return Verdict(REFUTED, exact=True,
+                       witness=lex(alphabet, (row & -row).bit_length() - 1),
                        detail={"route": "window"})
     return Verdict(UNKNOWN, exact=False, horizon=horizon)
 

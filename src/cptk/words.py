@@ -9,8 +9,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 LT, EQ, GT = -1, 0, 1
 
 
@@ -151,96 +149,3 @@ def words_up_to(alphabet: Alphabet, count: int):
             yield "".join(symbols)
         count -= alphabet.size ** length
         length += 1
-
-
-@dataclass(frozen=True, eq=False)
-class PackedWords:
-    """A batch of words packed for vector evaluation.
-
-    ``flat`` holds symbol codes of all words back to back; word ``i``
-    occupies ``flat[starts[i]:starts[i] + lengths[i]]``.  Views built by
-    the evaluator (suffixes, prefixed copies) share ``flat`` buffers.
-    Identity-hashed: evaluation caches key on the batch object itself.
-    """
-
-    alphabet: Alphabet
-    flat: np.ndarray     # int16 symbol codes
-    starts: np.ndarray   # int64, one per word
-    lengths: np.ndarray  # int64, one per word
-
-    def __post_init__(self):
-        if len(self.starts) != len(self.lengths):
-            raise ValueError("starts and lengths must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def word(self, i: int) -> str:
-        s, n = int(self.starts[i]), int(self.lengths[i])
-        return self.alphabet.word(self.flat[s:s + n])
-
-    def suffixes(self, mask: np.ndarray) -> "PackedWords":
-        """Drop the first symbol of the selected words (all must be nonempty)."""
-        return PackedWords(self.alphabet, self.flat,
-                           self.starts[mask] + 1, self.lengths[mask] - 1)
-
-    def prefixed(self, codes: tuple[int, ...]) -> "PackedWords":
-        """A new batch whose i-th word is ``codes`` prepended to word i."""
-        k = len(codes)
-        n = len(self)
-        if k == 0:
-            return self
-        new_lengths = self.lengths + k
-        new_starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(new_lengths[:-1], out=new_starts[1:])
-        total = int(new_starts[-1] + new_lengths[-1]) if n else 0
-        flat = np.empty(total, dtype=np.int16)
-        word_id = np.repeat(np.arange(n, dtype=np.int64), new_lengths)
-        pos = np.arange(total, dtype=np.int64) - new_starts[word_id]
-        head = pos < k
-        prefix = np.asarray(codes, dtype=np.int16)
-        flat[head] = prefix[pos[head]]
-        tail = ~head
-        flat[tail] = self.flat[self.starts[word_id[tail]] + pos[tail] - k]
-        return PackedWords(self.alphabet, flat, new_starts, new_lengths)
-
-
-def pack_words(alphabet: Alphabet, words) -> PackedWords:
-    """Pack an explicit list of words."""
-    code_rows = [np.array(alphabet.codes(w), dtype=np.int16) for w in words]
-    lengths = np.array([len(r) for r in code_rows], dtype=np.int64)
-    starts = np.zeros(len(code_rows), dtype=np.int64)
-    if len(code_rows):
-        np.cumsum(lengths[:-1], out=starts[1:])
-    flat = np.concatenate(code_rows) if code_rows else np.empty(0, dtype=np.int16)
-    return PackedWords(alphabet, flat.astype(np.int16), starts, lengths)
-
-
-def window(alphabet: Alphabet, count: int) -> PackedWords:
-    """Pack the first ``count`` words lex(0..count-1), built blockwise."""
-    b = alphabet.size
-    seg_flats, seg_lengths = [], []
-    remaining, length = count, 0
-    block = 1
-    while remaining > 0:
-        take = min(block, remaining)
-        if length > 0:
-            vals = np.arange(take, dtype=np.int64)
-            powers = b ** np.arange(length - 1, -1, -1, dtype=np.int64)
-            digits = (vals[:, None] // powers[None, :]) % b
-            seg_flats.append(digits.astype(np.int16).ravel())
-        seg_lengths.append(np.full(take, length, dtype=np.int64))
-        remaining -= take
-        length += 1
-        block *= b
-    lengths = np.concatenate(seg_lengths) if seg_lengths else np.empty(0, dtype=np.int64)
-    flat = np.concatenate(seg_flats) if seg_flats else np.empty(0, dtype=np.int16)
-    starts = np.zeros(len(lengths), dtype=np.int64)
-    if len(lengths):
-        np.cumsum(lengths[:-1], out=starts[1:])
-    return PackedWords(alphabet, flat, starts, lengths)
-
-
-def window_for_horizon(alphabet: Alphabet, horizon: int) -> PackedWords:
-    """Pack lex(0..horizon) inclusive."""
-    return window(alphabet, horizon + 1)

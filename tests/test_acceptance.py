@@ -22,9 +22,10 @@ from cptk.hardcore import (TraceEntry, hardcore_run, is_proper_hardcore,
                            trace_to_jsonl, verify_trace)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, Predicate, Union, equivalent, is_finite,
-                        member, member_batch, subset_of, to_automaton)
-from cptk.words import Alphabet, compare, lex, ord_, window_for_horizon, LT
+                        member, subset_of, to_automaton)
+from cptk.words import Alphabet, compare, lex, ord_, LT
 
+from .batch_oracle import member_batch, window_for_horizon
 from .conftest import random_regular_expr
 from .test_hardcore import simulate
 

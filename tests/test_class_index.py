@@ -23,11 +23,11 @@ from cptk.constructions import example_26
 from cptk.dfa import Dfa
 from cptk.families import (FamilyFlags, close_cc, finite_family, language_classes,
                            length_family, list_family, regular_family)
-from cptk.kernels import row_bits
 from cptk.langs import (FULL, Complement, DfaAtom, FiniteSet, Inter, LeftMark, Predicate,
-                        equivalent, member_batch, regular_view, subset_of)
-from cptk.words import Alphabet, window_for_horizon
+                        equivalent, regular_view, subset_of)
+from cptk.words import Alphabet
 
+from .batch_oracle import member_batch, row_bits, window_for_horizon
 from .test_acceptance import _ends_with, _generated_problems
 
 AB, ABC = Alphabet.parse("ab"), Alphabet.parse("abc")

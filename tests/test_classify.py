@@ -12,9 +12,10 @@ from cptk.classify import (ClassificationProblem, ClosureFlagsAbsent,
 from cptk import families
 from cptk.families import list_family
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
-                        LeftMark, Predicate, Union, equivalent, member_batch,
-                        subset_of, to_automaton)
-from cptk.words import window, window_for_horizon
+                        LeftMark, Predicate, Union, equivalent, subset_of,
+                        to_automaton, window_rows)
+
+from .batch_oracle import member_batch, window_for_horizon
 
 
 def mark(sym, inner=FULL):
@@ -41,10 +42,8 @@ def test_set_of_examples(ab):
     assert v.is_certified
     single = load_problem([mark("a")], ab)
     assert set_of(single) == mark("a")
-    packed = window(ab, 1001)
-    got = member_batch(set_of(prob), packed)
-    expect = member_batch(mark("a"), packed) | member_batch(mark("b"), packed)
-    assert (got == expect).all()
+    got, a_row, b_row = window_rows([set_of(prob), mark("a"), mark("b")], ab, 1001)
+    assert got == a_row | b_row
 
 
 def test_load_rejects_overlap(ab):

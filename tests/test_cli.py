@@ -460,3 +460,51 @@ def test_verify_trace_malformed_line_exits_2(finite_trace, capsys, text):
     code, out, err = run_main(argv, capsys)
     assert code == 2 and out == ""
     assert "trace line 1: " in err
+
+
+def alphabet_case_inputs(tmp_path, capsys, family, case):
+    """The argv of one command whose named file is over another alphabet
+    (or the family's symbols in another order) than the family."""
+    lang = {"alphabet": "ab", "expr": expr_to_json(FULL)}
+    other = ({"alphabet": "ab", "order": "ba"} if case.endswith("order")
+             else {"alphabet": "abc"})
+    problem = {"condition": None, "components": [expr_to_json(LeftMark("a", FULL)),
+                                                 expr_to_json(LeftMark("b", FULL))]}
+    command, role = case.split()[:2]
+    files = {"target": dict(lang), "condition": {"alphabet": "ab",
+                                                 "expr": expr_to_json(LeftMark("a", FULL))},
+             "problem": {"alphabet": "ab", **problem}}
+    files[role].update(other)
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in files.items()}
+    argv = [command, "--family", family, "--index-bound", "20"]
+    if command in ("solve", "ccore"):
+        return argv + ["--problem", paths["problem"]]
+    argv += ["--target", paths["target"]]
+    if role == "condition":
+        argv += ["--condition", paths["condition"]]
+    if command == "verify-trace":
+        trace = str(tmp_path / "trace.jsonl")
+        code, _, _ = run_main(["hardcore", "--family", family, "--steps", "20",
+                               "--target", write(tmp_path, "t.json", lang),
+                               "--trace", trace], capsys)
+        assert code == 0
+        argv += ["--trace", trace]
+    return argv
+
+
+@pytest.mark.parametrize("case", [
+    "solve problem", "ccore problem", "cohesive target", "cohesive condition",
+    "hardcore target", "hardcore condition", "verify-trace target",
+    "verify-trace condition", "solve problem order", "cohesive target order",
+    "verify-trace condition order"])
+def test_file_over_another_alphabet_than_the_family_exits_2(tmp_path, capsys,
+                                                           reg_family_file, case):
+    """solve ended in exit 4, verify-trace --target in exit 5 with spurious
+    violations, ccore, cohesive --condition and verify-trace --condition in
+    an AlphabetMismatch traceback; a reordered alphabet went through."""
+    argv = alphabet_case_inputs(tmp_path, capsys, reg_family_file, case)
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    role = case.split()[1]
+    shown = "'ba'" if case.endswith("order") else "'abc'"
+    assert err == f"error: {role} alphabet {shown} differs from the family alphabet 'ab'\n"

@@ -10,10 +10,10 @@ from cptk.dfa import Dfa
 from cptk.families import (DcMember, FamilyFlags, canonical_index, close_cc,
                            dc_member, list_family)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
-                        LeftMark, Predicate, Union, equivalent, member_batch,
-                        simplify, subset_of, to_automaton)
-from cptk.words import window_for_horizon
+                        LeftMark, Predicate, Union, equivalent, simplify,
+                        subset_of, to_automaton)
 
+from .batch_oracle import member_batch, window_for_horizon
 from .conftest import complement_pairs
 
 

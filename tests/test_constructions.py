@@ -3,9 +3,9 @@ import pytest
 from cptk.classify import ProblemPrecondition, refines, set_of, solve
 from cptk.constructions import MarkedComponent, example_26, ziegler_problem
 from cptk.langs import (EMPTY, FULL, Complement, LeftMark, Predicate, Union,
-                        equivalent, member, to_automaton)
+                        equivalent, member, to_automaton, window_rows)
 from cptk.classify import ClassificationProblem
-from cptk.words import window
+from cptk.words import words_up_to
 
 
 def test_marked_component_expr(ab):
@@ -36,16 +36,14 @@ def test_ziegler_empty_base_rejected(abc):
 
 def test_ziegler_singleton_base(abc):
     prob = ziegler_problem(Predicate("square-length"), abc)
-    packed = window(abc, 121)  # all words of length <= 4
-    from cptk.langs import member_batch
+    words = list(words_up_to(abc, 121))  # all words of length <= 4
     base = Predicate("square-length")
-    for comp, (x, y) in zip(prob.components, [("a", "b"), ("b", "c"), ("c", "a")]):
-        got = member_batch(comp, packed)
-        for i in range(len(packed)):
-            w = packed.word(i)
+    rows = window_rows(prob.components, abc, len(words))
+    for row, (x, y) in zip(rows, [("a", "b"), ("b", "c"), ("c", "a")]):
+        for i, w in enumerate(words):
             expect = (w.startswith(x) and member(base, w[1:], abc)) or \
                      (w.startswith(y) and not member(base, w[1:], abc))
-            assert got[i] == expect
+            assert bool(row >> i & 1) == expect
 
 
 def test_ziegler_disjointness_exact_and_union_is_nonempty_words(abc):

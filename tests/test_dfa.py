@@ -7,16 +7,19 @@ from cptk import dfa as dfa_module
 from cptk.dfa import (Dfa, dfa_for_finite, dfa_length_equals,
                       dfa_word_starts_with, empty_dfa, full_dfa)
 from cptk.families import length_family
-from cptk.langs import is_finite
-from cptk.words import window
+from cptk.langs import DfaAtom, is_finite, window_rows
+from cptk.words import lex, words_up_to
 
 from .conftest import random_dfa
 
 
 def brute_accepted(dfa, alphabet, count):
-    packed = window(alphabet, count)
-    return {packed.word(i) for i in range(count)
-            if dfa.accepts(alphabet, packed.word(i))}
+    return {w for w in words_up_to(alphabet, count) if dfa.accepts(alphabet, w)}
+
+
+def rows_of(dfas, alphabet, count):
+    """The window rows of automata over lex(0..count-1)."""
+    return window_rows([DfaAtom(d) for d in dfas], alphabet, count)
 
 
 def test_totality_enforced():
@@ -148,28 +151,27 @@ def test_table_checked_once_per_distinct_table(monkeypatch):
 
 def test_product_and_complement_agree_with_membership(ab):
     rng = np.random.default_rng(5)
-    packed = window(ab, 400)
+    full = (1 << 400) - 1
     for _ in range(40):
         d1, d2 = random_dfa(rng, 2), random_dfa(rng, 2)
-        v1, v2 = d1.accepts_batch(packed), d2.accepts_batch(packed)
-        assert (d1.union(d2).accepts_batch(packed) == (v1 | v2)).all()
-        assert (d1.intersection(d2).accepts_batch(packed) == (v1 & v2)).all()
-        assert (d1.complement().accepts_batch(packed) == ~v1).all()
+        v1, v2, vu, vi, vc = rows_of((d1, d2, d1.union(d2), d1.intersection(d2),
+                                      d1.complement()), ab, 400)
+        assert vu == v1 | v2
+        assert vi == v1 & v2
+        assert vc == full & ~v1
 
 
 def test_left_mark_and_quotient(ab):
     rng = np.random.default_rng(9)
-    packed = window(ab, 300)
+    words = list(words_up_to(ab, 300))
     for _ in range(20):
         d = random_dfa(rng, 2)
         marked = d.left_mark(0)  # prepend "a"
-        for i in range(len(packed)):
-            w = packed.word(i)
+        for w in words:
             expect = w.startswith("a") and d.accepts(ab, w[1:])
             assert marked.accepts(ab, w) == expect
         quo = d.left_quotient(ab.codes("ba"))
-        for i in range(60):
-            w = packed.word(i)
+        for w in words[:60]:
             assert quo.accepts(ab, w) == d.accepts(ab, "ba" + w)
 
 
@@ -197,11 +199,11 @@ def test_three_state_language_minimal(ab):
 
 def test_count_accepted_matches_brute_force(ab):
     rng = np.random.default_rng(12)
-    packed = window(ab, 2 ** 11 - 1)  # all words up to length 10
     for _ in range(60):
         d = random_dfa(rng, 2)
         count = d.count_accepted()
-        seen = int(d.accepts_batch(packed).sum())
+        # all words up to length 10
+        seen = rows_of([d], ab, 2 ** 11 - 1)[0].bit_count()
         if count is None:
             # infinite: pumping witness must generate fresh members forever
             u, v, w = d.pumping_witness()
@@ -223,18 +225,16 @@ def test_finite_dfa_and_counts(ab):
 
 def test_least_accepted(ab):
     rng = np.random.default_rng(4)
-    packed = window(ab, 500)
     for _ in range(40):
         d = random_dfa(rng, 2)
         least = d.least_accepted()
-        batch = d.accepts_batch(packed)
-        hits = np.nonzero(batch)[0]
+        row = rows_of([d], ab, 500)[0]
         if least is None:
-            assert not hits.size
+            assert not row
             assert d.is_empty()
         else:
-            assert hits.size
-            assert ab.word(least) == packed.word(int(hits[0]))
+            assert row
+            assert ab.word(least) == lex(ab, (row & -row).bit_length() - 1)
 
 
 def test_length_equals(ab):
@@ -262,7 +262,7 @@ def test_transition_array_built_on_first_batch_use(ab):
     d = Dfa(2, ((1, 0), (1, 1)), 0, frozenset({1}))
     assert "_trans_array" not in vars(d)
     words = ("", "a", "b", "aa", "ab", "ba", "bb")
-    assert d.accepts_batch(window(ab, 7)).tolist() == [d.accepts(ab, w) for w in words]
+    assert rows_of([d], ab, 7)[0] == sum(d.accepts(ab, w) << j for j, w in enumerate(words))
     assert "_trans_array" in vars(d)
     fresh = Dfa(2, ((1, 0), (1, 1)), 0, frozenset({1}))
     assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)

@@ -12,20 +12,23 @@ from cptk.families import (LAW_IDS, canonical_index, check_law, close_b,
                            family_from_json, finite_family, length_family,
                            list_family, regular_family, regular_index_decode,
                            regular_index_encode)
-from cptk.kernels import row_bits
 from cptk.langs import (EMPTY, FULL, Complement, FiniteSet, LeftMark, Predicate,
-                        StepBudgetExceeded, is_finite, member_batch, step_budget,
-                        to_automaton)
-from cptk.words import Alphabet, AlphabetMismatch, lex, ord_, window, window_for_horizon
+                        StepBudgetExceeded, is_finite, step_budget, to_automaton,
+                        window_rows)
+from cptk.words import Alphabet, AlphabetMismatch, lex, ord_
 
+from .batch_oracle import batch_row
 from .conftest import complement_pairs
+
+
+def row_of(expr, alphabet, count):
+    return window_rows([expr], alphabet, count)[0]
 
 
 def test_regular_enumeration_trivia(reg_ab, ab):
     # the one-state block: index 0 is empty, index 1 is everything
-    packed = window(ab, 50)
-    assert not member_batch(reg_ab.expr(0), packed).any()
-    assert member_batch(reg_ab.expr(1), packed).all()
+    assert row_of(reg_ab.expr(0), ab, 50) == 0
+    assert row_of(reg_ab.expr(1), ab, 50) == (1 << 50) - 1
 
 
 def test_regular_index_roundtrip(ab):
@@ -99,30 +102,27 @@ def test_closures_preserve_totality(reg_ab, ab):
 
 
 def test_close_u_singleton_identity(reg_ab, ab):
-    packed = window(ab, 300)
     fu = close_u(reg_ab)
     for i in [0, 1, 17, 100]:
         code = seq_code([i])
-        assert (member_batch(fu.expr(code), packed)
-                == member_batch(reg_ab.expr(i), packed)).all()
+        got, want = window_rows([fu.expr(code), reg_ab.expr(i)], ab, 300)
+        assert got == want
 
 
 def test_close_cc_even_odd(reg_ab, ab):
-    packed = window(ab, 500)
     cc = close_cc(reg_ab)
     for i in [0, 3, 42, 77]:
-        assert (member_batch(cc.expr(2 * i), packed)
-                == member_batch(reg_ab.expr(i), packed)).all()
-        assert (member_batch(cc.expr(2 * i + 1), packed)
-                == ~member_batch(reg_ab.expr(i), packed)).all()
+        even, odd, base = window_rows([cc.expr(2 * i), cc.expr(2 * i + 1),
+                                       reg_ab.expr(i)], ab, 500)
+        assert even == base
+        assert odd == ((1 << 500) - 1) & ~base
 
 
 def test_co_involution_membership(reg_ab, ab):
-    packed = window(ab, 501)
     coco = close_co(close_co(reg_ab))
     for i in range(0, 120, 7):
-        assert (member_batch(coco.expr(i), packed)
-                == member_batch(reg_ab.expr(i), packed)).all()
+        got, want = window_rows([coco.expr(i), reg_ab.expr(i)], ab, 501)
+        assert got == want
 
 
 def test_dc_members_regular(reg_ab, ab):
@@ -284,21 +284,19 @@ def test_regular_classes_decode_and_check_each_table_once(ab, monkeypatch):
 
 def test_list_family_periodic(ab):
     fam = list_family("two", ab, [FULL, Complement(FULL)])
-    packed = window(ab, 50)
-    assert member_batch(fam.expr(0), packed).all()
-    assert member_batch(fam.expr(4), packed).all()
-    assert not member_batch(fam.expr(3), packed).any()
+    assert row_of(fam.expr(0), ab, 50) == (1 << 50) - 1
+    assert row_of(fam.expr(4), ab, 50) == (1 << 50) - 1
+    assert row_of(fam.expr(3), ab, 50) == 0
 
 
 def test_rows_match_member_batch(ab):
-    """Stacked rows of the regular and length families against member_batch
-    row by row, including a list extended by a larger bound."""
+    """Stacked rows of the regular and length families against the replaced
+    member_batch row by row, including a list extended by a larger bound."""
     for fam in (regular_family(ab), length_family(ab), close_cc(length_family(ab))):
-        packed = window_for_horizon(ab, 40)
         short = fam.rows(30, 40)
         rows = fam.rows(90, 40)
         assert rows[:30] == short
-        assert rows == [row_bits(member_batch(fam.expr(i), packed)) for i in range(90)]
+        assert rows == [batch_row(fam.expr(i), ab, 41) for i in range(90)]
 
 
 def test_rows_charge_step_budget(ab):

@@ -1,5 +1,6 @@
-"""Kernels against scalar oracles: the per-position run over packed words,
-the stacked pass over a window, and the int bitset rows built on it."""
+"""Kernels against scalar oracles: the stacked pass over a window and the
+int bitset rows built on it, also against the replaced per-word batch
+evaluator kept in :mod:`tests.batch_oracle`."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from cptk import kernels, langs
 from cptk.families import regular_family
 from cptk.langs import (Complement, DfaAtom, FiniteSet, LeftMark, Predicate,
-                        StepBudgetExceeded, member, member_batch, step_budget,
-                        window_rows)
-from cptk.words import Alphabet, AlphabetMismatch, lex, window
+                        StepBudgetExceeded, member, step_budget, window_rows)
+from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
 
+from .batch_oracle import accepts_batch, batch_row, member_batch, row_bits, window
 from .conftest import random_dfa, random_mixed_expr
 
 
@@ -21,52 +22,55 @@ def scalar_final_state(dfa, alphabet, word):
     return state
 
 
+def single_final_states(dfa, count):
+    """The stacked pass over a stack of one automaton."""
+    return kernels.window_final_states(dfa._trans_array.astype(np.int32),
+                                       np.array([dfa.initial]), count)[0]
+
+
 @pytest.mark.parametrize("symbols,count", [("ab", 700), ("abc", 500), ("a", 40)])
 def test_final_states_match_scalar_accepts(symbols, count):
     alphabet = Alphabet.parse(symbols)
-    packed = window(alphabet, count)
     rng = np.random.default_rng(7)
     for _ in range(10):
         dfa = random_dfa(rng, alphabet.size)
-        finals = kernels.dfa_final_states(dfa._trans_array, dfa.initial,
-                                          packed.flat, packed.starts, packed.lengths)
-        for i in range(count):
-            assert (finals[i] in dfa.accepting) == dfa.accepts(alphabet, packed.word(i))
+        finals = single_final_states(dfa, count)
+        for i, w in enumerate(words_up_to(alphabet, count)):
+            assert (finals[i] in dfa.accepting) == dfa.accepts(alphabet, w)
 
 
 def test_final_states_match_scalar_run(ab):
-    packed = window(ab, 300)
     dfa = random_dfa(np.random.default_rng(11), 2)
-    finals = kernels.dfa_final_states(dfa._trans_array, dfa.initial,
-                                      packed.flat, packed.starts, packed.lengths)
-    for i in range(len(packed)):
-        assert finals[i] == scalar_final_state(dfa, ab, packed.word(i))
+    finals = single_final_states(dfa, 300)
+    for i, w in enumerate(words_up_to(ab, 300)):
+        assert finals[i] == scalar_final_state(dfa, ab, w)
 
 
 def test_symbol_counts_safe_on_empty_words(ab):
-    packed = window(ab, 100)
-    counts_a = kernels.symbol_counts(packed.flat, packed.starts, packed.lengths, 0)
-    for i in range(100):
-        assert counts_a[i] == packed.word(i).count("a")
-    assert counts_a[0] == 0  # the empty word
+    """The equal-counts automaton counts from the empty word on."""
+    row = window_rows([Predicate("equal-counts-ab")], ab, 100)[0]
+    for i, w in enumerate(words_up_to(ab, 100)):
+        assert (row >> i & 1) == (w.count("a") == w.count("b"))
+    assert row & 1  # the empty word
 
 
 def test_empty_batch(ab):
-    packed = window(ab, 0)
     dfa = random_dfa(np.random.default_rng(0), 2)
-    finals = kernels.dfa_final_states(dfa._trans_array, dfa.initial,
-                                      packed.flat, packed.starts, packed.lengths)
-    assert len(finals) == 0
+    assert single_final_states(dfa, 0).shape == (0,)
+    assert window_rows([DfaAtom(dfa), Predicate("square-length")], ab, 0) == [0, 0]
 
 
 def test_member_batch_matches_scalar_member(ab):
+    """The oracle and the window rows against scalar membership."""
     packed = window(ab, 400)
     rng = np.random.default_rng(21)
     for _ in range(20):
         expr = random_mixed_expr(rng, ab)
         vec = member_batch(expr, packed)
-        assert [bool(v) for v in vec] == [member(expr, packed.word(i), ab)
-                                          for i in range(len(packed))]
+        scalar = [member(expr, packed.word(i), ab) for i in range(len(packed))]
+        assert [bool(v) for v in vec] == scalar
+        row = window_rows([expr], ab, 400)[0]
+        assert [bool(row >> j & 1) for j in range(400)] == scalar
 
 
 def stack(dfas):
@@ -90,15 +94,17 @@ def test_window_final_states_match_scalar_and_batch(symbols, count):
     assert finals.shape == (len(dfas), count)
     for d, off, states in zip(dfas, offsets, finals):
         accepted = np.isin(states - off, sorted(d.accepting))
-        assert (accepted == d.accepts_batch(packed)).all()
+        assert (accepted == accepts_batch(d, packed)).all()
         for j in range(count):
             assert accepted[j] == d.accepts(alphabet, packed.word(j))
 
 
 def test_row_bits():
-    assert kernels.row_bits(np.zeros(0, dtype=bool)) == 0
+    """The oracle's vector-to-row packing, which the differential tests
+    rely on."""
+    assert row_bits(np.zeros(0, dtype=bool)) == 0
     vec = np.array([1, 0, 0, 1, 1, 0, 0, 0, 0, 1], dtype=bool)
-    assert kernels.row_bits(vec) == sum(1 << j for j in np.nonzero(vec)[0])
+    assert row_bits(vec) == sum(1 << j for j in np.nonzero(vec)[0])
 
 
 @pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
@@ -108,7 +114,7 @@ def test_window_rows_match_member_batch(symbols):
     exprs = [random_mixed_expr(rng, alphabet) for _ in range(15)]
     dfa = random_dfa(rng, alphabet.size)
     # atoms sharing one table with different accepting sets, and an atom
-    # under a marker, which goes through member_batch
+    # under a marker
     exprs += [DfaAtom(dfa), DfaAtom(type(dfa)(dfa.n_symbols, dfa.transitions, 0,
                                               frozenset(range(dfa.n_states)))),
               LeftMark(alphabet.symbols[0], DfaAtom(dfa))]
@@ -116,7 +122,7 @@ def test_window_rows_match_member_batch(symbols):
     for count in (1, 7, 301):
         packed = window(alphabet, count)
         rows = window_rows(exprs, alphabet, count)
-        assert rows == [kernels.row_bits(member_batch(e, packed)) for e in exprs]
+        assert rows == [row_bits(member_batch(e, packed)) for e in exprs]
 
 
 def test_window_rows_charge_step_budget(ab):
@@ -135,7 +141,7 @@ def test_window_rows_charge_step_budget(ab):
 
 def per_state_window_rows(exprs, alphabet, count):
     """``window_rows`` as it read each state's row with its own
-    ``kernels.row_bits`` call: the reference for the packed pass."""
+    ``row_bits`` call: the reference for the packed pass."""
     exprs = list(exprs)
     out = [0] * len(exprs)
     tables = {}
@@ -145,11 +151,11 @@ def per_state_window_rows(exprs, alphabet, count):
             tables.setdefault((e.dfa.transitions, e.dfa.initial), []).append(k)
             continue
         if isinstance(e, FiniteSet):
-            out[k] = langs._finite_row(e, alphabet, count)
+            out[k] = langs._finite_row(e, (), alphabet, count)
             continue
         if packed is None:
             packed = window(alphabet, count)
-        out[k] = kernels.row_bits(member_batch(e, packed))
+        out[k] = row_bits(member_batch(e, packed))
     langs._tick(count * sum(len(ks) for ks in tables.values()))
     groups = list(tables.values())
     step = max(1, langs._STACK_WORDS // max(count, 1))
@@ -162,7 +168,7 @@ def per_state_window_rows(exprs, alphabet, count):
         finals = kernels.window_final_states(trans, initials, count)
         for ks, d, off, states in zip(groups[lo:lo + step], dfas, offsets, finals):
             used = set().union(*(exprs[k].dfa.accepting for k in ks))
-            state_bits = {s: kernels.row_bits(states == off + s) for s in used}
+            state_bits = {s: row_bits(states == off + s) for s in used}
             for k in ks:
                 row = 0
                 for s in exprs[k].dfa.accepting:
@@ -224,12 +230,6 @@ def test_packed_rows_charge_step_budget_as_per_state_rows(ab):
         assert run(window_rows, budget) == run(per_state_window_rows, budget)
     assert run(window_rows, full - 1) is StepBudgetExceeded
     assert isinstance(run(window_rows, full), list)
-
-
-def batch_row(expr, alphabet, count):
-    """A finite set's row the way ``window_rows`` built it before it read
-    word ranks: ``member_batch`` over the packed window."""
-    return kernels.row_bits(member_batch(expr, window(alphabet, count)))
 
 
 def outcome(build):

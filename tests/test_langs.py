@@ -10,16 +10,24 @@ from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, LeftQuotient, NonRegularLeaf, Predicate,
                         StepBudgetExceeded, Union, UnknownPredicate, emptiness,
                         equivalent, expr_from_json, expr_to_json, is_finite, member,
-                        member_batch, regular_view, simplify, step_budget,
-                        subset_of, to_automaton)
-from cptk.words import Alphabet, AlphabetMismatch, lex, window, window_for_horizon
+                        regular_view, simplify, step_budget, subset_of,
+                        to_automaton, window_rows)
+from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
 
+from .batch_oracle import batch_row
 from .conftest import random_mixed_expr, random_regular_expr
 
 
 def scalar_vector(expr, alphabet, count):
-    packed = window(alphabet, count)
-    return [member(expr, packed.word(i), alphabet) for i in range(count)]
+    return [member(expr, w, alphabet) for w in words_up_to(alphabet, count)]
+
+
+def row_of(expr, alphabet, count):
+    return window_rows([expr], alphabet, count)[0]
+
+
+def bits(row, count):
+    return [bool(row >> j & 1) for j in range(count)]
 
 
 def test_member_examples(ab):
@@ -52,11 +60,11 @@ def test_member_agrees_with_automaton_on_random_trees(ab):
     """Structural evaluation vs the automaton backend, 500 random trees,
     all words up to length 8."""
     rng = np.random.default_rng(42)
-    packed = window(ab, 2 ** 9 - 1)
     for _ in range(500):
         expr = random_regular_expr(rng, ab)
         dfa = to_automaton(expr, ab)
-        assert (member_batch(expr, packed) == dfa.accepts_batch(packed)).all()
+        got, want = window_rows([expr, DfaAtom(dfa)], ab, 2 ** 9 - 1)
+        assert got == want
 
 
 def test_batch_agrees_with_scalar_on_mixed_trees(ab):
@@ -64,8 +72,9 @@ def test_batch_agrees_with_scalar_on_mixed_trees(ab):
     count = 180
     for _ in range(60):
         expr = random_mixed_expr(rng, ab)
-        batch = member_batch(expr, window(ab, count))
-        assert list(batch) == scalar_vector(expr, ab, count)
+        row = row_of(expr, ab, count)
+        assert row == batch_row(expr, ab, count)
+        assert bits(row, count) == scalar_vector(expr, ab, count)
 
 
 def test_batch_agrees_with_scalar_three_symbols(abc):
@@ -73,36 +82,36 @@ def test_batch_agrees_with_scalar_three_symbols(abc):
     count = 150
     for _ in range(40):
         expr = random_mixed_expr(rng, abc)
-        batch = member_batch(expr, window(abc, count))
-        assert list(batch) == scalar_vector(expr, abc, count)
+        row = row_of(expr, abc, count)
+        assert row == batch_row(expr, abc, count)
+        assert bits(row, count) == scalar_vector(expr, abc, count)
 
 
 def test_double_complement_identity(ab):
     rng = np.random.default_rng(45)
-    packed = window(ab, 1001)
     for _ in range(20):
         expr = random_mixed_expr(rng, ab)
-        assert (member_batch(Complement(Complement(expr)), packed)
-                == member_batch(expr, packed)).all()
+        twice, once = window_rows([Complement(Complement(expr)), expr], ab, 1001)
+        assert twice == once
 
 
 def test_quotient_cancels_marker(ab):
     rng = np.random.default_rng(46)
-    packed = window(ab, 1001)
     for _ in range(20):
         expr = random_mixed_expr(rng, ab)
         for sym in "ab":
             cancelled = LeftQuotient(sym, LeftMark(sym, expr))
-            assert (member_batch(cancelled, packed) == member_batch(expr, packed)).all()
+            got, want = window_rows([cancelled, expr], ab, 1001)
+            assert got == want
 
 
 def test_simplify_preserves_membership(ab):
     rng = np.random.default_rng(47)
-    packed = window(ab, 300)
     for _ in range(150):
         expr = random_mixed_expr(rng, ab, depth=4)
         simple = simplify(expr, ab)
-        assert (member_batch(simple, packed) == member_batch(expr, packed)).all()
+        got, want = window_rows([simple, expr], ab, 300)
+        assert got == want
 
 
 def test_simplify_collapses_marker_structure(ab):
@@ -121,9 +130,7 @@ def test_simplify_collapses_marker_structure(ab):
 
 def test_to_automaton_examples(ab):
     d = to_automaton(Complement(FiniteSet(("",))), ab)
-    packed = window(ab, 200)
-    got = d.accepts_batch(packed)
-    assert not got[0] and got[1:].all()
+    assert row_of(DfaAtom(d), ab, 200) == (1 << 200) - 2
     both = to_automaton(Union((LeftMark("a", FULL), LeftMark("b", FULL))), ab)
     assert both.same_language(d)  # X* minus the empty word
     with pytest.raises(NonRegularLeaf):
@@ -181,14 +188,13 @@ def test_is_finite_examples(ab):
 
 def test_is_finite_exact_matches_brute_force(ab):
     rng = np.random.default_rng(48)
-    packed = window(ab, 2 ** 11 - 1)
     for _ in range(80):
         expr = random_regular_expr(rng, ab)
         v = is_finite(expr, ab)
         assert v.exact
-        got = member_batch(expr, packed)
+        got = row_of(expr, ab, 2 ** 11 - 1)
         if v.is_finite:
-            assert int(got.sum()) == v.count
+            assert got.bit_count() == v.count
         else:
             for reps in range(4):
                 pumped = v.witness["prefix"] + v.witness["loop"] * reps + v.witness["suffix"]
@@ -208,19 +214,18 @@ def test_subset_of_examples(ab):
 
 def test_subset_refutation_witness_is_least(ab):
     rng = np.random.default_rng(49)
-    packed = window(ab, 400)
     for _ in range(60):
         e1 = random_regular_expr(rng, ab)
         e2 = random_regular_expr(rng, ab)
         v = subset_of(e1, e2, ab)
-        diff = member_batch(e1, packed) & ~member_batch(e2, packed)
-        idx = np.nonzero(diff)[0]
+        r1, r2 = window_rows([e1, e2], ab, 400)
+        diff = r1 & ~r2
         if v.is_certified:
-            assert not idx.size
+            assert not diff
         else:
             assert v.is_refuted
-            if idx.size:  # least counterexample may lie beyond the window
-                assert v.witness == packed.word(int(idx[0]))
+            if diff:  # least counterexample may lie beyond the window
+                assert v.witness == lex(ab, (diff & -diff).bit_length() - 1)
                 assert member(e1, v.witness, ab) and not member(e2, v.witness, ab)
 
 
@@ -245,23 +250,21 @@ def test_emptiness_witness_is_first_window_word(ab):
     """Subset, equivalence and disjointness are emptiness of e1 minus e2,
     of the symmetric difference and of the intersection.  Whatever route
     answers, a member inside the window makes the witness the first window
-    word of the raw membership vectors; on the window route, no member
-    leaves the answer unknown at the horizon."""
+    word of the raw membership rows of the replaced evaluator; on the window
+    route, no member leaves the answer unknown at the horizon."""
     rng = np.random.default_rng(52)
     horizon = 150
-    packed = window_for_horizon(ab, horizon)
     window_refutations = 0
     for _ in range(80):
         e1, e2 = random_mixed_expr(rng, ab), random_mixed_expr(rng, ab)
-        v1, v2 = member_batch(e1, packed), member_batch(e2, packed)
+        v1, v2 = batch_row(e1, ab, horizon + 1), batch_row(e2, ab, horizon + 1)
         for got, vec in ((emptiness(e1, ab, horizon), v1),
                          (subset_of(e1, e2, ab, horizon), v1 & ~v2),
-                         (equivalent(e1, e2, ab, horizon), v1 != v2),
+                         (equivalent(e1, e2, ab, horizon), v1 ^ v2),
                          (disjoint_verdict(e1, e2, ab, horizon), v1 & v2)):
-            hits = np.nonzero(vec)[0]
-            if hits.size:
+            if vec:
                 assert got.is_refuted and got.exact
-                assert got.witness == packed.word(int(hits[0]))
+                assert got.witness == lex(ab, (vec & -vec).bit_length() - 1)
                 window_refutations += got.detail == {"route": "window"}
             else:
                 assert got.exact or (got.is_unknown and got.horizon == horizon)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cptk.words import (LT, EQ, GT, Alphabet, AlphabetMismatch, compare, lex,
-                        ord_, pack_words, succ, window, words_up_to)
+                        ord_, succ, words_up_to)
 
+from .batch_oracle import window
 from .conftest import brute_words
 
 
@@ -107,18 +108,14 @@ def test_compare_is_order_isomorphism(ab):
 
 
 def test_window_matches_lex(abc):
+    """The oracle's packed window, which the differential tests rely on."""
     packed = window(abc, 120)
     assert len(packed) == 120
     assert [packed.word(i) for i in range(120)] == [lex(abc, i) for i in range(120)]
 
 
-def test_pack_words_roundtrip(ab):
-    words = ["", "ab", "bba", "a", ""]
-    packed = pack_words(ab, words)
-    assert [packed.word(i) for i in range(len(words))] == words
-
-
 def test_packed_prefixed_and_suffixes(ab):
+    """The views the oracle evaluates quotients and marks on."""
     packed = window(ab, 40)
     shifted = packed.prefixed(ab.codes("ba"))
     assert [shifted.word(i) for i in range(40)] == ["ba" + packed.word(i) for i in range(40)]
