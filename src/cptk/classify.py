@@ -22,6 +22,8 @@ from .langs import (FULL, Complement, Inter, LangExpr, Union, emptiness,
 from .verdicts import CERTIFIED, REFUTED, UNKNOWN, FinitenessVerdict, Verdict
 from .words import Alphabet
 
+# members seen below the horizon that count as evidence, not proof, that a
+# language is infinite
 INFINITE_EVIDENCE_THRESHOLD = 32
 
 
@@ -82,7 +84,7 @@ class ConditionalProblem:
         return self.problem.alphabet
 
 
-def _component_checks(components, alphabet, horizon, threshold):
+def _component_checks(components, alphabet, horizon):
     flags = []
     disj = []
     for i in range(len(components)):
@@ -101,33 +103,33 @@ def _component_checks(components, alphabet, horizon, threshold):
             raise ProblemPrecondition(
                 f"component {i} is finite ({v.count} members)")
         if v.is_unknown:
-            kind = "evidence" if (v.count or 0) >= threshold else "weak evidence"
+            kind = ("evidence" if (v.count or 0) >= INFINITE_EVIDENCE_THRESHOLD
+                    else "weak evidence")
             flags.append(f"infiniteness({i}) not exact: {v.count} members up to "
                          f"horizon {horizon} ({kind})")
         inf.append(v)
     return tuple(disj), tuple(inf), flags
 
 
-def load_problem(components, alphabet: Alphabet, horizon: int = 300,
-                 threshold: int = INFINITE_EVIDENCE_THRESHOLD) -> ClassificationProblem:
+def load_problem(components, alphabet: Alphabet,
+                 horizon: int = 300) -> ClassificationProblem:
     """Build a problem, verifying disjointness and infiniteness.
 
     Provable violations raise :class:`ProblemPrecondition`; aspects that
     can only be checked to the horizon are recorded as flags.
     """
     components = tuple(components)
-    disj, inf, flags = _component_checks(components, alphabet, horizon, threshold)
+    disj, inf, flags = _component_checks(components, alphabet, horizon)
     check = ProblemCheck(disj, inf, (), tuple(flags))
     return ClassificationProblem(components, alphabet, check)
 
 
 def load_conditional(condition: LangExpr, components, alphabet: Alphabet,
-                     horizon: int = 300,
-                     threshold: int = INFINITE_EVIDENCE_THRESHOLD) -> ConditionalProblem:
+                     horizon: int = 300) -> ConditionalProblem:
     """Build a conditional problem; the condition may be finite or empty,
     but must be disjoint from every component."""
     components = tuple(components)
-    disj, inf, flags = _component_checks(components, alphabet, horizon, threshold)
+    disj, inf, flags = _component_checks(components, alphabet, horizon)
     cond_checks = []
     for i, comp in enumerate(components):
         v = disjoint_verdict(condition, comp, alphabet, horizon)

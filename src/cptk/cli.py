@@ -54,15 +54,26 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
+    """The file's text, read as UTF-8; exit 2 when it cannot be read."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise CliError(EXIT_USAGE, f"{path}: no such file")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:  # missing, a directory, no permission, ...
+        raise CliError(EXIT_USAGE, f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_USAGE, f"{path}: not UTF-8 text: byte {exc.start}")
+
+
+def _read_json(path: str):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_USAGE,
                        f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise CliError(EXIT_USAGE, f"{path}: JSON nested too deeply")
 
 
 def _load_language(path: str):
@@ -242,10 +253,7 @@ def cmd_verify_trace(args) -> int:
     family = _load_family(args.family)
     condition, alphabet, target = _load_condition_and_target(args, family)
     try:
-        with open(args.trace) as fh:
-            trace = trace_from_jsonl(fh.read())
-    except FileNotFoundError:
-        raise CliError(EXIT_USAGE, f"{args.trace}: no such file")
+        trace = trace_from_jsonl(_read_text(args.trace))
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"{args.trace}: {exc}")
     report = verify_trace(trace, family, condition, target, alphabet)

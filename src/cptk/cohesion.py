@@ -57,25 +57,24 @@ class CohesionVerdict:
         return out
 
 
-def infinite_evidence(expr: LangExpr, alphabet, horizon: int,
-                      threshold: int = INFINITE_EVIDENCE_THRESHOLD
-                      ) -> tuple[bool, FinitenessVerdict]:
+def infinite_evidence(expr: LangExpr, alphabet,
+                      horizon: int) -> tuple[bool, FinitenessVerdict]:
     """Whether the language counts as infinite for splitting purposes.
 
-    Exact verdicts decide; otherwise at least ``threshold`` members below
-    the horizon count as (non-exact) evidence.
+    Exact verdicts decide; otherwise at least
+    ``INFINITE_EVIDENCE_THRESHOLD`` members below the horizon count as
+    (non-exact) evidence.
     """
     v = is_finite(expr, alphabet, horizon)
     if v.is_infinite:
         return True, v
     if v.is_finite:
         return False, v
-    return (v.count or 0) >= threshold, v
+    return (v.count or 0) >= INFINITE_EVIDENCE_THRESHOLD, v
 
 
 def check_cohesive(a: LangExpr, family: FamilyEnum, index_bound: int,
-                   horizon: int = 300,
-                   threshold: int = INFINITE_EVIDENCE_THRESHOLD) -> CohesionVerdict:
+                   horizon: int = 300) -> CohesionVerdict:
     """Scan complement pairs for one splitting the language both ways.
 
     The witness is the least (i, j) pair in pair-code order; both sides of
@@ -85,29 +84,28 @@ def check_cohesive(a: LangExpr, family: FamilyEnum, index_bound: int,
     is (min C, min C^c): the scan tries one candidate per class, in that
     pair's order.
     """
-    return _check_cohesive_restricted(a, None, family, index_bound, horizon, threshold)
+    return _check_cohesive_restricted(a, None, family, index_bound, horizon)
 
 
 def check_ccohesive(a: LangExpr, region: LangExpr, family: FamilyEnum,
-                    index_bound: int, horizon: int = 300,
-                    threshold: int = INFINITE_EVIDENCE_THRESHOLD) -> CohesionVerdict:
+                    index_bound: int, horizon: int = 300) -> CohesionVerdict:
     """As :func:`check_cohesive`, with witnesses restricted to family
     members certified to lie inside ``region``.
 
     Equivalent to plain cohesiveness against the two-sided closure of the
     in-region part of the family, which is how the restriction is run.
     """
-    return _check_cohesive_restricted(a, region, family, index_bound, horizon, threshold)
+    return _check_cohesive_restricted(a, region, family, index_bound, horizon)
 
 
 def _certified_inside(q, region, alphabet) -> bool:
     """``subset_of(q, region).is_certified``, without the window scan:
     only the exact route of :func:`langs.emptiness` can certify."""
-    view = regular_view(simplify(Inter((q, Complement(region))), alphabet), alphabet)
+    view = regular_view(Inter((q, Complement(region))), alphabet)
     return view is not None and view.least_accepted() is None
 
 
-def _check_cohesive_restricted(a, region, family, index_bound, horizon, threshold):
+def _check_cohesive_restricted(a, region, family, index_bound, horizon):
     validate_bounds(index_bound, horizon)
     alphabet = family.alphabet
     least_pairs = [(members[0], complements[0]) for members, complements
@@ -116,11 +114,11 @@ def _check_cohesive_restricted(a, region, family, index_bound, horizon, threshol
         q = family.expr(i)
         if region is not None and not _certified_inside(q, region, alphabet):
             continue
-        side_in, ev_in = infinite_evidence(Inter((a, q)), alphabet, horizon, threshold)
+        side_in, ev_in = infinite_evidence(Inter((a, q)), alphabet, horizon)
         if not side_in:
             continue
         side_out, ev_out = infinite_evidence(Inter((a, Complement(q))), alphabet,
-                                             horizon, threshold)
+                                             horizon)
         if side_out:
             m = dc_member(family, i, j, horizon)
             exact = ev_in.exact and ev_out.exact and m.status == "exact"
@@ -134,8 +132,7 @@ def _check_cohesive_restricted(a, region, family, index_bound, horizon, threshol
 
 
 def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: int,
-               horizon: int = 300, subset_samples: int = 4, seed: int = 0,
-               threshold: int = INFINITE_EVIDENCE_THRESHOLD) -> dict:
+               horizon: int = 300, subset_samples: int = 4, seed: int = 0) -> dict:
     """Core status of a problem: no multi-component subproblem solvable.
 
     Primary route: cohesiveness of the component union.  Secondary route:
@@ -150,7 +147,7 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
     if len(problem) < 2:
         raise ValueError("core status concerns problems with at least 2 components")
     alphabet = problem.alphabet
-    cohesion = check_cohesive(set_of(problem), family, index_bound, horizon, threshold)
+    cohesion = check_cohesive(set_of(problem), family, index_bound, horizon)
 
     rng = np.random.default_rng(seed)
     findings = []
@@ -161,16 +158,9 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
         nonlocal refuted_by_subproblem
         sub = ClassificationProblem(tuple(components), alphabet)
         res = solve(sub, family, index_bound, horizon)
-        entry = {"subproblem": label}
-        if isinstance(res, PartitionCertificate):
-            entry["result"] = res.to_json()
-            entry["refutes"] = res.status == "exact"
-            if res.status == "exact":
-                refuted_by_subproblem = True
-        else:
-            entry["result"] = res.to_json()
-            entry["refutes"] = False
-        findings.append(entry)
+        refutes = isinstance(res, PartitionCertificate) and res.status == "exact"
+        findings.append({"subproblem": label, "result": res.to_json(), "refutes": refutes})
+        refuted_by_subproblem = refuted_by_subproblem or refutes
         return res
 
     pair_results = {}
@@ -186,8 +176,8 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
         si, sj = int(rng.integers(0, index_bound)), int(rng.integers(0, index_bound))
         slice_i = simplify(Inter((problem.components[int(i)], family.expr(si))), alphabet)
         slice_j = simplify(Inter((problem.components[int(j)], family.expr(sj))), alphabet)
-        ok_i, _ = infinite_evidence(slice_i, alphabet, horizon, threshold)
-        ok_j, _ = infinite_evidence(slice_j, alphabet, horizon, threshold)
+        ok_i, _ = infinite_evidence(slice_i, alphabet, horizon)
+        ok_j, _ = infinite_evidence(slice_j, alphabet, horizon)
         if not (ok_i and ok_j):
             continue
         dv = disjoint_verdict(slice_i, slice_j, alphabet, horizon)
@@ -208,9 +198,9 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
         index = family.classes(index_bound, horizon)
         sep_index, comp_index = index.index_of(view), index.index_of(view.complement())
         both_in, ev_in = infinite_evidence(Inter((set_of(problem), sep)),
-                                           alphabet, horizon, threshold)
+                                           alphabet, horizon)
         both_out, ev_out = infinite_evidence(
-            Inter((set_of(problem), Complement(sep))), alphabet, horizon, threshold)
+            Inter((set_of(problem), Complement(sep))), alphabet, horizon)
         link = {"separator_index": sep_index, "complement_index": comp_index,
                 "splits_union": bool(both_in and both_out)}
         linked.append(link)
@@ -232,8 +222,7 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
 
 
 def ccore1_check(component: LangExpr, condition: LangExpr, family: FamilyEnum,
-                 index_bound: int, horizon: int = 300,
-                 threshold: int = INFINITE_EVIDENCE_THRESHOLD) -> dict:
+                 index_bound: int, horizon: int = 300) -> dict:
     """Single-component conditional-core check.
 
     The component must (a) admit no bounded single-component conditional
@@ -249,7 +238,7 @@ def ccore1_check(component: LangExpr, condition: LangExpr, family: FamilyEnum,
     solvable_exact = isinstance(res, PartitionCertificate) and res.status == "exact"
     solvable_horizon = isinstance(res, PartitionCertificate) and res.status != "exact"
     region = simplify(Complement(condition), alphabet)
-    ccoh = check_ccohesive(component, region, family, index_bound, horizon, threshold)
+    ccoh = check_ccohesive(component, region, family, index_bound, horizon)
     refutes = solvable_exact or (ccoh.is_refuted and ccoh.exact)
     return {
         "conditional_solve": res.to_json(),
@@ -262,8 +251,7 @@ def ccore1_check(component: LangExpr, condition: LangExpr, family: FamilyEnum,
 
 
 def check_ccore(cond: ConditionalProblem, family: FamilyEnum, index_bound: int,
-                horizon: int = 300,
-                threshold: int = INFINITE_EVIDENCE_THRESHOLD) -> dict:
+                horizon: int = 300) -> dict:
     """Conditional-core status, component by component.
 
     Aggregates :func:`ccore1_check` over every component; a certified
@@ -279,7 +267,7 @@ def check_ccore(cond: ConditionalProblem, family: FamilyEnum, index_bound: int,
     for t, comp in enumerate(cond.problem.components):
         entry = {"component": t,
                  **ccore1_check(comp, cond.condition, family, index_bound,
-                                horizon, threshold)}
+                                horizon)}
         refuted = refuted or entry["refutes"]
         components_report.append(entry)
     return {

@@ -2,8 +2,9 @@
 
 Every automaton is total: one transition per state and symbol.  That keeps
 complementation a plain flip of the accepting set and makes product
-constructions straightforward.  Canonical forms (minimize, drop unreachable
-states, renumber breadth-first) make language equality a tuple comparison.
+constructions straightforward.  The minimal automaton, numbered
+breadth-first, is the canonical form: two automata accept the same language
+exactly when their minimal automata are equal.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ class Dfa:
     transitions: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
+
+    # set on the results of :meth:`minimize`; not a field, so equality,
+    # hashing and the repr ignore it
+    _minimal = False
 
     def __post_init__(self):
         n = len(self.transitions)
@@ -162,11 +167,15 @@ class Dfa:
         return Dfa(self.n_symbols, rows, 0, accepting)
 
     def minimize(self) -> "Dfa":
-        """Hopcroft partition refinement, then breadth-first renumbering.
+        """The minimal automaton, the language key: Hopcroft partition
+        refinement, then breadth-first renumbering.
 
-        Equal languages always give the identical object, so language
-        equality is ``a.minimize() == b.minimize()``.
+        Equal languages always give equal automata, so language equality is
+        ``a.minimize() == b.minimize()``.  Minimizing a result again returns
+        it as it is, without another Hopcroft pass.
         """
+        if self._minimal:
+            return self
         m = self.reachable()
         n = m.n_states
         block = m._coarsest_congruence()
@@ -189,7 +198,9 @@ class Dfa:
                     queue.append(t)
         rows = tuple(tuple(renum[rep_trans[bk][x]] for x in range(m.n_symbols)) for bk in order)
         accepting = frozenset(renum[block[s]] for s in m.accepting)
-        return Dfa(m.n_symbols, rows, 0, accepting)
+        out = Dfa(m.n_symbols, rows, 0, accepting)
+        object.__setattr__(out, "_minimal", True)
+        return out
 
     def _coarsest_congruence(self) -> list[int]:
         """Block number per state of the coarsest partition that separates
@@ -231,13 +242,6 @@ class Dfa:
                         pending.add((k, y))
         return block
 
-    def canonical_key(self) -> tuple:
-        m = self.minimize()
-        return (m.n_symbols, m.transitions, tuple(sorted(m.accepting)))
-
-    def same_language(self, other: "Dfa") -> bool:
-        return self.canonical_key() == other.canonical_key()
-
     # ------------------------------------------------------------------
     # decision procedures
 
@@ -265,9 +269,6 @@ class Dfa:
                     co.add(p)
                     queue.append(p)
         return reach & co
-
-    def is_empty(self) -> bool:
-        return not self._useful_states()
 
     def count_accepted(self) -> int | None:
         """Number of accepted words, or None when the language is infinite."""
@@ -381,16 +382,6 @@ class Dfa:
             raise ValueError("state count does not match transition table")
         return cls(n_symbols, rows, int(data["initial"]),
                    frozenset(int(s) for s in data["accepting"]))
-
-
-@lru_cache(maxsize=None)
-def empty_dfa(n_symbols: int) -> Dfa:
-    return Dfa(n_symbols, ((0,) * n_symbols,), 0, frozenset())
-
-
-@lru_cache(maxsize=None)
-def full_dfa(n_symbols: int) -> Dfa:
-    return Dfa(n_symbols, ((0,) * n_symbols,), 0, frozenset({0}))
 
 
 def dfa_for_finite(n_symbols: int, code_words: tuple[tuple[int, ...], ...]) -> Dfa:

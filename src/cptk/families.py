@@ -85,11 +85,6 @@ class FamilyEnum:
         """The uniform word problem: is lex(j) in the i-th language?"""
         return member(self.expr(i), lex(self.alphabet, j), self.alphabet)
 
-    def canonical(self, i: int) -> tuple | None:
-        """Canonical automaton key of the i-th language, if regular."""
-        view = regular_view(self.expr(i), self.alphabet)
-        return view.canonical_key() if view is not None else None
-
     def rows(self, index_bound: int, horizon: int) -> list[int]:
         """Window rows of the indices below the bound: bit j of row i is
         set when lex(j) is in e(i), for j = 0..horizon.
@@ -119,8 +114,10 @@ class ClassIndex:
     below the bound are automaton atoms with at most N states, equal rows
     mean equal languages once the window holds every word that short.  On
     the other exact families a row shared by several indices is split by
-    canonical automaton, and complement classes are confirmed by minimal
-    automaton.  On families that are not exact, a class is a row group.
+    the indices' minimal automata from :func:`langs.regular_view`, equal
+    exactly when the languages are, and complement classes are confirmed
+    on the same automata.  On families that are not exact, a class is a
+    row group.
     """
 
     def __init__(self, family: FamilyEnum, index_bound: int, horizon: int):
@@ -133,7 +130,7 @@ class ClassIndex:
             all(isinstance(e, DfaAtom) for e in exprs)
             and len(lex(family.alphabet, horizon + 1))
             > 2 * max((e.dfa.n_states for e in exprs), default=1) - 2)
-        self._at = {row: list(_group(members, family.canonical).values())
+        self._at = {row: list(_group(members, self._view).values())
                     if self.split and len(members) > 1 else [members]
                     for row, members in by_row.items()}
         #: the classes in order of least index
@@ -148,8 +145,7 @@ class ClassIndex:
         """The class of the complement of a class's language, or []."""
         others = self._at.get(self.full & ~self.rows[cls[0]], [])
         if self.split and others:
-            least = self.index_of(regular_view(self.family.expr(cls[0]),
-                                               self.family.alphabet).complement())
+            least = self.index_of(self._view(cls[0]).complement())
             others = [c for c in others if c[0] == least]
         return others[0] if others else []
 
@@ -157,9 +153,11 @@ class ClassIndex:
         """The least index whose minimal automaton, from
         :func:`langs.regular_view`, is the minimal automaton ``dfa``."""
         row = window_rows([DfaAtom(dfa)], self.family.alphabet, self.horizon + 1)[0]
-        return next((i for i in self.leaders.get(row, ())
-                     if regular_view(self.family.expr(i), self.family.alphabet) == dfa),
-                    None)
+        return next((i for i in self.leaders.get(row, ()) if self._view(i) == dfa), None)
+
+    def _view(self, i: int) -> Dfa | None:
+        """The language key of index i: its minimal automaton."""
+        return regular_view(self.family.expr(i), self.family.alphabet)
 
 
 def _group(indices, key) -> dict:
@@ -414,22 +412,31 @@ def _law_report(law, samples, horizon):
             "agreements": 0, "disagreements": 0, "first_counterexample": None}
 
 
+def _record(report, holds, sample, word=None):
+    """Count one sample; the first that breaks the law is the counterexample."""
+    if holds:
+        report["agreements"] += 1
+        return
+    report["disagreements"] += 1
+    if report["first_counterexample"] is None:
+        report["first_counterexample"] = {"sample": sample, "word": word}
+
+
 def _compare_on_window(report, family, expr_a, expr_b, horizon, label):
     ra, rb = window_rows([expr_a, expr_b], family.alphabet, horizon + 1)
     diff = ra ^ rb
-    if diff:
-        report["disagreements"] += 1
-        if report["first_counterexample"] is None:
-            report["first_counterexample"] = {
-                "sample": label,
-                "word": lex(family.alphabet, (diff & -diff).bit_length() - 1)}
-    else:
-        report["agreements"] += 1
+    _record(report, not diff, label,
+            lex(family.alphabet, (diff & -diff).bit_length() - 1) if diff else None)
+
+
+# the law harness samples indices below this bound
+LAW_INDEX_POOL = 64
 
 
 def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
-              seed: int = 0, index_pool: int = 64) -> dict:
-    """Spot-check one closure-algebra identity on sampled indices.
+              seed: int = 0) -> dict:
+    """Spot-check one closure-algebra identity on sampled indices below
+    ``LAW_INDEX_POOL``.
 
     Both sides of each identity are realized through the enumeration
     codecs and compared word by word on lex(0..horizon).
@@ -443,7 +450,7 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
         fu_s = close_s(close_u(family))
         fs_u = close_u(close_s(family))
         for _ in range(index_samples):
-            parts = [[int(rng.integers(0, index_pool))
+            parts = [[int(rng.integers(0, LAW_INDEX_POOL))
                       for _ in range(int(rng.integers(1, 3)))]
                      for _ in range(int(rng.integers(1, 3)))]
             inter_of_unions = codec.seq_code([codec.seq_code(p) for p in parts])
@@ -456,7 +463,7 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
         co_u = close_u(close_co(family))
         s_co = close_co(close_s(family))
         for _ in range(index_samples):
-            parts = [int(rng.integers(0, index_pool))
+            parts = [int(rng.integers(0, LAW_INDEX_POOL))
                      for _ in range(int(rng.integers(1, 4)))]
             code = codec.seq_code(parts)
             _compare_on_window(report, family, co_u.expr(code), s_co.expr(code),
@@ -464,13 +471,13 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
     elif law_id == "co-involution":
         coco = close_co(close_co(family))
         for _ in range(index_samples):
-            i = int(rng.integers(0, index_pool))
+            i = int(rng.integers(0, LAW_INDEX_POOL))
             _compare_on_window(report, family, coco.expr(i), family.expr(i),
                                horizon, {"index": i})
     elif law_id == "cc-dc-fixpoint":
         cc = close_cc(family)
         for _ in range(index_samples):
-            i = int(rng.integers(0, 2 * index_pool))
+            i = int(rng.integers(0, 2 * LAW_INDEX_POOL))
             partner = i + 1 if i % 2 == 0 else i - 1
             _compare_on_window(report, family, Complement(cc.expr(i)),
                                cc.expr(partner), horizon,
@@ -479,28 +486,15 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
         for op_name, op in CLOSURES.items():
             closed = op(family)
             if family.flags.nontrivial and not closed.flags.nontrivial:
-                report["disagreements"] += 1
-                if report["first_counterexample"] is None:
-                    report["first_counterexample"] = {"sample": {"closure": op_name},
-                                                      "word": None}
+                _record(report, False, {"closure": op_name})
                 continue
-            found_empty = found_full = False
-            full = (1 << (horizon + 1)) - 1
-            for i in range(index_pool):
-                row = window_rows([closed.expr(i)], family.alphabet, horizon + 1)[0]
-                if row == 0:
-                    found_empty = True
-                if row == full:
-                    found_full = True
-                if found_empty and found_full:
+            # the empty and the full row both occur among the pool's indices
+            trivial, seen = {0, (1 << (horizon + 1)) - 1}, set()
+            for i in range(LAW_INDEX_POOL):
+                seen.add(window_rows([closed.expr(i)], family.alphabet, horizon + 1)[0])
+                if trivial <= seen:
                     break
-            if found_empty and found_full:
-                report["agreements"] += 1
-            else:
-                report["disagreements"] += 1
-                if report["first_counterexample"] is None:
-                    report["first_counterexample"] = {"sample": {"closure": op_name},
-                                                      "word": None}
+            _record(report, trivial <= seen, {"closure": op_name})
     return report
 
 

@@ -354,8 +354,7 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
 
 
 def is_proper_hardcore(b: LangExpr, target: LangExpr, family: FamilyEnum,
-                       index_bound: int, horizon: int = 300,
-                       threshold: int = INFINITE_EVIDENCE_THRESHOLD) -> dict:
+                       index_bound: int, horizon: int = 300) -> dict:
     """Bound-relative check that ``b`` is an infinite subset of the target
     meeting every in-target family language only finitely.
 
@@ -376,7 +375,7 @@ def is_proper_hardcore(b: LangExpr, target: LangExpr, family: FamilyEnum,
     ordered = sorted(meets.items())
     violations = [{"index": i, "evidence": m.to_json()} for i, m in ordered if m.is_infinite]
     suspects = [{"index": i, "members_seen": m.count} for i, m in ordered
-                if m.is_unknown and (m.count or 0) >= threshold]
+                if m.is_unknown and (m.count or 0) >= INFINITE_EVIDENCE_THRESHOLD]
     holds = (not violations) and not containment.is_refuted \
         and not b_finiteness.is_finite
     return {
@@ -427,6 +426,6 @@ def trace_from_jsonl(text: str) -> list[TraceEntry]:
             continue
         try:
             out.append(TraceEntry.from_json(json.loads(line)))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from exc
     return out

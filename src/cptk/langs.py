@@ -741,7 +741,10 @@ def _convert(expr, alphabet):
 
 @functools.lru_cache(maxsize=AUTOMATON_CACHE_SIZE)
 def regular_view(expr: LangExpr, alphabet: Alphabet) -> Dfa | None:
-    """Minimized automaton for the simplified expression, if it is regular."""
+    """The minimal automaton, the language key, if the simplified
+    expression is regular.  The one door to the exact backend: it
+    simplifies, converts and minimizes, so callers pass expressions as is.
+    """
     try:
         return to_automaton(simplify(expr, alphabet), alphabet)
     except NonRegularLeaf:
@@ -775,13 +778,13 @@ def emptiness(expr: LangExpr, alphabet: Alphabet, horizon: int = 300) -> Verdict
     """Is the language empty?  The one oracle behind subset, equivalence
     and disjointness.
 
-    Exact when the simplified expression is regular: certified, or refuted
-    by the least member.  Otherwise the least member in the window up to
-    the horizon refutes, and an empty window leaves the answer unknown.
-    The window scan evaluates ``expr`` as passed, which lets callers'
-    sub-expressions share one memoized evaluation.
+    Exact when :func:`regular_view` finds the expression regular:
+    certified, or refuted by the least member.  Otherwise the least member
+    in the window up to the horizon refutes, and an empty window leaves
+    the answer unknown.  The window scan evaluates ``expr`` as passed,
+    which lets callers' sub-expressions share one memoized evaluation.
     """
-    view = regular_view(simplify(expr, alphabet), alphabet)
+    view = regular_view(expr, alphabet)
     if view is not None:
         least = view.least_accepted()
         if least is None:
@@ -850,7 +853,20 @@ def check_symbols(expr: LangExpr, alphabet: Alphabet) -> LangExpr:
     return expr
 
 
+# deepest expression nesting read from JSON; evaluation and hashing recurse
+# once or more per level, and shipped inputs nest fewer than 10 levels
+MAX_EXPR_DEPTH = 200
+
+
 def expr_from_json(data: dict, n_symbols: int) -> LangExpr:
+    """The expression of this JSON object; ValueError when it is malformed
+    or nests deeper than ``MAX_EXPR_DEPTH`` levels."""
+    return _expr_from_json(data, n_symbols, MAX_EXPR_DEPTH)
+
+
+def _expr_from_json(data, n_symbols, depth):
+    if depth == 0:
+        raise ValueError(f"language expression nested deeper than {MAX_EXPR_DEPTH} levels")
     if "finite" in data:
         return FiniteSet(tuple(data["finite"]))
     if "dfa" in data:
@@ -859,14 +875,15 @@ def expr_from_json(data: dict, n_symbols: int) -> LangExpr:
         resolve_predicate(data["predicate"])
         return Predicate(data["predicate"])
     op = data.get("op")
+    depth -= 1
     if op == "union":
-        return Union(tuple(expr_from_json(a, n_symbols) for a in data["args"]))
+        return Union(tuple(_expr_from_json(a, n_symbols, depth) for a in data["args"]))
     if op == "intersect":
-        return Inter(tuple(expr_from_json(a, n_symbols) for a in data["args"]))
+        return Inter(tuple(_expr_from_json(a, n_symbols, depth) for a in data["args"]))
     if op == "complement":
-        return Complement(expr_from_json(data["arg"], n_symbols))
+        return Complement(_expr_from_json(data["arg"], n_symbols, depth))
     if op == "leftmark":
-        return LeftMark(data["symbol"], expr_from_json(data["arg"], n_symbols))
+        return LeftMark(data["symbol"], _expr_from_json(data["arg"], n_symbols, depth))
     if op == "leftquotient":
-        return LeftQuotient(data["word"], expr_from_json(data["arg"], n_symbols))
+        return LeftQuotient(data["word"], _expr_from_json(data["arg"], n_symbols, depth))
     raise ValueError(f"malformed language expression JSON: {data!r}")

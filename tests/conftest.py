@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from cptk import dfa as dfa_module
+from cptk import langs
 from cptk.dfa import Dfa
 from cptk.families import language_classes, regular_family
 from cptk.langs import (Complement, DfaAtom, FiniteSet, Inter, LeftMark,
-                        LeftQuotient, Predicate, Union)
+                        LeftQuotient, Predicate, Union, regular_view)
 from cptk.words import Alphabet
 
 
@@ -28,6 +30,35 @@ def reg_ab(ab):
 @pytest.fixture(scope="session")
 def reg_abc(abc):
     return regular_family(abc)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the automaton caches and the table-check memo, so that a
+    call-count guard counts the same work run alone and in the suite."""
+    langs.regular_view.cache_clear()
+    langs.to_automaton.cache_clear()
+    dfa_module._table_fault.cache_clear()
+
+
+def unmarked_minimize(dfa: Dfa) -> Dfa:
+    """Hopcroft's refinement on a fresh copy, which carries no mark of an
+    earlier minimization: the reference for :meth:`Dfa.minimize`."""
+    return Dfa(dfa.n_symbols, dfa.transitions, dfa.initial, dfa.accepting).minimize()
+
+
+def canonical_key(dfa: Dfa) -> tuple:
+    """The language key tuple that ``Dfa.canonical_key`` built before the
+    minimal automaton became the key."""
+    m = unmarked_minimize(dfa)
+    return (m.n_symbols, m.transitions, tuple(sorted(m.accepting)))
+
+
+def family_canonical(family, i: int) -> tuple | None:
+    """The former ``FamilyEnum.canonical``: the key tuple of index i's
+    language, if regular."""
+    view = regular_view(family.expr(i), family.alphabet)
+    return canonical_key(view) if view is not None else None
 
 
 def complement_pairs(family, index_bound: int, horizon: int) -> list[tuple[int, int]]:

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from cptk import codec
+from cptk import codec, families
 from cptk.classify import (ClassificationProblem, PartitionCertificate, SolveNotFound,
                            _disjoint_tuples, is_partition, load_conditional,
                            load_problem, solve, solve_conditional, validate_bounds)
@@ -28,6 +28,7 @@ from cptk.langs import (FULL, Complement, DfaAtom, FiniteSet, Inter, LeftMark, P
 from cptk.words import Alphabet
 
 from .batch_oracle import member_batch, row_bits, window_for_horizon
+from .conftest import canonical_key, family_canonical
 from .test_acceptance import _ends_with, _generated_problems
 
 AB, ABC = Alphabet.parse("ab"), Alphabet.parse("abc")
@@ -48,7 +49,7 @@ def old_complement_key(canonical):
 def old_language_classes(family, index_bound, horizon):
     full = (1 << (horizon + 1)) - 1
     exact = family.exact
-    keys = ([family.canonical(i) for i in range(index_bound)] if exact
+    keys = ([family_canonical(family, i) for i in range(index_bound)] if exact
             else family.rows(index_bound, horizon))
     classes = {}
     for i, key in enumerate(keys):
@@ -62,7 +63,7 @@ def old_dedup_candidates(family, indices):
         return list(indices)
     seen = {}
     for i in indices:
-        key = family.canonical(i)
+        key = family_canonical(family, i)
         if key not in seen:
             seen[key] = i
     return sorted(seen.values())
@@ -90,9 +91,9 @@ def old_family_index_of(family, expr, index_bound, horizon):
 
 
 def old_find_family_index(family, view, index_bound):
-    key = view.canonical_key()
+    key = canonical_key(view)
     for i in range(index_bound):
-        if family.canonical(i) == key:
+        if family_canonical(family, i) == key:
             return i
     return None
 
@@ -312,22 +313,23 @@ def test_core_links_match_canonical_scan(family_factory, bound, horizon, alphabe
 
 
 # ---------------------------------------------------------------------------
-# structural guard: covered inputs never canonicalize
+# structural guard: covered inputs build no minimal automaton
 
 
 @pytest.fixture
-def canonical_key_calls(monkeypatch):
+def index_views(monkeypatch, cold_caches):
+    """The expressions whose minimal automaton the class index asks for."""
     calls = []
-    original = Dfa.canonical_key
+    original = families.regular_view
 
-    def counted(self):
-        calls.append(self)
-        return original(self)
-    monkeypatch.setattr(Dfa, "canonical_key", counted)
+    def counted(expr, alphabet):
+        calls.append(expr)
+        return original(expr, alphabet)
+    monkeypatch.setattr(families, "regular_view", counted)
     return calls
 
 
-def test_covered_inputs_make_no_canonical_key_call(canonical_key_calls):
+def test_covered_inputs_build_no_minimal_automaton(index_views):
     reg_ab, reg_abc = regular_family(AB), regular_family(ABC)
     readme = readme_problem()
     assert solve(readme, reg_ab, 3700, 300).indices == (3664, 3659)
@@ -336,14 +338,14 @@ def test_covered_inputs_make_no_canonical_key_call(canonical_key_calls):
     a_star = DfaAtom(Dfa(2, ((0, 1), (1, 1)), 0, frozenset({0})))
     witness = check_cohesive(a_star, reg_ab, 400).witness
     assert (witness.i, witness.j) == (36, 35)
-    assert canonical_key_calls == []
+    assert index_views == []
 
 
-def test_uncovered_inputs_fall_back_to_canonical_keys(canonical_key_calls):
+def test_uncovered_inputs_split_rows_by_minimal_automaton(index_views):
     family, bound, horizon, _, (problems, _) = build("regular-abc-500-40")
     assert language_classes(family, bound, horizon) == \
         old_language_classes(regular_family(ABC), bound, horizon)
-    assert canonical_key_calls
+    assert index_views
     for problem in problems:
         assert certificate_json(solve(problem, family, bound, horizon)) == \
             certificate_json(old_search(problem, regular_family(ABC), bound, horizon))

@@ -6,7 +6,7 @@ import pytest
 
 from cptk.cli import main
 from cptk.families import FamilyEnum
-from cptk.langs import expr_to_json, FULL, LeftMark, Predicate, Complement
+from cptk.langs import MAX_EXPR_DEPTH, expr_to_json, FULL, LeftMark, Predicate, Complement
 
 
 def write(tmp_path, name, data):
@@ -508,3 +508,75 @@ def test_file_over_another_alphabet_than_the_family_exits_2(tmp_path, capsys,
     role = case.split()[1]
     shown = "'ba'" if case.endswith("order") else "'abc'"
     assert err == f"error: {role} alphabet {shown} differs from the family alphabet 'ab'\n"
+
+
+@pytest.mark.parametrize("role, content", [
+    ("family", None), ("target", None), ("trace", None),
+    ("target", '{"alphabet": "ab", "expr": {"finite": ["é"]}}'.encode("latin-1")),
+    ("problem", b'\xff\xfe{"alphabet": "ab"}')])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, finite_trace, role, content):
+    """A directory (content None) or a file that is not UTF-8 raised
+    IsADirectoryError or UnicodeDecodeError: exit 1 with a traceback."""
+    _, argv = finite_trace
+    bad = tmp_path / "bad"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    if role == "problem":
+        argv = ["solve", "--problem", str(bad), "--family", argv[argv.index("--family") + 1]]
+    else:
+        argv = list(argv)
+        argv[argv.index(f"--{role}") + 1] = str(bad)
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: ")
+
+
+def nested(levels: int, leaf: dict, op) -> dict:
+    """An expression ``levels`` deep: ``op`` applied levels - 1 times."""
+    expr = leaf
+    for k in range(levels - 1):
+        expr = op(k, expr)
+    return expr
+
+
+def complement(k, arg):
+    return {"op": "complement", "arg": arg}
+
+
+def mark_or_complement(k, arg):
+    return {"op": "leftmark", "symbol": "ab"[k % 2], "arg": arg} if k % 3 \
+        else complement(k, arg)
+
+
+@pytest.mark.parametrize("levels, op, leaf, want", [
+    (MAX_EXPR_DEPTH, complement, {"finite": ["a"]}, 4),
+    (MAX_EXPR_DEPTH, mark_or_complement, {"predicate": "square-length"}, 4),
+    (MAX_EXPR_DEPTH + 1, complement, {"finite": ["a"]}, 2),
+    (MAX_EXPR_DEPTH + 1, mark_or_complement, {"predicate": "square-length"}, 2),
+    (500, complement, {"finite": ["a"]}, 2)])
+def test_expression_nesting_limit(tmp_path, capsys, length_family_file, levels, op,
+                                  leaf, want):
+    """500 nested complements ended in a RecursionError traceback (exit 1)
+    from hashing the tree; an expression at the limit still runs."""
+    target = write(tmp_path, "target.json",
+                   {"alphabet": "ab", "expr": nested(levels, leaf, op)})
+    code, out, err = run_main(["cohesive", "--target", target, "--family",
+                               length_family_file, "--index-bound", "30"], capsys)
+    assert code == want
+    if want == 2:
+        assert out == ""
+        assert err == (f"error: {target}: language expression nested deeper than "
+                       f"{MAX_EXPR_DEPTH} levels\n")
+
+
+def test_json_nested_beyond_the_decoder_exits_2(tmp_path, capsys, reg_family_file):
+    """The decoder's own RecursionError ended in a traceback (exit 1)."""
+    problem = tmp_path / "problem.json"
+    problem.write_text('{"alphabet": "ab", "components": ' + "[" * 100_000
+                       + "]" * 100_000 + "}")
+    code, out, err = run_main(["solve", "--problem", str(problem),
+                               "--family", reg_family_file], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {problem}: JSON nested too deeply\n"

@@ -1,7 +1,7 @@
 import pytest
 
-from cptk.classify import (INFINITE_EVIDENCE_THRESHOLD, ClassificationProblem,
-                           ClosureFlagsAbsent, load_conditional, load_problem)
+from cptk.classify import (ClassificationProblem, ClosureFlagsAbsent, load_conditional,
+                           load_problem)
 from cptk.codec import pair
 from cptk.cohesion import (CohesionVerdict, _certified_inside, ccore1_check,
                            check_ccohesive, check_ccore, check_cohesive,
@@ -14,7 +14,7 @@ from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         subset_of, to_automaton)
 
 from .batch_oracle import member_batch, window_for_horizon
-from .conftest import complement_pairs
+from .conftest import complement_pairs, family_canonical
 
 
 A_ONLY = DfaAtom(Dfa(2, ((0, 1), (1, 1)), 0, frozenset({0})))        # b-free words
@@ -62,9 +62,9 @@ def pair_scan_dc_members(family, index_bound, horizon):
     if family.exact:
         by_canon = {}
         for i in range(index_bound):
-            by_canon.setdefault(family.canonical(i), []).append(i)
+            by_canon.setdefault(family_canonical(family, i), []).append(i)
         for j in range(index_bound):
-            for i in by_canon.get(complement_key(family.canonical(j)), ()):
+            for i in by_canon.get(complement_key(family_canonical(family, j)), ()):
                 out.append(DcMember(i, j, "exact"))
     else:
         rows = family.rows(index_bound, horizon)
@@ -79,8 +79,7 @@ def pair_scan_dc_members(family, index_bound, horizon):
     return out
 
 
-def pair_scan(a, region, family, index_bound, horizon,
-              threshold=INFINITE_EVIDENCE_THRESHOLD):
+def pair_scan(a, region, family, index_bound, horizon):
     """The former cohesion scan, kept as the differential oracle: every
     complement pair in pair-code order, one outcome memoized per language
     class."""
@@ -91,7 +90,7 @@ def pair_scan(a, region, family, index_bound, horizon,
     assert members == [dc_member(family, i, j, horizon)
                        for i, j in complement_pairs(family, index_bound, horizon)]
     for m in sorted(members, key=lambda m: pair(m.i, m.j)):
-        key = family.canonical(m.i) if family.exact else rows[m.i]
+        key = family_canonical(family, m.i) if family.exact else rows[m.i]
         if key in class_outcome:
             hit = class_outcome[key]
         else:
@@ -101,11 +100,10 @@ def pair_scan(a, region, family, index_bound, horizon,
             if region is not None:
                 usable = subset_of(q, region, alphabet, horizon).is_certified
             if usable:
-                side_in, ev_in = infinite_evidence(Inter((a, q)), alphabet,
-                                                   horizon, threshold)
+                side_in, ev_in = infinite_evidence(Inter((a, q)), alphabet, horizon)
                 if side_in:
                     side_out, ev_out = infinite_evidence(Inter((a, Complement(q))),
-                                                         alphabet, horizon, threshold)
+                                                         alphabet, horizon)
                     if side_out:
                         hit = (ev_in, ev_out)
             class_outcome[key] = hit

@@ -1,0 +1,142 @@
+"""One simplification per question and one Hopcroft pass per automaton.
+
+``emptiness`` no longer simplifies before :func:`langs.regular_view`, which
+simplifies itself, and :meth:`Dfa.minimize` returns its own results as they
+are.  ``old_emptiness`` (the route with both simplifications) and
+``unmarked_minimize`` (Hopcroft on a fresh copy) are the differential
+oracles; the pass counts pin the work saved.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from cptk import cli
+from cptk.dfa import Dfa
+from cptk.families import length_family
+from cptk.langs import (Complement, Inter, LeftMark, LeftQuotient, Union, emptiness,
+                        regular_view, simplify)
+from cptk.verdicts import CERTIFIED, REFUTED, UNKNOWN, Verdict
+from cptk.words import Alphabet, lex
+
+from .batch_oracle import batch_row
+from .conftest import random_dfa, random_mixed_expr, unmarked_minimize
+
+ALPHABETS = [Alphabet.parse(s) for s in ("a", "ab", "abc")]
+
+
+def old_emptiness(expr, alphabet, horizon=300):
+    """``langs.emptiness`` as it was: simplify, then ask the view."""
+    view = regular_view(simplify(expr, alphabet), alphabet)
+    if view is not None:
+        least = view.least_accepted()
+        if least is None:
+            return Verdict(CERTIFIED, exact=True)
+        return Verdict(REFUTED, exact=True, witness=alphabet.word(least))
+    row = batch_row(expr, alphabet, horizon + 1)
+    if row:
+        return Verdict(REFUTED, exact=True,
+                       witness=lex(alphabet, (row & -row).bit_length() - 1),
+                       detail={"route": "window"})
+    return Verdict(UNKNOWN, exact=False, horizon=horizon)
+
+
+def random_tree(rng, alphabet, depth=4):
+    """A random expression with predicate, mark and quotient nodes."""
+    if depth == 0 or rng.random() < 0.25:
+        return random_mixed_expr(rng, alphabet, 0)
+
+    def sub():
+        return random_tree(rng, alphabet, depth - 1)
+    roll = rng.random()
+    if roll < 0.2:
+        return Union(tuple(sub() for _ in range(int(rng.integers(1, 3)))))
+    if roll < 0.4:
+        return Inter(tuple(sub() for _ in range(int(rng.integers(1, 3)))))
+    if roll < 0.55:
+        return Complement(sub())
+    symbols = list(alphabet.symbols)
+    if roll < 0.75:
+        return LeftMark(str(rng.choice(symbols)), sub())
+    return LeftQuotient("".join(rng.choice(symbols, size=int(rng.integers(1, 3)))), sub())
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=str)
+def test_one_simplification_matches_the_old_route(alphabet):
+    rng = np.random.default_rng(11)
+    regular = 0
+    for _ in range(300):
+        e = random_tree(rng, alphabet)
+        assert emptiness(e, alphabet, 60).to_json() == \
+            old_emptiness(e, alphabet, 60).to_json()
+        view = regular_view(e, alphabet)
+        assert view == regular_view(simplify(e, alphabet), alphabet)
+        if view is not None:
+            regular += 1
+            assert view.minimize() is view
+            assert unmarked_minimize(view) == view
+    assert regular > 50
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=str)
+def test_marked_minimize_matches_unmarked_hopcroft(alphabet):
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        d = random_dfa(rng, alphabet.size, max_states=6)
+        m = d.minimize()
+        assert m == unmarked_minimize(d) == unmarked_minimize(m)
+        assert m.minimize() is m
+        for other in (m.complement(), m.union(d), d.left_quotient((0,))):
+            assert other.minimize() == unmarked_minimize(other)
+
+
+def test_the_mark_is_no_field():
+    d = Dfa(2, ((1, 0), (1, 1)), 0, frozenset({1}))
+    m = d.minimize()
+    copy = Dfa(m.n_symbols, m.transitions, m.initial, m.accepting)
+    assert m == copy and hash(m) == hash(copy) and repr(m) == repr(copy)
+    assert [f.name for f in dataclasses.fields(Dfa)] == \
+        ["n_symbols", "transitions", "initial", "accepting"]
+    assert m._minimal and not copy._minimal and not d._minimal
+
+
+@pytest.fixture
+def hopcroft_passes(monkeypatch, cold_caches):
+    """Count the ``Dfa._coarsest_congruence`` calls, one per Hopcroft pass."""
+    passes = []
+    original = Dfa._coarsest_congruence
+
+    def counted(self):
+        passes.append(self.n_states)
+        return original(self)
+    monkeypatch.setattr(Dfa, "_coarsest_congruence", counted)
+    return passes
+
+
+def test_length_family_classes_minimize_each_index_once(ab, hopcroft_passes):
+    """One pass per index sharing the empty row, not three (1773 before)."""
+    length_family(ab).classes(600, 300)
+    assert len(hopcroft_passes) == 591
+
+
+def test_example26_ccore_passes(tmp_path, capsys, hopcroft_passes):
+    """`cptk ccore` on example 26 over square-length at bound 3700 made
+    7109 passes before."""
+    sq = {"predicate": "square-length"}
+
+    def mark(x, arg):
+        return {"op": "leftmark", "symbol": x, "arg": arg}
+    problem = {"alphabet": "ab",
+               "condition": {"op": "union",
+                             "args": [mark("a", sq), mark("b", {"op": "complement", "arg": sq})]},
+               "components": [mark("a", {"op": "complement", "arg": sq}), mark("b", sq)]}
+    files = {"problem.json": problem, "family.json": {"alphabet": "ab", "builtin": "regular"}}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    code = cli.main(["ccore", "--problem", str(tmp_path / "problem.json"),
+                     "--family", str(tmp_path / "family.json"), "--index-bound", "3700"])
+    capsys.readouterr()
+    assert code == 4
+    assert len(hopcroft_passes) <= 2745
