@@ -27,6 +27,12 @@ from .words import Alphabet
 INFINITE_EVIDENCE_THRESHOLD = 32
 
 
+def is_infinite_evidence(v: FinitenessVerdict) -> bool:
+    """Whether a finiteness verdict saw enough members below its horizon to
+    count, without proof, as infinite."""
+    return (v.count or 0) >= INFINITE_EVIDENCE_THRESHOLD
+
+
 class ProblemPrecondition(ValueError):
     """A classification-problem precondition is provably violated."""
 
@@ -103,8 +109,7 @@ def _component_checks(components, alphabet, horizon):
             raise ProblemPrecondition(
                 f"component {i} is finite ({v.count} members)")
         if v.is_unknown:
-            kind = ("evidence" if (v.count or 0) >= INFINITE_EVIDENCE_THRESHOLD
-                    else "weak evidence")
+            kind = "evidence" if is_infinite_evidence(v) else "weak evidence"
             flags.append(f"infiniteness({i}) not exact: {v.count} members up to "
                          f"horizon {horizon} ({kind})")
         inf.append(v)

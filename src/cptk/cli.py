@@ -65,6 +65,15 @@ def _read_text(path: str) -> str:
         raise CliError(EXIT_USAGE, f"{path}: not UTF-8 text: byte {exc.start}")
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write the text to the file; exit 2 when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # a directory, a missing parent, no permission, ...
+        raise CliError(EXIT_USAGE, f"{path}: {exc.strerror or exc}")
+
+
 def _read_json(path: str):
     text = _read_text(path)
     try:
@@ -125,8 +134,7 @@ def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(out, text + "\n")
     else:
         print(text)
 
@@ -235,8 +243,7 @@ def cmd_hardcore(args) -> int:
     condition, alphabet, target = _load_condition_and_target(args, family)
     state, trace = hardcore_run(family, condition, target, alphabet, args.steps)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(trace_to_jsonl(trace))
+        _write_text(args.trace, trace_to_jsonl(trace))
     report = {
         "config": _config_echo(args),
         "steps": args.steps,

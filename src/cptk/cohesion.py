@@ -22,8 +22,7 @@ import numpy as np
 from . import codec
 from .classify import (ClassificationProblem, ClosureFlagsAbsent, ConditionalProblem,
                        PartitionCertificate, disjoint_verdict, set_of, solve,
-                       solve_conditional, validate_bounds,
-                       INFINITE_EVIDENCE_THRESHOLD)
+                       solve_conditional, validate_bounds, is_infinite_evidence)
 from .families import DcMember, FamilyEnum, dc_member, language_classes
 from .langs import (Complement, Inter, LangExpr, expr_to_json, is_finite,
                     regular_view, simplify)
@@ -61,16 +60,15 @@ def infinite_evidence(expr: LangExpr, alphabet,
                       horizon: int) -> tuple[bool, FinitenessVerdict]:
     """Whether the language counts as infinite for splitting purposes.
 
-    Exact verdicts decide; otherwise at least
-    ``INFINITE_EVIDENCE_THRESHOLD`` members below the horizon count as
-    (non-exact) evidence.
+    Exact verdicts decide; otherwise the window count decides, as
+    :func:`classify.is_infinite_evidence` rules (non-exact evidence).
     """
     v = is_finite(expr, alphabet, horizon)
     if v.is_infinite:
         return True, v
     if v.is_finite:
         return False, v
-    return (v.count or 0) >= INFINITE_EVIDENCE_THRESHOLD, v
+    return is_infinite_evidence(v), v
 
 
 def check_cohesive(a: LangExpr, family: FamilyEnum, index_bound: int,

@@ -175,25 +175,6 @@ def _regular_block(n_states: int, n_symbols: int) -> int:
     return n_states ** (n_states * n_symbols) * 2 ** n_states
 
 
-def regular_index_decode(i: int, n_symbols: int) -> Dfa:
-    """The i-th complete automaton (initial state 0) in canonical order."""
-    if i < 0:
-        raise ValueError("index must be nonnegative")
-    n = 1
-    while i >= _regular_block(n, n_symbols):
-        i -= _regular_block(n, n_symbols)
-        n += 1
-    table_rank, acc_rank = divmod(i, 2 ** n)
-    digits = []
-    for _ in range(n * n_symbols):
-        table_rank, d = divmod(table_rank, n)
-        digits.append(d)
-    digits.reverse()
-    rows = tuple(tuple(digits[s * n_symbols:(s + 1) * n_symbols]) for s in range(n))
-    accepting = frozenset(s for s in range(n) if acc_rank & (1 << (n - 1 - s)))
-    return Dfa(n_symbols, rows, 0, accepting)
-
-
 def _regular_table(table_rank: int, n: int, n_symbols: int) -> tuple:
     """The rows of the n-state transition table of this rank, the first
     position most significant."""
@@ -227,10 +208,11 @@ def canonical_index(dfa: Dfa) -> int:
 def regular_family(alphabet: Alphabet) -> FamilyEnum:
     """Every regular language over the alphabet, with many duplicate indices.
 
-    Index i decodes as :func:`regular_index_decode` does, one transition
-    table at a time: the 2^n indices of an n-state table differ only in
-    their accepting set, so they share one rows tuple (decoded and
-    checked once), and the accepting sets are shared per (n, rank).
+    Index i is the automaton (initial state 0) that
+    :func:`regular_index_encode` maps to i, decoded one transition table at
+    a time: the 2^n indices of an n-state table differ only in their
+    accepting set, so they share one rows tuple (decoded and checked
+    once), and the accepting sets are shared per (n, rank).
     """
     n_symbols = alphabet.size
     starts = [0]  # starts[n - 1]: the first index of the n-state block

@@ -8,13 +8,12 @@ index at most the current accepted count, inclusive.  The construction
 is inherently sequential and emits one trace entry per word; traces are
 bit-reproducible and replay-verifiable.
 
-:func:`hardcore_step` is the one-step reference on scalar membership.
-:func:`hardcore_run` and :func:`verify_trace` produce the same entries
-from int bitset window rows: the condition and target rows over every
-rank, and the family rows of the guarded indices folded into one column
-bitset per rank, so a step reads one column instead of asking each
-guarded language about its word.  The verifier still looks up each
-cancellation witness by scalar membership.
+:func:`hardcore_run` and :func:`verify_trace` work on int bitset window
+rows: the condition and target rows over every rank, and the family rows
+of the guarded indices folded into one column bitset per rank, so a step
+reads one column instead of asking each guarded language about its word.
+The verifier still looks up each cancellation witness by scalar
+membership.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
-from .classify import ConditionalProblem, INFINITE_EVIDENCE_THRESHOLD
+from .classify import ConditionalProblem, is_infinite_evidence, validate_bounds
 from .families import FamilyEnum
 from .langs import Inter, LangExpr, is_finite, member, subset_of, window_rows
 from .words import Alphabet, lex, words_up_to
@@ -40,10 +39,6 @@ class DiagonalizationState:
     @property
     def card(self) -> int:
         return len(self.accepted)
-
-
-def initial_state() -> DiagonalizationState:
-    return DiagonalizationState(0, (), frozenset())
 
 
 ACCEPTED = "accepted"
@@ -113,51 +108,6 @@ def _field_error(data: dict, key: str, kind: type) -> ValueError:
     return ValueError(f"field {key!r} must be {_JSON_TYPE_NAMES[kind]}, not {data[key]!r}")
 
 
-def _indexed_member(family: FamilyEnum, i: int, w: str) -> bool:
-    return member(family.expr(i), w, family.alphabet)
-
-
-def hardcore_step(state: DiagonalizationState, family: FamilyEnum,
-                  condition: LangExpr, target: LangExpr,
-                  alphabet: Alphabet) -> tuple[DiagonalizationState, TraceEntry]:
-    """One loop iteration on the word of rank ``state.n``, by scalar
-    membership: the reference that :func:`hardcore_run` reproduces."""
-    w = lex(alphabet, state.n)
-    card = state.card
-    cancel = state.cancelled
-    newly_cancelled: list[int] = []
-    in_condition = member(condition, w, alphabet)
-    if in_condition:
-        for i in range(card + 1):
-            if i not in cancel and _indexed_member(family, i, w):
-                newly_cancelled.append(i)
-        if newly_cancelled:
-            cancel = cancel | frozenset(newly_cancelled)
-    accepted = state.accepted
-    action, reason, blocking = SKIPPED, None, None
-    if not in_condition and member(target, w, alphabet):
-        blocker = None
-        for i in range(card + 1):
-            if i not in cancel and _indexed_member(family, i, w):
-                blocker = i
-                break
-        if blocker is None:
-            accepted = accepted + (w,)
-            action = ACCEPTED
-        else:
-            reason, blocking = REASON_BLOCKED, blocker
-    elif in_condition:
-        reason = REASON_IN_CONDITION
-    else:
-        reason = REASON_NOT_IN_TARGET
-    if action is SKIPPED and newly_cancelled:
-        action = CANCELLED
-    new_state = DiagonalizationState(state.n + 1, accepted, cancel)
-    entry = TraceEntry(state.n, w, action, tuple(newly_cancelled),
-                       len(accepted), reason, blocking)
-    return new_state, entry
-
-
 class _Guards:
     """The guarded indices by rank over lex(0..steps-1): bit i of
     ``cols[j]`` is set when index i is guarded at rank j and lex(j) lies
@@ -199,7 +149,7 @@ def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
                  ) -> tuple[DiagonalizationState, list[TraceEntry]]:
     """The diagonalization over the first ``steps`` words, on window rows.
 
-    Produces exactly what iterating :func:`hardcore_step` does.  The
+    Step n runs the loop of the module docstring on lex(n).  The
     condition and target rows cover every rank; a guarded index adds its
     family row to the column bitsets of the ranks still to come, so each
     step reads one column: its uncancelled bits are the indices the word
@@ -295,7 +245,7 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
             if not member(condition, w, alphabet):
                 violations.append(_violation(pos, "cancel-no-condition-witness",
                                              f"index {i} cancelled on {w!r} not in the condition"))
-            elif guarded and not _indexed_member(family, i, w):
+            elif guarded and not member(family.expr(i), w, alphabet):
                 violations.append(_violation(pos, "cancel-no-membership-witness",
                                              f"index {i} cancelled but {w!r} not in language {i}"))
             if not guarded:
@@ -361,6 +311,7 @@ def is_proper_hardcore(b: LangExpr, target: LangExpr, family: FamilyEnum,
     Only an exactly-infinite intersection violates; horizon evidence is
     reported separately as suspicion.
     """
+    validate_bounds(index_bound, horizon)
     alphabet = family.alphabet
     b_finiteness = is_finite(b, alphabet, horizon)
     containment = subset_of(b, target, alphabet, horizon)
@@ -375,7 +326,7 @@ def is_proper_hardcore(b: LangExpr, target: LangExpr, family: FamilyEnum,
     ordered = sorted(meets.items())
     violations = [{"index": i, "evidence": m.to_json()} for i, m in ordered if m.is_infinite]
     suspects = [{"index": i, "members_seen": m.count} for i, m in ordered
-                if m.is_unknown and (m.count or 0) >= INFINITE_EVIDENCE_THRESHOLD]
+                if m.is_unknown and is_infinite_evidence(m)]
     holds = (not violations) and not containment.is_refuted \
         and not b_finiteness.is_finite
     return {

@@ -16,8 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import isqrt
 
@@ -36,10 +34,6 @@ class NonRegularLeaf(ValueError):
 
 class UnknownPredicate(KeyError):
     """Raised for predicate names outside the built-in registry."""
-
-
-class StepBudgetExceeded(RuntimeError):
-    """The active evaluation step budget was exhausted."""
 
 
 # ---------------------------------------------------------------------------
@@ -195,39 +189,8 @@ def resolve_predicate(name: str) -> _PredicateImpl:
 
 
 # ---------------------------------------------------------------------------
-# step budget (opt-in guard that membership evaluation stays total and cheap)
-
-class _BudgetState(threading.local):
-    remaining = None  # no budget in force in this thread
-
-
-_budget_state = _BudgetState()
-
-
-@contextmanager
-def step_budget(limit: int):
-    """Bound the number of atom evaluations inside the block."""
-    prev = _budget_state.remaining
-    _budget_state.remaining = limit
-    try:
-        yield
-    finally:
-        _budget_state.remaining = prev
-
-
-def _tick(amount: int = 1) -> None:
-    remaining = _budget_state.remaining
-    if remaining is None:
-        return
-    remaining -= amount
-    if remaining < 0:
-        _budget_state.remaining = 0
-        raise StepBudgetExceeded("evaluation step budget exhausted")
-    _budget_state.remaining = remaining
-
-
-# ---------------------------------------------------------------------------
-# membership: scalar and window rows
+# membership: window rows for every evaluation, scalar member as the
+# independent one-word lookup
 
 
 def member(expr: LangExpr, word: str, alphabet: Alphabet) -> bool:
@@ -238,15 +201,12 @@ def member(expr: LangExpr, word: str, alphabet: Alphabet) -> bool:
 
 def _member(expr, word, alphabet):
     if isinstance(expr, FiniteSet):
-        _tick()
         return word in expr.words
     if isinstance(expr, DfaAtom):
-        _tick()
         if expr.dfa.n_symbols != alphabet.size:
             raise _alphabet_mismatch(expr, alphabet)
         return expr.dfa.accepts(alphabet, word)
     if isinstance(expr, Predicate):
-        _tick()
         return bool(resolve_predicate(expr.name).scalar(alphabet, word))
     if isinstance(expr, Union):
         return any(_member(a, word, alphabet) for a in expr.args)
@@ -292,33 +252,20 @@ def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
     ``np.packbits`` call over a one-hot of its final states against the
     ids of the states some atom accepts in.  Union, intersection and
     complement are ``|``, ``&`` and ``full & ~``.
-
-    Step budget: each leaf (finite set, automaton, predicate) charges one
-    step per word of the window it is evaluated on, when it is lowered, in
-    expression order.  A top-level leaf charges ``count``; the top-level
-    automaton atoms over the alphabet charge theirs together, once every
-    expression is lowered.  A nested leaf under quotients charges
-    ``count`` too; under a left mark at the empty u it charges the number
-    of window words that start with the mark, and under a mark that no
-    window word passes it is not evaluated.  Within one expression a leaf
-    charges once per (pending quotient, window), however often it occurs
-    there.
     """
     exprs = list(exprs)
     out = [0] * len(exprs)
     lowering = _Lowering(alphabet, count)
     # a top-level atom only notes its position with its table: thousands of
     # family indices then add no object each, and no collector work
-    lowered, atoms = [], 0
+    lowered = []
     for k, e in enumerate(exprs):
         if type(e) is DfaAtom and e.dfa.n_symbols == alphabet.size:
             _, accepts, _, ks = lowering.table(e.dfa)
             accepts.append(e.dfa.accepting)
             ks.append(k)
-            atoms += 1
         else:
             lowered.append((k, lowering.lower(e)))
-    _tick(count * atoms)
     lowering.run()
     for k, row in lowered:
         out[k] = row()
@@ -360,7 +307,6 @@ class _Lowering:
     def _lower(self, e, u, n, memo):
         alphabet = self.alphabet
         if isinstance(e, DfaAtom):
-            _tick(n)
             if e.dfa.n_symbols != alphabet.size:
                 raise _alphabet_mismatch(e, alphabet)
             return self._atom(e.dfa.left_quotient(u) if u else e.dfa, n)
@@ -368,7 +314,6 @@ class _Lowering:
             row = _finite_row(e, u, alphabet, n)
             return lambda: row
         if isinstance(e, Predicate):
-            _tick(n)
             longest = len(u) + (len(lex(alphabet, n - 1)) if n else 0)
             dfa = resolve_predicate(e.name).automaton(alphabet, longest)
             return self._atom(dfa.left_quotient(u) if u else dfa, n)
@@ -455,7 +400,6 @@ def _finite_row(e: FiniteSet, u: tuple, alphabet: Alphabet, n: int) -> int:
     """The row of u⁻¹e over lex(0..n-1).  The symbols of every word as
     long as some word u·x of the window are checked, also of those that do
     not start with u; longer words are skipped unchecked."""
-    _tick(n)
     if not n:
         return 0
     lo = len(u)

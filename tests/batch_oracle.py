@@ -4,8 +4,8 @@ replaced, kept as a differential oracle for the tests.
 ``member_batch`` evaluates an expression over a :class:`PackedWords`
 batch as a numpy bool vector; ``row_bits`` turns such a vector into a
 window row.  The code is a copy of the replaced modules.  Only the names
-it used to reach through its own modules are spelled out: the step budget
-and mismatch error of :mod:`cptk.langs`, the predicate batch functions
+it used to reach through its own modules are spelled out: the mismatch
+error of :mod:`cptk.langs`, the predicate batch functions
 (resolved through :func:`predicate_batch`) and ``Dfa.accepts_batch``
 (now :func:`accepts_batch`).
 """
@@ -205,7 +205,6 @@ def _eval(expr, packed, memo):
         return hit[1]
     alphabet = packed.alphabet
     if isinstance(expr, FiniteSet):
-        langs._tick(len(packed))
         out = np.zeros(len(packed), dtype=bool)
         if expr.words:
             by_len: dict[int, np.ndarray] = {}
@@ -223,12 +222,10 @@ def _eval(expr, packed, memo):
                 cols = packed.starts[idx][:, None] + np.arange(len(w), dtype=np.int64)[None, :]
                 out[idx] |= (packed.flat[cols] == codes[None, :]).all(axis=1)
     elif isinstance(expr, DfaAtom):
-        langs._tick(len(packed))
         if expr.dfa.n_symbols != alphabet.size:
             raise langs._alphabet_mismatch(expr, alphabet)
         out = accepts_batch(expr.dfa, packed)
     elif isinstance(expr, Predicate):
-        langs._tick(len(packed))
         out = np.asarray(predicate_batch(expr.name)(packed), dtype=bool)
     elif isinstance(expr, Union):
         out = np.zeros(len(packed), dtype=bool)

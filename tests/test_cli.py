@@ -533,6 +533,29 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, finite_trace, role, con
     assert err.startswith(f"error: {bad}: ")
 
 
+@pytest.mark.parametrize("command, option, where", [
+    ("cohesive", "--out", "directory"), ("cohesive", "--out", "missing parent"),
+    ("hardcore", "--trace", "directory"), ("hardcore", "--trace", "missing parent"),
+    ("hardcore", "--out", "directory")])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, reg_family_file, command,
+                                        option, where):
+    """A directory, or a path under a missing directory, raised
+    IsADirectoryError or FileNotFoundError after the work was done: exit 1
+    with a traceback."""
+    target = write(tmp_path, "t.json", {"alphabet": "ab",
+                                        "expr": expr_to_json(LeftMark("a", FULL))})
+    bad = tmp_path / "out"
+    if where == "directory":
+        bad.mkdir()
+    else:
+        bad = bad / "missing" / "report.json"
+    code, out, err = run_main([command, "--family", reg_family_file, "--target", target,
+                               "--index-bound", "20", "--horizon", "30",
+                               option, str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
 def nested(levels: int, leaf: dict, op) -> dict:
     """An expression ``levels`` deep: ``op`` applied levels - 1 times."""
     expr = leaf

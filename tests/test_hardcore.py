@@ -10,11 +10,14 @@ from cptk.dfa import Dfa
 from cptk.families import (FamilyFlags, finite_family, length_family, list_family,
                            regular_family)
 from cptk.hardcore import (ACCEPTED, TraceEntry, hardcore_componentwise, hardcore_run,
-                           hardcore_step, initial_state, is_proper_hardcore,
-                           trace_from_jsonl, trace_to_jsonl, verify_trace)
+                           is_proper_hardcore, trace_from_jsonl, trace_to_jsonl,
+                           verify_trace)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, Predicate, is_finite, member, subset_of)
 from cptk.words import Alphabet, lex, ord_
+
+from . import scalar_oracle
+from .scalar_oracle import hardcore_step, initial_state
 
 
 def simulate(family_member, in_condition, in_target, alphabet_symbols, steps):
@@ -276,6 +279,17 @@ def test_marker_language_fails_against_family_containing_it(ab):
     report = is_proper_hardcore(a_marked, FULL, fam, index_bound=4, horizon=300)
     assert not report["holds_up_to_bounds"]
     assert any(v["index"] in (0, 2) for v in report["violations"])
+
+
+@pytest.mark.parametrize("index_bound, horizon, message", [
+    (0, 300, "index bound must be at least 1, got 0"),
+    (4, -5, "horizon must be at least 0, got -5")])
+def test_proper_hardcore_validates_its_bounds(ab, index_bound, horizon, message):
+    """No index scanned held up to the bounds; a negative horizon ended in
+    numpy's "negative dimensions are not allowed"."""
+    with pytest.raises(ValueError, match=message):
+        is_proper_hardcore(LeftMark("a", FULL), FULL, regular_family(ab),
+                           index_bound=index_bound, horizon=horizon)
 
 
 def scalar_is_proper_hardcore(b, target, family, index_bound, horizon=300,
@@ -580,6 +594,7 @@ def count_family_member_calls(monkeypatch, family):
 
     monkeypatch.setattr(cptk.langs, "member", counting)
     monkeypatch.setattr(cptk.hardcore, "member", counting)
+    monkeypatch.setattr(scalar_oracle, "member", counting)
     return calls
 
 

@@ -7,8 +7,7 @@ import pytest
 
 from cptk import kernels, langs
 from cptk.families import regular_family
-from cptk.langs import (Complement, DfaAtom, FiniteSet, LeftMark, Predicate,
-                        StepBudgetExceeded, member, step_budget, window_rows)
+from cptk.langs import DfaAtom, FiniteSet, LeftMark, Predicate, member, window_rows
 from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
 
 from .batch_oracle import accepts_batch, batch_row, member_batch, row_bits, window
@@ -125,20 +124,6 @@ def test_window_rows_match_member_batch(symbols):
         assert rows == [row_bits(member_batch(e, packed)) for e in exprs]
 
 
-def test_window_rows_charge_step_budget(ab):
-    rng = np.random.default_rng(9)
-    atoms = [DfaAtom(random_dfa(rng, 2)) for _ in range(6)]
-    exprs = atoms + [Complement(atoms[0])]
-    # one step per word and atom, the complemented atom included
-    cost = 7 * 50
-    with step_budget(cost):
-        window_rows(exprs, ab, 50)
-    with step_budget(cost - 1), pytest.raises(StepBudgetExceeded):
-        window_rows(exprs, ab, 50)
-    with step_budget(6 * 50 - 1), pytest.raises(StepBudgetExceeded):
-        window_rows(atoms, ab, 50)
-
-
 def per_state_window_rows(exprs, alphabet, count):
     """``window_rows`` as it read each state's row with its own
     ``row_bits`` call: the reference for the packed pass."""
@@ -156,7 +141,6 @@ def per_state_window_rows(exprs, alphabet, count):
         if packed is None:
             packed = window(alphabet, count)
         out[k] = row_bits(member_batch(e, packed))
-    langs._tick(count * sum(len(ks) for ks in tables.values()))
     groups = list(tables.values())
     step = max(1, langs._STACK_WORDS // max(count, 1))
     for lo in range(0, len(groups), step):
@@ -215,27 +199,10 @@ def test_packed_rows_match_per_state_rows_over_many_stacks(ab, monkeypatch):
         assert window_rows(exprs, ab, count) == per_state_window_rows(exprs, ab, count)
 
 
-def test_packed_rows_charge_step_budget_as_per_state_rows(ab):
-    exprs = shared_table_exprs(ab, np.random.default_rng(21))
-    atoms = sum(isinstance(e, DfaAtom) for e in exprs)
-    with step_budget(10 ** 9):
-        per_state_window_rows(exprs, ab, 40)
-        full = 10 ** 9 - langs._budget_state.remaining
-
-    def run(build, budget):
-        with step_budget(budget):
-            return outcome(lambda: build(exprs, ab, 40))
-
-    for budget in (0, 39, 40, 41, 40 * atoms - 1, 40 * atoms, full - 1, full):
-        assert run(window_rows, budget) == run(per_state_window_rows, budget)
-    assert run(window_rows, full - 1) is StepBudgetExceeded
-    assert isinstance(run(window_rows, full), list)
-
-
 def outcome(build):
     try:
         return build()
-    except (AlphabetMismatch, StepBudgetExceeded) as exc:
+    except AlphabetMismatch as exc:
         return type(exc)
 
 
@@ -270,25 +237,14 @@ def test_finite_set_row_alphabet_mismatch_as_member_batch(ab):
     assert window_rows([FiniteSet(("a", "aac"))], ab, 7) == [0b10]
 
 
-def test_finite_set_rows_charge_step_budget_in_order(ab):
-    """A finite set charges one step per word before it looks at its words,
-    in expression order, as ``member_batch`` did."""
+def test_finite_set_row_mismatch_in_a_mixed_list(ab):
+    """A finite set with a word off the alphabet fails the whole mixed
+    list, as ``member_batch`` did."""
     sets = [FiniteSet(("aa", "b")), Predicate("square-length"), FiniteSet(("ac",))]
 
     def reference():
         return [batch_row(e, ab, 50) for e in sets]
 
-    for budget in (49, 50, 99, 100, 149, 150, 151):
-        def rows():
-            with step_budget(budget):
-                return window_rows(sets, ab, 50)
-
-        def want():
-            with step_budget(budget):
-                return reference()
-
-        assert outcome(rows) == outcome(want)
-    with step_budget(149), pytest.raises(StepBudgetExceeded):
-        window_rows(sets, ab, 50)
-    with step_budget(150), pytest.raises(AlphabetMismatch):
+    assert outcome(lambda: window_rows(sets, ab, 50)) == outcome(reference)
+    with pytest.raises(AlphabetMismatch):
         window_rows(sets, ab, 50)

@@ -7,11 +7,10 @@ import pytest
 from cptk import langs
 from cptk.classify import disjoint_verdict
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
-                        LeftMark, LeftQuotient, NonRegularLeaf, Predicate,
-                        StepBudgetExceeded, Union, UnknownPredicate, emptiness,
-                        equivalent, expr_from_json, expr_to_json, is_finite, member,
-                        regular_view, simplify, step_budget, subset_of,
-                        to_automaton, window_rows)
+                        LeftMark, LeftQuotient, NonRegularLeaf, Predicate, Union,
+                        UnknownPredicate, emptiness, equivalent, expr_from_json,
+                        expr_to_json, is_finite, member, regular_view, simplify,
+                        subset_of, to_automaton, window_rows)
 from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
 
 from .batch_oracle import batch_row
@@ -301,13 +300,3 @@ def test_json_rejects_malformed(ab):
         expr_from_json({"op": "xor", "args": []}, 2)
     with pytest.raises(UnknownPredicate):
         expr_from_json({"predicate": "nope"}, 2)
-
-
-def test_step_budget(ab):
-    expr = Union(tuple(Predicate("square-length") for _ in range(4)))
-    with step_budget(10 ** 6):
-        assert member(expr, "aa", ab) is False
-    with pytest.raises(StepBudgetExceeded):
-        with step_budget(3):
-            for i in range(10):
-                member(expr, "aaaa", ab)

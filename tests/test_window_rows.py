@@ -1,17 +1,15 @@
 """The window evaluator against the replaced per-word batch evaluator
 (:mod:`tests.batch_oracle`) and, bit by bit, against scalar membership:
 quotients pushed down to the leaves, marks as block shifts, predicates as
-window-exact automata, the alphabet checks and the step budget."""
+window-exact automata and the alphabet checks."""
 
 import numpy as np
 import pytest
 
-from cptk import langs
 from cptk.dfa import Dfa
 from cptk.langs import (FULL, Complement, DfaAtom, FiniteSet, Inter, LeftMark,
-                        LeftQuotient, Predicate, StepBudgetExceeded, Union,
-                        UnknownPredicate, member, resolve_predicate, step_budget,
-                        window_rows)
+                        LeftQuotient, Predicate, Union, UnknownPredicate, member,
+                        resolve_predicate, window_rows)
 from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
 
 from .batch_oracle import batch_row
@@ -117,7 +115,7 @@ def test_predicate_automata_exact_up_to_their_length(symbols, longest):
 def outcome(build):
     try:
         return build()
-    except (AlphabetMismatch, StepBudgetExceeded, UnknownPredicate) as exc:
+    except (AlphabetMismatch, UnknownPredicate) as exc:
         return type(exc)
 
 
@@ -150,45 +148,9 @@ def test_alphabet_mismatch_as_the_batch_evaluator(ab):
     assert raised == set(cases)
 
 
-def used_steps(build):
-    with step_budget(10 ** 9):
-        build()
-        return 10 ** 9 - langs._budget_state.remaining
-
-
-@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
-def test_nested_leaves_charge_their_batch_words(symbols):
-    """A leaf charges the words of the batch it is evaluated on: the
-    window under quotients, the words starting with the mark under a mark.
-    Subtrees the batch evaluator met on two batches and the rows meet
-    once charge less."""
-    alphabet = Alphabet.parse(symbols)
-    rng = np.random.default_rng(17)
-    x, y = alphabet.symbols[0], alphabet.symbols[-1]
-    atom = DfaAtom(random_dfa(rng, alphabet.size))
-    pinned = [LeftMark(x, atom), LeftMark(y, LeftQuotient(x + y, atom)),
-              LeftQuotient(y, LeftMark(y, LeftMark(x, Predicate("square-length")))),
-              Complement(LeftMark(y, Union((atom, FiniteSet((x,)))))),
-              LeftQuotient(x, LeftMark(y, atom))]
-    for count in (0, 1, 2, 7, 8, 40, 301):
-        for e in pinned:
-            assert used_steps(lambda: window_rows([e], alphabet, count)) == \
-                used_steps(lambda: batch_row(e, alphabet, count)), (e, count)
-        for e in quotient_exprs(rng, alphabet, 20):
-            assert used_steps(lambda: window_rows([e], alphabet, count)) <= \
-                used_steps(lambda: batch_row(e, alphabet, count))
-    # the charges add up over expressions, each with its own memo
-    assert used_steps(lambda: window_rows(pinned, alphabet, 40)) == \
-        sum(used_steps(lambda: batch_row(e, alphabet, 40)) for e in pinned)
-    cost = used_steps(lambda: window_rows(pinned, alphabet, 40))
-    with step_budget(cost - 1), pytest.raises(StepBudgetExceeded):
-        window_rows(pinned, alphabet, 40)
-
-
 def test_mark_over_a_window_no_word_passes_evaluates_nothing(ab):
     """No word of lex(0..1) starts with b: the argument is never reached."""
     wrong = DfaAtom(Dfa(3, ((0, 0, 0),), 0, frozenset({0})))
-    with step_budget(0):
-        assert window_rows([LeftMark("b", wrong)], ab, 2) == [0]
+    assert window_rows([LeftMark("b", wrong)], ab, 2) == [0]
     assert window_rows([LeftMark("a", Complement(FiniteSet(())))], ab, 2) == [0b10]
     assert lex(ab, 1) == "a"
