@@ -19,7 +19,8 @@ from . import codec
 from .families import FamilyEnum
 from .langs import (FULL, Complement, Inter, LangExpr, Union, emptiness,
                     equivalent, is_finite, simplify, subset_of, window_rows)
-from .verdicts import CERTIFIED, REFUTED, UNKNOWN, FinitenessVerdict, Verdict
+from .verdicts import (CERTIFIED, REFUTED, UNKNOWN, FinitenessVerdict, Verdict,
+                       validate_horizon)
 from .words import Alphabet
 
 # members seen below the horizon that count as evidence, not proof, that a
@@ -240,7 +241,7 @@ def is_partition(blocks, alphabet: Alphabet, family: FamilyEnum | None = None,
         block_rows = window_rows(blocks, family.alphabet, horizon + 1)
         member_indices = []
         for t, (block, row) in enumerate(zip(blocks, block_rows)):
-            for i in index.leaders.get(row, ()):
+            for i in index.leaders(row):
                 verdict = equivalent(family.expr(i), block, family.alphabet, horizon)
                 if not verdict.is_refuted:
                     break
@@ -320,8 +321,7 @@ def _disjoint_tuples(rows, pools, prefix=(), acc=0):
 def validate_bounds(index_bound: int, horizon: int) -> None:
     """A search needs at least one family index and a window of at least
     one word; anything less would certify from no evidence."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be at least 0, got {horizon}")
+    validate_horizon(horizon)
     if index_bound < 1:
         raise ValueError(f"index bound must be at least 1, got {index_bound}")
 
@@ -340,14 +340,13 @@ def _search(problem, family, index_bound, horizon, condition=None):
     k = len(problem)
     alphabet = problem.alphabet
     index = family.classes(index_bound, horizon)
-    rows, full, leaders = index.rows, index.full, index.leaders
+    rows, full = index.rows, index.full
     # the components' rows, then the condition's
     given = window_rows(problem.components + (() if condition is None else (condition,)),
                         alphabet, horizon + 1)
     comp_rows = given[:k]
     # each component's containment candidates, one index per language
-    cand = [sorted(i for row, ls in leaders.items() if not comp & ~row for i in ls)
-            for comp in comp_rows]
+    cand = [index.leaders_containing(comp) for comp in comp_rows]
     if not all(cand):
         return SolveNotFound(index_bound, horizon)
     offset = 0 if condition is None else 1
@@ -359,7 +358,7 @@ def _search(problem, family, index_bound, horizon, condition=None):
         for rest, acc in _disjoint_tuples(rows, pools):
             if hosted[perm[0]] & acc:
                 continue
-            for i in leaders.get(full & ~acc, ()):
+            for i in index.leaders(full & ~acc):
                 tuples.setdefault((i,) + rest, []).append(perm)
     for slots in sorted(tuples, key=codec.tuple_code):
         blocks = tuple(family.expr(i) for i in slots)

@@ -10,7 +10,11 @@ The shipped regular family enumerates every complete automaton over the
 alphabet by (state count, transition table, accepting set); the table and
 the accepting characteristic vector are both ranked lexicographically with
 the first position most significant.  Canonical indices of minimized
-automata are computable in both directions.
+automata are computable in both directions.  Its window rows come straight
+from the transition tables, a stack of tables per pass, and
+:class:`ClassIndex` asks it for the largest state count below a bound,
+read from the block starts; neither builds an automaton per index.  Other
+families answer both from their expressions.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codec
+from . import codec, kernels
 from .dfa import Dfa, dfa_length_equals
 from .langs import (EMPTY, Complement, DfaAtom, FiniteSet, Inter, LangExpr,
                     Union, check_symbols, expr_from_json, member, regular_view,
                     window_rows)
+from .verdicts import validate_horizon
 from .words import Alphabet, lex
 
 
@@ -57,12 +62,20 @@ class FamilyEnum:
     """An enumerated family with memoized expressions and window rows."""
 
     def __init__(self, name: str, alphabet: Alphabet, generator, exact: bool,
-                 flags: FamilyFlags = FamilyFlags()):
+                 flags: FamilyFlags = FamilyFlags(), row_builder=None,
+                 state_bound=None):
         self.name = name
         self.alphabet = alphabet
         self.generator = generator
         self.exact = exact
         self.flags = flags
+        #: ``row_builder(lo, hi, count)``: the rows of the indices lo..hi-1
+        #: over lex(0..count-1), as :func:`langs.window_rows` finds them for
+        #: their expressions; ``state_bound(index_bound)``: what
+        #: :meth:`max_states` returns.  Both default to scans over the
+        #: expressions.
+        self.row_builder = row_builder
+        self.state_bound = state_bound
         self._exprs: dict[int, LangExpr] = {}
         self._rows: dict[int, list[int]] = {}
         #: ``classes(index_bound, horizon)``, the ``ROW_HORIZONS`` latest kept
@@ -98,10 +111,23 @@ class FamilyEnum:
         if len(self._rows) > ROW_HORIZONS:
             del self._rows[next(iter(self._rows))]
         if len(cached) < index_bound:
-            new = range(len(cached), index_bound)
-            cached.extend(window_rows([self.expr(i) for i in new], self.alphabet,
-                                      horizon + 1))
+            lo = len(cached)
+            if self.row_builder is not None:
+                cached.extend(self.row_builder(lo, index_bound, horizon + 1))
+            else:
+                cached.extend(window_rows([self.expr(i) for i in range(lo, index_bound)],
+                                          self.alphabet, horizon + 1))
         return cached[:index_bound]
+
+    def max_states(self, index_bound: int) -> int | None:
+        """The most states of an automaton below the bound, if every index
+        below it is an automaton atom (1 below bound 0); None otherwise."""
+        if self.state_bound is not None:
+            return self.state_bound(index_bound)
+        exprs = [self.expr(i) for i in range(index_bound)]
+        if not all(isinstance(e, DfaAtom) for e in exprs):
+            return None
+        return max((e.dfa.n_states for e in exprs), default=1)
 
 
 class ClassIndex:
@@ -111,8 +137,9 @@ class ClassIndex:
     Equal languages have equal rows.  Automata with at most N states whose
     languages differ, or are not complements, show it on a word of length
     at most 2N - 2 (Moore 1956).  So on an exact family whose indices
-    below the bound are automaton atoms with at most N states, equal rows
-    mean equal languages once the window holds every word that short.  On
+    below the bound are automaton atoms with at most N states
+    (:meth:`FamilyEnum.max_states`), equal rows mean equal languages once
+    the window holds every word that short, and each row is one class.  On
     the other exact families a row shared by several indices is split by
     the indices' minimal automata from :func:`langs.regular_view`, equal
     exactly when the languages are, and complement classes are confirmed
@@ -124,36 +151,58 @@ class ClassIndex:
         self.family, self.horizon = family, horizon
         self.rows = family.rows(index_bound, horizon)
         self.full = (1 << (horizon + 1)) - 1
-        by_row = _group(range(index_bound), self.rows.__getitem__)
-        exprs = [family.expr(i) for i in range(index_bound)]
-        self.split = family.exact and not (
-            all(isinstance(e, DfaAtom) for e in exprs)
-            and len(lex(family.alphabet, horizon + 1))
-            > 2 * max((e.dfa.n_states for e in exprs), default=1) - 2)
-        self._at = {row: list(_group(members, self._view).values())
-                    if self.split and len(members) > 1 else [members]
-                    for row, members in by_row.items()}
-        #: the classes in order of least index
-        self.classes = sorted((c for at in self._at.values() for c in at),
-                              key=lambda c: c[0])
-        #: the indices with a row that lookups tell apart, ascending: the
-        #: least of each class on exact families, every index on the others
-        self.leaders = ({row: [c[0] for c in at] for row, at in self._at.items()}
-                        if family.exact else by_row)
+        if family.exact:
+            states = family.max_states(index_bound)
+            self.split = states is None or (len(lex(family.alphabet, horizon + 1))
+                                            <= 2 * states - 2)
+        else:
+            self.split = False
+        # row -> its class, or on the split route its classes; one list per
+        # class on the other routes, since a lasting index of thousands of
+        # small lists makes the collector's young generations slow
+        self._at = _group(range(index_bound), self.rows.__getitem__)
+        if self.split:
+            self._at = {row: list(_group(members, self._view).values())
+                        if len(members) > 1 else [members]
+                        for row, members in self._at.items()}
+            #: the classes in order of least index
+            self.classes = sorted((c for at in self._at.values() for c in at),
+                                  key=lambda c: c[0])
+        else:
+            self.classes = list(self._at.values())
+
+    def leaders(self, row: int) -> list[int]:
+        """The indices with this row that lookups tell apart, ascending: the
+        least of each class on exact families, every index on the others."""
+        at = self._at.get(row)
+        if at is None:
+            return []
+        if self.split:
+            return [c[0] for c in at]
+        return at[:1] if self.family.exact else at
+
+    def leaders_containing(self, row: int) -> list[int]:
+        """The leaders, ascending, whose rows hold every word of ``row``."""
+        if self.split or not self.family.exact:
+            return sorted(i for r in self._at if not row & ~r for i in self.leaders(r))
+        # one class per row, and the rows in order of their least index
+        return [at[0] for r, at in self._at.items() if not row & ~r]
 
     def complement(self, cls: list[int]) -> list[int]:
         """The class of the complement of a class's language, or []."""
-        others = self._at.get(self.full & ~self.rows[cls[0]], [])
-        if self.split and others:
-            least = self.index_of(self._view(cls[0]).complement())
-            others = [c for c in others if c[0] == least]
-        return others[0] if others else []
+        at = self._at.get(self.full & ~self.rows[cls[0]])
+        if at is None:
+            return []
+        if not self.split:
+            return at
+        least = self.index_of(self._view(cls[0]).complement())
+        return next((c for c in at if c[0] == least), [])
 
     def index_of(self, dfa: Dfa) -> int | None:
         """The least index whose minimal automaton, from
         :func:`langs.regular_view`, is the minimal automaton ``dfa``."""
         row = window_rows([DfaAtom(dfa)], self.family.alphabet, self.horizon + 1)[0]
-        return next((i for i in self.leaders.get(row, ()) if self._view(i) == dfa), None)
+        return next((i for i in self.leaders(row) if self._view(i) == dfa), None)
 
     def _view(self, i: int) -> Dfa | None:
         """The language key of index i: its minimal automaton."""
@@ -205,26 +254,65 @@ def canonical_index(dfa: Dfa) -> int:
     return regular_index_encode(dfa.minimize())
 
 
+def _regular_rows(n: int, n_symbols: int, lo: int, hi: int, count: int) -> list[int]:
+    """The rows over lex(0..count-1) of the offsets lo..hi-1 into the
+    n-state block of the regular family.
+
+    The block's tables are decoded a stack at a time, with vectorised
+    digits, and run in one pass of :func:`kernels.window_final_states`; the
+    2^n accepting sets of a table are built up one state at a time, each
+    set's row one OR of a smaller set's row and a state's row.
+    """
+    width = n * n_symbols
+    first, last = lo >> n, (hi - 1) >> n  # the tables of the range
+    step = max(1, kernels.STACK_WORDS // (n * max(count, 1)))
+    out = []
+    for rank in range(first, last + 1, step):
+        ranks = np.arange(rank, min(rank + step, last + 1), dtype=np.int64)
+        digits = np.empty((len(ranks), width), dtype=np.int32)
+        for p in range(width - 1, -1, -1):
+            ranks, digits[:, p] = np.divmod(ranks, n)
+        offsets = np.arange(0, len(digits) * n, n, dtype=np.int32)
+        trans = (digits + offsets[:, None]).reshape(-1, n_symbols)
+        finals = kernels.window_final_states(trans, offsets, count)
+        states = kernels.packed_state_rows(finals, len(trans), np.arange(len(trans)))
+        for t in range(0, len(states), n):
+            # acc rank a accepts in state s when bit n-1-s of a is set
+            sets = [0]
+            for state in reversed(states[t:t + n]):
+                sets += [row | state for row in sets]
+            out += sets
+    skip = lo - (first << n)
+    return out[skip:skip + hi - lo]
+
+
 def regular_family(alphabet: Alphabet) -> FamilyEnum:
     """Every regular language over the alphabet, with many duplicate indices.
 
     Index i is the automaton (initial state 0) that
-    :func:`regular_index_encode` maps to i, decoded one transition table at
-    a time: the 2^n indices of an n-state table differ only in their
-    accepting set, so they share one rows tuple (decoded and checked
-    once), and the accepting sets are shared per (n, rank).
+    :func:`regular_index_encode` maps to i.  Its expression is decoded one
+    transition table at a time: the 2^n indices of an n-state table differ
+    only in their accepting set, so they share one rows tuple (decoded and
+    checked once), and the accepting sets are shared per (n, rank).  The
+    family's window rows come straight from the tables
+    (:func:`_regular_rows`), and the largest state count below a bound from
+    the block starts, so neither builds an automaton per index.
     """
     n_symbols = alphabet.size
     starts = [0]  # starts[n - 1]: the first index of the n-state block
     tables: dict[tuple[int, int], tuple] = {}
     accepting: dict[tuple[int, int], frozenset[int]] = {}
 
-    def gen(i: int) -> LangExpr:
+    def states_of(i: int) -> int:
+        """The state count of index i; starts[n] exists once it returns n."""
         if i < 0:
             raise ValueError("index must be nonnegative")
         while starts[-1] <= i:
             starts.append(starts[-1] + _regular_block(len(starts), n_symbols))
-        n = bisect.bisect_right(starts, i)
+        return bisect.bisect_right(starts, i)
+
+    def gen(i: int) -> LangExpr:
+        n = states_of(i)
         table_rank, acc_rank = divmod(i - starts[n - 1], 2 ** n)
         rows = tables.get((n, table_rank))
         if rows is None:
@@ -235,9 +323,23 @@ def regular_family(alphabet: Alphabet) -> FamilyEnum:
                 s for s in range(n) if acc_rank & (1 << (n - 1 - s)))
         return DfaAtom(Dfa(n_symbols, rows, 0, acc))
 
+    def row_builder(lo: int, hi: int, count: int) -> list[int]:
+        out = []
+        while lo < hi:
+            n = states_of(lo)
+            end = min(hi, starts[n])
+            out += _regular_rows(n, n_symbols, lo - starts[n - 1], end - starts[n - 1],
+                                 count)
+            lo = end
+        return out
+
+    def state_bound(index_bound: int) -> int:
+        return states_of(index_bound - 1) if index_bound > 0 else 1
+
     return FamilyEnum("regular", alphabet, gen, exact=True,
                       flags=FamilyFlags(nontrivial=True, union_closed=True,
-                                        inter_closed=True, complement_closed=True))
+                                        inter_closed=True, complement_closed=True),
+                      row_builder=row_builder, state_bound=state_bound)
 
 
 def length_family(alphabet: Alphabet) -> FamilyEnum:
@@ -425,6 +527,7 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
     """
     if law_id not in LAW_IDS:
         raise ValueError(f"unknown law {law_id!r}; choose from {LAW_IDS}")
+    validate_horizon(horizon)
     rng = np.random.default_rng(seed)
     report = _law_report(law_id, index_samples, horizon)
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .dfa import Dfa, dfa_for_finite, dfa_word_starts_with
 from .verdicts import (CERTIFIED, FINITE, INFINITE, REFUTED, UNKNOWN,
-                       FinitenessVerdict, Verdict)
+                       FinitenessVerdict, Verdict, validate_horizon)
 from .words import Alphabet, lex, ord_
 
 
@@ -229,11 +229,6 @@ def _alphabet_mismatch(expr, alphabet):
         f"automaton over {expr.dfa.n_symbols} symbols used with alphabet of size {alphabet.size}")
 
 
-# bound on automata x words per stacked pass, which keeps the int32 state
-# array and the gathers that fill it small
-_STACK_WORDS = 1 << 16
-
-
 def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
     """Membership of lex(0..count-1) in each expression, as int bitsets
     whose bit j is set when lex(j) is a member.
@@ -248,10 +243,9 @@ def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
     leaves of all expressions share stacked passes of
     :func:`kernels.window_final_states`, one run per distinct (transitions,
     initial) table, and a leaf's row is the union of the rows of its
-    accepting states.  The state rows of a stack come from one
-    ``np.packbits`` call over a one-hot of its final states against the
-    ids of the states some atom accepts in.  Union, intersection and
-    complement are ``|``, ``&`` and ``full & ~``.
+    accepting states.  The rows of the states some atom accepts in come
+    from :func:`kernels.packed_state_rows`, once per stack.  Union,
+    intersection and complement are ``|``, ``&`` and ``full & ~``.
     """
     exprs = list(exprs)
     out = [0] * len(exprs)
@@ -349,7 +343,7 @@ class _Lowering:
         """Fill the state rows of every table with the stacked passes."""
         count = self.count
         groups = list(self.tables.values())
-        step = max(1, _STACK_WORDS // max(count, 1))
+        step = max(1, kernels.STACK_WORDS // max(count, 1))
         for lo in range(0, len(groups), step):
             stack = groups[lo:lo + step]
             dfas = [d for d, _, _, _ in stack]
@@ -358,24 +352,14 @@ class _Lowering:
                                     for d, off in zip(dfas, offsets)]).astype(np.int32)
             initials = offsets[:-1] + [d.initial for d in dfas]
             finals = kernels.window_final_states(trans, initials, count)
-            # one packed pass over the states some atom accepts in: byte row p
-            # holds the ranks that end in state used[p]; the others share a
-            # spare last row
-            starts = offsets.tolist()
             for _, accepts, states, _ in stack:
                 states.update(dict.fromkeys(set().union(*accepts), 0))
-            used = [off + s for (_, _, states, _), off in zip(stack, starts) for s in states]
-            slot = np.full(starts[-1], len(used), dtype=np.int32)
-            slot[used] = np.arange(len(used))
-            hot = np.zeros((len(used) + 1, count), dtype=bool)
-            hot[slot[finals], np.arange(count)] = True
-            width = -(-count // 8)
-            data = np.packbits(hot, axis=1, bitorder="little").tobytes()
-            p = 0
+            used = [off + s for (_, _, states, _), off in zip(stack, offsets.tolist())
+                    for s in states]
+            rows = iter(kernels.packed_state_rows(finals, int(offsets[-1]), used))
             for _, _, states, _ in stack:
                 for s in states:
-                    states[s] = int.from_bytes(data[p * width:(p + 1) * width], "little")
-                    p += 1
+                    states[s] = next(rows)
 
 
 def _once(row):
@@ -705,6 +689,7 @@ def is_finite(expr: LangExpr, alphabet: Alphabet, horizon: int = 0) -> Finitenes
     Opaque predicates never produce an exact Infinite verdict: the scan
     reports how many members it saw and leaves the question open.
     """
+    validate_horizon(horizon)
     view = regular_view(expr, alphabet)
     if view is not None:
         count = view.count_accepted()
@@ -728,6 +713,7 @@ def emptiness(expr: LangExpr, alphabet: Alphabet, horizon: int = 300) -> Verdict
     the answer unknown.  The window scan evaluates ``expr`` as passed,
     which lets callers' sub-expressions share one memoized evaluation.
     """
+    validate_horizon(horizon)
     view = regular_view(expr, alphabet)
     if view is not None:
         least = view.least_accepted()

@@ -16,6 +16,13 @@ REFUTED = "refuted"
 UNKNOWN = "unknown"
 
 
+def validate_horizon(horizon: int) -> None:
+    """A window needs at least one word: lex(0..horizon) with horizon at
+    least 0.  Anything less would label a verdict with an empty window."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be at least 0, got {horizon}")
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a yes/no question about languages.

@@ -5,6 +5,7 @@ import pytest
 
 from cptk import dfa as dfa_module
 from cptk import families
+from cptk.classify import load_problem, solve
 from cptk.codec import seq_code, seq_decode
 from cptk.dfa import Dfa
 from cptk.families import (LAW_IDS, FamilyEnum, canonical_index, check_law, close_b,
@@ -201,6 +202,14 @@ def test_check_law_rejects_unknown(reg_ab):
         check_law("associativity", reg_ab, 5, 100)
 
 
+@pytest.mark.parametrize("horizon", [-1, -3])
+def test_check_law_rejects_negative_horizon(reg_ab, horizon):
+    """A law checked over an empty window would report agreements from no
+    word at all."""
+    with pytest.raises(ValueError, match=f"horizon must be at least 0, got {horizon}"):
+        check_law("deMorgan", reg_ab, 5, horizon, 0)
+
+
 def test_family_from_json(ab):
     fam = family_from_json({"alphabet": "ab", "builtin": "regular"})
     assert fam.exact and fam.flags.nontrivial
@@ -254,12 +263,14 @@ def test_regular_family_block_starts_and_shared_tables(ab):
 
 
 def test_regular_classes_decode_and_check_each_table_once(ab, monkeypatch, cold_caches):
-    """Building the README class index decodes and checks one table per
-    distinct table (472), not one per index (3700)."""
-    decoded = []
+    """Building the README class index decodes no table into an automaton
+    and constructs no ``Dfa`` (3700, one per index, before the rows came
+    straight from the 472 tables); the README solve still finds its exact
+    certificate."""
+    decoded, checked, built = [], [], []
     decode = families._regular_table
-    checked = []
     check = dfa_module._table_fault.__wrapped__
+    post_init = Dfa.__post_init__
 
     def counted_decode(*args):
         decoded.append(args)
@@ -269,14 +280,22 @@ def test_regular_classes_decode_and_check_each_table_once(ab, monkeypatch, cold_
         checked.append(transitions)
         return check(n_symbols, transitions)
 
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
     monkeypatch.setattr(families, "_regular_table", counted_decode)
     monkeypatch.setattr(dfa_module, "_table_fault",
                         functools.lru_cache(dfa_module.TABLE_CHECKS)(counted_check))
+    monkeypatch.setattr(Dfa, "__post_init__", counted_post_init)
     fam = regular_family(ab)
-    fam.classes(3700, 300)
-    tables = {fam.expr(i).dfa.transitions for i in range(3700)}
-    assert len(tables) == 472
-    assert len(decoded) <= 472 and len(checked) <= 472
+    index = fam.classes(3700, 300)
+    assert len(index.classes) == 914 and not index.split
+    assert (len(decoded), len(checked), len(built)) == (0, 0, 0)
+    readme = load_problem([LeftMark("a", Complement(Predicate("square-length"))),
+                           LeftMark("b", Predicate("square-length"))], ab)
+    cert = solve(readme, fam, 3700, 300)
+    assert cert.indices == (3664, 3659) and cert.status == "exact"
 
 
 def test_list_family_periodic(ab):

@@ -142,7 +142,7 @@ def per_state_window_rows(exprs, alphabet, count):
             packed = window(alphabet, count)
         out[k] = row_bits(member_batch(e, packed))
     groups = list(tables.values())
-    step = max(1, langs._STACK_WORDS // max(count, 1))
+    step = max(1, kernels.STACK_WORDS // max(count, 1))
     for lo in range(0, len(groups), step):
         dfas = [exprs[ks[0]].dfa for ks in groups[lo:lo + step]]
         offsets = np.cumsum([0] + [d.n_states for d in dfas])
@@ -192,9 +192,9 @@ def test_packed_rows_match_per_state_rows_over_many_stacks(ab, monkeypatch):
     301 words; a smaller stack bound splits short windows too."""
     exprs = [regular_family(ab).expr(i) for i in range(3000)]
     exprs += shared_table_exprs(ab, np.random.default_rng(3))
-    assert len({e.dfa.transitions for e in exprs[:3000]}) > langs._STACK_WORDS // 301
+    assert len({e.dfa.transitions for e in exprs[:3000]}) > kernels.STACK_WORDS // 301
     assert window_rows(exprs, ab, 301) == per_state_window_rows(exprs, ab, 301)
-    monkeypatch.setattr(langs, "_STACK_WORDS", 16)
+    monkeypatch.setattr(kernels, "STACK_WORDS", 16)
     for count in (1, 8, 9, 40):
         assert window_rows(exprs, ab, count) == per_state_window_rows(exprs, ab, count)
 

@@ -300,3 +300,20 @@ def test_json_rejects_malformed(ab):
         expr_from_json({"op": "xor", "args": []}, 2)
     with pytest.raises(UnknownPredicate):
         expr_from_json({"predicate": "nope"}, 2)
+
+
+@pytest.mark.parametrize("horizon", [-1, -3])
+def test_decisions_reject_negative_horizon(ab, horizon):
+    """Each decision refuses a window of no word, on the exact route as on
+    the window scan, with an error that names the bound."""
+    sq = Predicate("square-length")
+    message = f"horizon must be at least 0, got {horizon}"
+    for call in (lambda: subset_of(FULL, sq, ab, horizon),
+                 lambda: subset_of(FULL, FULL, ab, horizon),
+                 lambda: is_finite(sq, ab, horizon),
+                 lambda: is_finite(FULL, ab, horizon),
+                 lambda: emptiness(sq, ab, horizon),
+                 lambda: emptiness(EMPTY, ab, horizon),
+                 lambda: equivalent(sq, FULL, ab, horizon)):
+        with pytest.raises(ValueError, match=message):
+            call()
