@@ -95,8 +95,13 @@ class Dfa:
     # algebra
 
     def complement(self) -> "Dfa":
-        return Dfa(self.n_symbols, self.transitions, self.initial,
-                   frozenset(range(self.n_states)) - self.accepting)
+        out = Dfa(self.n_symbols, self.transitions, self.initial,
+                  frozenset(range(self.n_states)) - self.accepting)
+        if self._minimal:
+            # the same states stay reachable and pairwise distinct, and the
+            # breadth-first numbering does not read the accepting set
+            object.__setattr__(out, "_minimal", True)
+        return out
 
     def product(self, other: "Dfa", op) -> "Dfa":
         """Reachable product automaton; ``op`` combines acceptance bits."""

@@ -13,8 +13,9 @@ the first position most significant.  Canonical indices of minimized
 automata are computable in both directions.  Its window rows come straight
 from the transition tables, a stack of tables per pass, and
 :class:`ClassIndex` asks it for the largest state count below a bound,
-read from the block starts; neither builds an automaton per index.  Other
-families answer both from their expressions.
+read from the block starts; neither builds an automaton per index.  The
+finite family builds its rows from the decoded word ranks, with no
+expression.  Other families answer both from their expressions.
 """
 
 from __future__ import annotations
@@ -352,7 +353,11 @@ def length_family(alphabet: Alphabet) -> FamilyEnum:
 
 
 def finite_family(alphabet: Alphabet) -> FamilyEnum:
-    """All finite languages: index 0 is empty, others decode rank tuples."""
+    """All finite languages: index 0 is empty, others decode rank tuples.
+
+    A window row is built from the ranks themselves: the bits of the ranks
+    below the window's end.
+    """
     # lex(0..r) for the largest rank r decoded so far; the ranks of index
     # i are below i, so this list never outgrows the family's expressions
     words: list[str] = []
@@ -366,9 +371,15 @@ def finite_family(alphabet: Alphabet) -> FamilyEnum:
             words.extend(lex(alphabet, r) for r in range(len(words), top + 1))
         return FiniteSet(tuple(words[r] for r in ranks))
 
+    def row_builder(lo: int, hi: int, count: int) -> list[int]:
+        # index i > 0 holds the words of the ranks seq_decode(i - 1)
+        return [sum({1 << r for r in codec.seq_decode(i - 1) if r < count}) if i else 0
+                for i in range(lo, hi)]
+
     return FamilyEnum("finite", alphabet, gen, exact=True,
                       flags=FamilyFlags(nontrivial=False, union_closed=True,
-                                        inter_closed=True, complement_closed=False))
+                                        inter_closed=True, complement_closed=False),
+                      row_builder=row_builder)
 
 
 def list_family(name: str, alphabet: Alphabet, exprs, flags: FamilyFlags = FamilyFlags(),

@@ -12,15 +12,18 @@ bit-reproducible and replay-verifiable.
 rows: the condition and target rows over every rank, and the family rows
 of the guarded indices folded into one column bitset per rank, so a step
 reads one column instead of asking each guarded language about its word.
-The verifier still looks up each cancellation witness by scalar
-membership.
+Both decide a step by the one rule of :func:`_step`; the verifier replays
+the run inside its own loop, from the state the trace itself builds, and
+looks up each cancellation witness by scalar membership.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 from .classify import ConditionalProblem, is_infinite_evidence, validate_bounds
 from .families import FamilyEnum
@@ -50,8 +53,10 @@ REASON_NOT_IN_TARGET = "not-in-target"
 REASON_IN_CONDITION = "in-condition"
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
+    """One step of a trace: the step number and its word, what the step
+    did, the indices it cancelled, and the accepted count after it."""
+
     n: int
     word: str
     action: str
@@ -144,6 +149,27 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _step(col: int, cancelled: int, in_condition: int, in_target: int
+          ) -> tuple[str, int, str | None, int | None]:
+    """One step of the loop on one word: its action, the bitset of the
+    indices it cancels, its reason and its blocking index.
+
+    ``col`` holds the guarded indices whose languages contain the word,
+    ``cancelled`` the indices cancelled before it.  A condition word cancels
+    every uncancelled index of its column; a target word outside the
+    condition is blocked by the least of them, and accepted when there is
+    none.
+    """
+    live = col & ~cancelled
+    if in_condition:
+        return (CANCELLED if live else SKIPPED), live, REASON_IN_CONDITION, None
+    if not in_target:
+        return SKIPPED, 0, REASON_NOT_IN_TARGET, None
+    if live:
+        return SKIPPED, 0, REASON_BLOCKED, (live & -live).bit_length() - 1
+    return ACCEPTED, 0, None, None
+
+
 def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
                  alphabet: Alphabet, steps: int
                  ) -> tuple[DiagonalizationState, list[TraceEntry]]:
@@ -152,9 +178,7 @@ def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
     Step n runs the loop of the module docstring on lex(n).  The
     condition and target rows cover every rank; a guarded index adds its
     family row to the column bitsets of the ranks still to come, so each
-    step reads one column: its uncancelled bits are the indices the word
-    cancels (condition) or the least of them blocks it (target, outside
-    the condition).
+    step reads one column and :func:`_step` decides it.
 
     The accepted prefix decides membership below rank ``steps`` exactly
     (accept exactly the listed words); beyond that the run says nothing.
@@ -164,32 +188,18 @@ def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
     cond_row, target_row = window_rows([condition, target], alphabet, steps)
     guards = _Guards(family, steps)
     guards.guard(0, 0)
+    cols = guards.cols
     accepted: list[str] = []
     cancelled = 0
     trace: list[TraceEntry] = []
     for n, w in enumerate(words_up_to(alphabet, steps)):
-        in_condition = cond_row >> n & 1
-        newly_cancelled: tuple[int, ...] = ()
-        if in_condition:
-            hits = guards.cols[n] & ~cancelled
-            newly_cancelled = tuple(_bits(hits))
-            cancelled |= hits
-        action, reason, blocking = SKIPPED, None, None
-        if target_row >> n & 1 and not in_condition:
-            claims = guards.cols[n] & ~cancelled
-            if claims:
-                reason, blocking = REASON_BLOCKED, (claims & -claims).bit_length() - 1
-            else:
-                accepted.append(w)
-                action = ACCEPTED
-                guards.guard(len(accepted), n + 1)
-        elif in_condition:
-            reason = REASON_IN_CONDITION
-        else:
-            reason = REASON_NOT_IN_TARGET
-        if action == SKIPPED and newly_cancelled:
-            action = CANCELLED
-        trace.append(TraceEntry(n, w, action, newly_cancelled, len(accepted),
+        action, hits, reason, blocking = _step(cols[n], cancelled, cond_row >> n & 1,
+                                               target_row >> n & 1)
+        cancelled |= hits
+        if action == ACCEPTED:
+            accepted.append(w)
+            guards.guard(len(accepted), n + 1)
+        trace.append(TraceEntry(n, w, action, tuple(_bits(hits)), len(accepted),
                                 reason, blocking))
     state = DiagonalizationState(steps, tuple(accepted), frozenset(_bits(cancelled)))
     return state, trace
@@ -213,8 +223,14 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
     languages meet the accepted prefix only among the words accepted
     before they became guarded; (d) the prefix lies in the target and
     avoids the condition (it is strictly increasing because every checked
-    entry holds the word of its step); and full equality with a replay by
-    :func:`hardcore_run`.
+    entry holds the word of its step); and full equality with a fresh run.
+
+    The replay runs inside the one loop: until the first entry that
+    differs from the run's, the guards built from the trace's acceptances
+    and the cancellations it lists are exactly the state of a fresh
+    :func:`hardcore_run`, so :func:`_step` on that state gives the entry
+    the run would write.  The first difference is reported last, as
+    ``replay-divergence``.
 
     Checks (a), (c) and (d) read window rows over ``len(trace)`` words;
     the witnesses of (b) are looked up by scalar membership, once per
@@ -229,7 +245,18 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
     accepted_ranks: list[int] = []
     cancel: set[int] = set()
     cancel_mask = 0   # the cancelled indices that can ever be guarded
+    divergence = None
     for pos, (entry, w) in enumerate(zip(trace, words_up_to(alphabet, steps))):
+        if divergence is None:
+            action, hits, reason, blocking = _step(guards.cols[pos], cancel_mask,
+                                                   cond_row >> pos & 1,
+                                                   target_row >> pos & 1)
+            want = (pos, w, action, tuple(_bits(hits)),
+                    len(accepted_ranks) + (action == ACCEPTED), reason, blocking)
+            if entry != want:
+                divergence = _violation(pos, "replay-divergence",
+                                        {"expected": TraceEntry(*want).to_json(),
+                                         "found": entry.to_json()})
         if entry.n != pos:
             violations.append(_violation(entry.n, "step-numbering",
                                          f"expected step {pos}"))
@@ -285,15 +312,8 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
             words = [lex(alphabet, r) for r in _bits(late)]
             violations.append(_violation(None, "late-intersection",
                                          f"index {i} meets words accepted while guarded: {words}"))
-    # the trace must equal a fresh run bit for bit
-    if trace:
-        _, expected = hardcore_run(family, condition, target, alphabet, steps)
-        for pos, (want, found) in enumerate(zip(expected, trace)):
-            if want != found:
-                violations.append(_violation(pos, "replay-divergence",
-                                             {"expected": want.to_json(),
-                                              "found": found.to_json()}))
-                break
+    if divergence is not None:
+        violations.append(divergence)
     return {"ok": not violations, "violations": violations,
             "steps": steps, "final_card": final_card,
             "cancelled": sorted(cancel)}
@@ -370,13 +390,46 @@ def _trace_line(e: TraceEntry) -> str:
             f'"card":{e.card},"n":{e.n}{reason},"word":{_quote(e.word)}}}\n')
 
 
+# the lines of _trace_line field by field, whose strings need no escape:
+# a JSON string with no backslash, quote or control character is its
+# own text, and a JSON integer is its own digits
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_INT = r'-?(?:0|[1-9][0-9]*)'
+_TRACE_LINE = re.compile(
+    rf'{{"action":{_STRING}(?:,"blocking":({_INT}))?,'
+    rf'"cancelled":\[((?:{_INT}(?:,{_INT})*)?)\],"card":({_INT}),"n":({_INT})'
+    rf'(?:,"reason":{_STRING})?,"word":{_STRING}}}')
+
+
 def trace_from_jsonl(text: str) -> list[TraceEntry]:
+    """The entries of a JSONL trace, one per nonblank ``"\\n"``-separated
+    line.
+
+    A line as :func:`trace_to_jsonl` writes it, with no escape in its
+    strings, is read by one regular expression; any other line is decoded
+    by ``json.loads`` and :meth:`TraceEntry.from_json`.  A line that is not
+    an entry raises :class:`ValueError` naming its line number.
+    """
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        match = _TRACE_LINE.fullmatch(line)
         try:
-            out.append(TraceEntry.from_json(json.loads(line)))
+            if match is not None:
+                out.append(_match_entry(match))
+            elif line.strip():
+                out.append(TraceEntry.from_json(json.loads(line)))
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from exc
     return out
+
+
+def _match_entry(match: re.Match) -> TraceEntry:
+    """The entry of a line that :data:`_TRACE_LINE` matched.  The integers
+    are converted in the order of the line, so that one too long for
+    ``int`` fails as the first one ``json.loads`` would fail on."""
+    action, blocking, cancelled, card, n, reason, word = match.groups()
+    if blocking is not None:
+        blocking = int(blocking)
+    cancelled = tuple(map(int, cancelled.split(","))) if cancelled else ()
+    card = int(card)
+    return TraceEntry(int(n), word, action, cancelled, card, reason, blocking)

@@ -462,6 +462,26 @@ def test_verify_trace_malformed_line_exits_2(finite_trace, capsys, text):
     assert "trace line 1: " in err
 
 
+def test_verify_trace_reads_words_with_line_boundary_characters(tmp_path, capsys):
+    """Words holding U+2028, U+2029, U+0085 or \\x1c-\\x1e, written raw where
+    JSON allows it: the reader split such lines and exited 2 with
+    "Unterminated string"."""
+    symbols = "a\u2028\u2029\x85\x1c\x1d\x1e"
+    family = write(tmp_path, "finite.json", {"alphabet": symbols, "builtin": "finite"})
+    full = write(tmp_path, "full.json", {"alphabet": symbols, "expr": expr_to_json(FULL)})
+    trace_path = tmp_path / "trace.jsonl"
+    common = ["--family", family, "--target", full, "--trace", str(trace_path)]
+    code, out, _ = run_main(["hardcore", *common, "--steps", "60"], capsys)
+    assert code == 0
+    lines = [json.loads(line) for line in trace_path.read_text().split("\n") if line]
+    raw = "".join(json.dumps(e, ensure_ascii=False) + "\n" for e in lines)
+    assert all(c in raw for c in "\u2028\u2029\x85")
+    trace_path.write_text(raw, encoding="utf-8")
+    code, out, err = run_main(["verify-trace", *common], capsys)
+    assert code == 0, err
+    assert json.loads(out)["ok"] and json.loads(out)["steps"] == 60
+
+
 def alphabet_case_inputs(tmp_path, capsys, family, case):
     """The argv of one command whose named file is over another alphabet
     (or the family's symbols in another order) than the family."""

@@ -183,6 +183,26 @@ def test_finite_family_matches_lex_decoding(symbols, order):
         assert fam.expr(i) == want[i]
 
 
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+@pytest.mark.parametrize("count", [0, 1, 7, 301, 600])
+def test_finite_rows_match_expression_rows(symbols, count):
+    """The rank-built rows against ``window_rows`` over the expressions,
+    for ranges that start at 0 and past it."""
+    alphabet = Alphabet.parse(symbols)
+    family = finite_family(alphabet)
+    for lo, hi in ((0, 40), (1, 2), (37, 300), (299, 600)):
+        want = window_rows([family.expr(i) for i in range(lo, hi)], alphabet, count)
+        assert family.row_builder(lo, hi, count) == want
+
+
+def test_finite_rows_build_no_expression(ab, monkeypatch):
+    family = finite_family(ab)
+    monkeypatch.setattr(family, "generator", lambda i: pytest.fail(f"expr({i}) built"))
+    rows = family.rows(600, 599)
+    assert len(rows) == 600 and family._exprs == {}
+    assert rows == window_rows([lex_finite_gen(ab, i) for i in range(600)], ab, 600)
+
+
 def test_length_family_exact(ab):
     fam = length_family(ab)
     for i in range(6):

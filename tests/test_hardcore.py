@@ -1,10 +1,12 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 import cptk.hardcore
 import cptk.langs
+from cptk import cli
 from cptk.classify import load_conditional
 from cptk.dfa import Dfa
 from cptk.families import (FamilyFlags, finite_family, length_family, list_family,
@@ -18,6 +20,7 @@ from cptk.words import Alphabet, lex, ord_
 
 from . import scalar_oracle
 from .scalar_oracle import hardcore_step, initial_state
+from .trace_oracle import per_line_trace_from_jsonl, two_pass_verify_trace
 
 
 def simulate(family_member, in_condition, in_target, alphabet_symbols, steps):
@@ -638,3 +641,178 @@ def test_condition_words_inside_the_target_still_cancel(ab, reg_ab):
     assert all(not w.startswith("a") for w in state.accepted)
     assert trace == step_run(regular_family(ab), condition, target, ab, 600)[1]
     assert verify_trace(trace, reg_ab, condition, target, ab)["ok"]
+
+
+# ---------------------------------------------------------------------------
+# the one-pass verifier and the fast trace reader against the code they
+# replaced (tests/trace_oracle.py)
+
+
+@pytest.mark.parametrize("languages", sorted(MARKERS))
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_one_pass_verifier_matches_two_pass_verifier(ab, builtin, languages):
+    """The tampered traces above, and random single-field tamperings of
+    runs at 1, 2, 64 and 300 steps."""
+    condition, target = MARKERS[languages]
+    rng = np.random.default_rng([sorted(BUILTINS).index(builtin),
+                                 sorted(MARKERS).index(languages)])
+    family = BUILTINS[builtin](ab)
+    codes = set()
+    for steps in (1, 2, 64, 300):
+        _, trace = hardcore_run(family, condition, target, ab, steps)
+        traces = list(tampered_traces(trace).values())
+        traces += [single_field_tampering(trace, field, rng, ab)
+                   for field in TraceEntry._fields for _ in range(2)]
+        for t in traces:
+            got = verify_trace(t, family, condition, target, ab)
+            want = two_pass_verify_trace(t, BUILTINS[builtin](ab), condition, target, ab)
+            assert got == want
+            codes |= {v["code"] for v in got["violations"]}
+    assert "replay-divergence" in codes
+
+
+def single_field_tampering(trace, field, rng, alphabet):
+    """The trace with one field of one random entry changed."""
+    k = int(rng.integers(len(trace)))
+    e = trace[k]
+    pos, card = e.n, e.card
+    choices = {
+        "n": [pos + 1, pos - 1, -1, 10 ** 20],
+        "word": [lex(alphabet, pos + 1), e.word + "a", "c", ""],
+        "action": [ACCEPTED, "cancelled", "skipped", "bogus"],
+        "cancelled": [e.cancelled + (card,), e.cancelled[1:], (0,), (-1,), (10 ** 20,),
+                      e.cancelled + (card + 1,), e.cancelled * 2],
+        "card": [card + 1, card - 1, 0],
+        "reason": [None, "blocked", "in-condition", "not-in-target"],
+        "blocking": [None, 0, card, card + 1]}[field]
+    values = [v for v in choices if v != getattr(e, field)]
+    t = list(trace)
+    t[k] = e._replace(**{field: values[int(rng.integers(len(values)))]})
+    return t
+
+
+def canonical_lines():
+    """Canonical trace lines over alphabets whose words need escapes and
+    whose words do not, with every action, reason and blocking."""
+    traces = [HAND_BUILT]
+    for symbols in ("ab", "aé"):
+        alphabet = Alphabet.parse(symbols)
+        x, y = alphabet.symbols
+        for condition, target in ((EMPTY, FULL), (LeftMark(x, SQ), LeftMark(y, FULL))):
+            traces.append(hardcore_run(length_family(alphabet), condition, target,
+                                       alphabet, 120)[1])
+    return [line for t in traces for line in trace_to_jsonl(t).split("\n")[:-1]]
+
+
+def read_both(text):
+    """The result of each reader: the entries' repr, or the error message."""
+    out = []
+    for read in (trace_from_jsonl, per_line_trace_from_jsonl):
+        try:
+            out.append(repr(read(text)))
+        except ValueError as exc:
+            out.append(f"ValueError: {exc}")
+    return out
+
+
+def test_fast_reader_matches_per_line_reader_on_mutated_lines():
+    """One-character inserts, deletes and replacements of canonical lines,
+    three lines to a text."""
+    lines = canonical_lines()
+    pool = ['\\', "a", "é", "\x01", '"', ",", ":", "0", "1", "-", "[", "]", "{", "}",
+            " ", "e", ".", "\x7f", "\U0001f600"]
+    rng = np.random.default_rng(7)
+    fast = errors = 0
+    for _ in range(7000):
+        picked = [lines[int(k)] for k in rng.integers(len(lines), size=3)]
+        which = int(rng.integers(3))
+        line = picked[which]
+        at = int(rng.integers(len(line) + 1))
+        char = pool[int(rng.integers(len(pool)))]
+        edit = int(rng.integers(3))
+        if edit == 0:
+            line = line[:at] + char + line[at:]
+        elif edit == 1:
+            line = line[:at] + line[at + 1:]
+        else:
+            line = line[:at] + char + line[at + 1:]
+        picked[which] = line
+        text = "\n".join(picked) + "\n"
+        got, want = read_both(text)
+        assert got == want, text
+        errors += got.startswith("ValueError")
+        fast += cptk.hardcore._TRACE_LINE.fullmatch(line) is not None
+    # both routes and both outcomes are exercised
+    assert fast > 500 and 1000 < errors < 6000
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "  \n\t\n", '{"action":"accepted","cancelled":[],"card":1,"n":0,"word":""}',
+    '{"action":"accepted","cancelled":[],"card":1,"n":0,"word":""}\r\n',
+    '{"action":"accepted","cancelled":[],"card":1,"n":-0,"word":""}\n',
+    '{"action":"accepted","cancelled":[],"card":1,"n":00,"word":""}\n',
+    '{"action":"accepted","cancelled":[ ],"card":1,"n":0,"word":""}\n',
+    '{"action":"accepted","cancelled":[1,],"card":1,"n":0,"word":""}\n',
+    '{"action":"accepted","cancelled":[],"card":1,"n":0,"word":"\\u0061"}\n',
+    '{"action":"accepted","cancelled":[],"card":1,"n":0,"word":"a"} \n',
+    '{"action":"accepted","cancelled":[],"card":1,"n":0,"word":"a"}{}\n',
+    '{"action":"x","blocking":' + "7" * 5000 + ',"cancelled":[' + "8" * 4400
+    + '],"card":' + "9" * 6000 + ',"n":0,"word":"a"}\n',
+    '{"action":"x","cancelled":[1,' + "8" * 4400 + '],"card":' + "9" * 6000
+    + ',"n":0,"word":"a"}\n'])
+def test_fast_reader_matches_per_line_reader_on_edge_lines(text):
+    got, want = read_both(text)
+    assert got == want
+
+
+BOUNDARY_CHARS = ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e"]
+
+
+def test_reader_splits_lines_on_newline_only():
+    """``str.splitlines`` also split inside JSON strings, at the line
+    boundaries U+2028, U+2029, U+0085 and \\x1c-\\x1e."""
+    entries = [TraceEntry(k, f"a{c}b", "skipped", (), 0, "not-in-target")
+               for k, c in enumerate(BOUNDARY_CHARS)]
+    text = "".join(json.dumps(e.to_json(), ensure_ascii=False) + "\n" for e in entries)
+    assert "\u2028" in text and "\x85" in text
+    assert trace_from_jsonl(text) == entries
+    with pytest.raises(ValueError, match="trace line 1: Unterminated string"):
+        per_line_trace_from_jsonl(text)
+    # a file whose lines are separated by another boundary is one line
+    for c in BOUNDARY_CHARS:
+        with pytest.raises(ValueError, match="trace line 1: Extra data"):
+            trace_from_jsonl(trace_to_jsonl(entries).replace("\n", c))
+
+
+def test_verify_trace_command_builds_one_guard_and_no_run(tmp_path, capsys, monkeypatch):
+    """The replay reads the verifier's own guards: it used to run the whole
+    diagonalization again, with a second _Guards."""
+    files = {"regular.json": {"alphabet": "ab", "builtin": "regular"},
+             "condition.json": {"alphabet": "ab", "expr": {"op": "leftmark", "symbol": "a",
+                                                           "arg": {"predicate": "prime-length"}}},
+             "target.json": {"alphabet": "ab", "expr": {"op": "leftmark", "symbol": "b",
+                                                        "arg": {"finite": []}}}}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    args = ["--family", str(tmp_path / "regular.json"),
+            "--condition", str(tmp_path / "condition.json"),
+            "--target", str(tmp_path / "target.json"), "--trace", str(tmp_path / "t.jsonl")]
+    assert cli.main(["hardcore", *args, "--steps", "200"]) == 0
+    guards = []
+    real_init = cptk.hardcore._Guards.__init__
+
+    def counting_init(self, family, steps):
+        guards.append(steps)
+        real_init(self, family, steps)
+
+    def no_run(*args):
+        raise AssertionError("hardcore_run called")
+
+    monkeypatch.setattr(cptk.hardcore._Guards, "__init__", counting_init)
+    monkeypatch.setattr(cptk.hardcore, "hardcore_run", no_run)
+    monkeypatch.setattr(cli, "hardcore_run", no_run)
+    capsys.readouterr()
+    assert cli.main(["verify-trace", *args]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert guards == [200]
+

@@ -16,7 +16,7 @@ import pytest
 from cptk import cli
 from cptk.dfa import Dfa
 from cptk.families import length_family
-from cptk.langs import (Complement, Inter, LeftMark, LeftQuotient, Union, emptiness,
+from cptk.langs import (Complement, DfaAtom, Inter, LeftMark, LeftQuotient, Union, emptiness,
                         regular_view, simplify)
 from cptk.verdicts import CERTIFIED, REFUTED, UNKNOWN, Verdict
 from cptk.words import Alphabet, lex
@@ -92,6 +92,18 @@ def test_marked_minimize_matches_unmarked_hopcroft(alphabet):
             assert other.minimize() == unmarked_minimize(other)
 
 
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=str)
+def test_complement_of_a_minimal_automaton_is_marked(alphabet):
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        m = random_dfa(rng, alphabet.size, max_states=6).minimize()
+        c = m.complement()
+        assert c._minimal and c.minimize() is c
+        assert c == unmarked_minimize(c) == unmarked_minimize(m.complement())
+        assert c.complement() == m and c.complement()._minimal
+    assert not random_dfa(rng, alphabet.size, max_states=6).complement()._minimal
+
+
 def test_the_mark_is_no_field():
     d = Dfa(2, ((1, 0), (1, 1)), 0, frozenset({1}))
     m = d.minimize()
@@ -113,6 +125,15 @@ def hopcroft_passes(monkeypatch, cold_caches):
         return original(self)
     monkeypatch.setattr(Dfa, "_coarsest_congruence", counted)
     return passes
+
+
+def test_complement_of_a_minimal_atom_needs_no_pass(ab, hopcroft_passes):
+    """The view of the complement of a minimal automaton atom took one more
+    Hopcroft pass before the complement carried the mark."""
+    m = Dfa(2, ((1, 0), (1, 1)), 0, frozenset({1})).minimize()
+    hopcroft_passes.clear()
+    assert regular_view(Complement(DfaAtom(m)), ab) == unmarked_minimize(m.complement())
+    assert len(hopcroft_passes) == 1  # the reference's own pass
 
 
 def test_length_family_classes_minimize_each_index_once(ab, hopcroft_passes):

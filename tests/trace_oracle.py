@@ -1,0 +1,118 @@
+"""The trace verifier and trace reader that :mod:`cptk.hardcore` replaced,
+kept as differential oracles for the tests.
+
+``two_pass_verify_trace`` checks the loop invariants in one loop and then
+replays the whole diagonalization with :func:`cptk.hardcore.hardcore_run`
+to compare traces; the library's ``verify_trace`` replays inside its one
+loop.  ``per_line_trace_from_jsonl`` decodes every line with
+``json.loads``; the library's reader takes canonical lines by a fast path.
+The code is a copy of what the library held; only its own names are
+spelled out as imports.
+"""
+
+from __future__ import annotations
+
+import json
+
+from cptk.families import FamilyEnum
+from cptk.hardcore import (ACCEPTED, TraceEntry, _bits, _Guards, _violation,
+                           hardcore_run)
+from cptk.langs import LangExpr, member, window_rows
+from cptk.words import Alphabet, lex, words_up_to
+
+
+def two_pass_verify_trace(trace: list[TraceEntry], family: FamilyEnum,
+                          condition: LangExpr, target: LangExpr,
+                          alphabet: Alphabet) -> dict:
+    """The verifier with its replay as a second, separate run."""
+    steps = len(trace)
+    violations = []
+    cond_row, target_row = window_rows([condition, target], alphabet, steps)
+    guards = _Guards(family, steps)
+    guards.guard(0, 0)
+    accepted_ranks: list[int] = []
+    cancel: set[int] = set()
+    cancel_mask = 0   # the cancelled indices that can ever be guarded
+    for pos, (entry, w) in enumerate(zip(trace, words_up_to(alphabet, steps))):
+        if entry.n != pos:
+            violations.append(_violation(entry.n, "step-numbering",
+                                         f"expected step {pos}"))
+            break
+        if entry.word != w:
+            violations.append(_violation(pos, "word-rank",
+                                         f"word {entry.word!r} is not lex({pos})"))
+            continue
+        card_before = len(accepted_ranks)
+        # (b) cancellations need their condition witness
+        for i in entry.cancelled:
+            guarded = 0 <= i <= card_before
+            if not member(condition, w, alphabet):
+                violations.append(_violation(pos, "cancel-no-condition-witness",
+                                             f"index {i} cancelled on {w!r} not in the condition"))
+            elif guarded and not member(family.expr(i), w, alphabet):
+                violations.append(_violation(pos, "cancel-no-membership-witness",
+                                             f"index {i} cancelled but {w!r} not in language {i}"))
+            if not guarded:
+                where = "negative" if i < 0 else f"beyond guard {card_before}"
+                violations.append(_violation(pos, "cancel-outside-guard",
+                                             f"index {i} {where}"))
+            if i in cancel:
+                violations.append(_violation(pos, "cancel-repeated",
+                                             f"index {i} already cancelled"))
+            cancel.add(i)
+            if 0 <= i < steps:
+                cancel_mask |= 1 << i
+        if entry.action == ACCEPTED:
+            # (d) prefix discipline
+            if not target_row >> pos & 1:
+                violations.append(_violation(pos, "accept-outside-target", w))
+            if cond_row >> pos & 1:
+                violations.append(_violation(pos, "accept-inside-condition", w))
+            # (a) acceptance guard
+            for i in _bits(guards.cols[pos] & ~cancel_mask):
+                violations.append(_violation(pos, "accept-blocked",
+                                             f"uncancelled index {i} contains {w!r}"))
+            accepted_ranks.append(pos)
+            guards.guard(len(accepted_ranks), pos + 1)
+        if entry.card != len(accepted_ranks):
+            violations.append(_violation(pos, "card-mismatch",
+                                         f"declared {entry.card}, replay has {len(accepted_ranks)}"))
+    # (c) finite-intersection bound for surviving guarded indices: index i
+    # was guarded when the words from the i-th accepted one on were accepted
+    final_card = len(accepted_ranks)
+    since = [0] * (final_card + 1)
+    for k in reversed(range(final_card)):
+        since[k] = since[k + 1] | 1 << accepted_ranks[k]
+    for i, row in enumerate(family.rows(final_card, steps - 1)):
+        late = row & since[i]
+        if late and i not in cancel:
+            words = [lex(alphabet, r) for r in _bits(late)]
+            violations.append(_violation(None, "late-intersection",
+                                         f"index {i} meets words accepted while guarded: {words}"))
+    # the trace must equal a fresh run bit for bit
+    if trace:
+        _, expected = hardcore_run(family, condition, target, alphabet, steps)
+        for pos, (want, found) in enumerate(zip(expected, trace)):
+            if want != found:
+                violations.append(_violation(pos, "replay-divergence",
+                                             {"expected": want.to_json(),
+                                              "found": found.to_json()}))
+                break
+    return {"ok": not violations, "violations": violations,
+            "steps": steps, "final_card": final_card,
+            "cancelled": sorted(cancel)}
+
+
+def per_line_trace_from_jsonl(text: str) -> list[TraceEntry]:
+    """The reader with ``json.loads`` on every line.  It splits lines with
+    ``str.splitlines``, so it agrees with the library's reader only on text
+    whose one line boundary is ``"\\n"``."""
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(TraceEntry.from_json(json.loads(line)))
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"trace line {lineno}: {exc}") from exc
+    return out
