@@ -25,16 +25,17 @@ File formats (all JSON):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .classify import (ProblemPrecondition, PartitionCertificate, load_conditional,
-                       load_problem, solve, solve_conditional)
+from .classify import (ClosureFlagsAbsent, ProblemPrecondition, PartitionCertificate,
+                       load_conditional, load_problem, solve, solve_conditional)
 from .cohesion import check_ccohesive, check_ccore, check_cohesive, check_core
 from .constructions import example_26, ziegler_problem
 from .families import LAW_IDS, check_law, family_from_json
 from .hardcore import (hardcore_run, trace_from_jsonl, trace_to_jsonl, verify_trace)
-from .langs import EMPTY, check_symbols, expr_from_json, expr_to_json
+from .langs import EMPTY, expr_from_json, expr_to_json
 from .words import Alphabet, words_up_to
 
 EXIT_OK = 0
@@ -89,7 +90,7 @@ def _load_language(path: str):
     data = _read_json(path)
     try:
         alphabet = Alphabet.parse(data["alphabet"], data.get("order"))
-        expr = check_symbols(expr_from_json(data["expr"], alphabet.size), alphabet)
+        expr = expr_from_json(data["expr"], alphabet)
     except MALFORMED as exc:
         raise CliError(EXIT_USAGE, f"{path}: {exc}")
     return alphabet, expr
@@ -114,11 +115,9 @@ def _load_problem_file(path: str, horizon: int):
     data = _read_json(path)
     try:
         alphabet = Alphabet.parse(data["alphabet"], data.get("order"))
-        comps = [check_symbols(expr_from_json(c, alphabet.size), alphabet)
-                 for c in data["components"]]
+        comps = [expr_from_json(c, alphabet) for c in data["components"]]
         condition = data.get("condition")
-        cond_expr = None if condition is None else check_symbols(
-            expr_from_json(condition, alphabet.size), alphabet)
+        cond_expr = None if condition is None else expr_from_json(condition, alphabet)
     except MALFORMED as exc:
         raise CliError(EXIT_USAGE, f"{path}: {exc}")
     try:
@@ -128,6 +127,8 @@ def _load_problem_file(path: str, horizon: int):
         return alphabet, cond.problem, cond
     except ProblemPrecondition as exc:
         raise CliError(EXIT_PRECONDITION, f"{path}: {exc}")
+    except ValueError as exc:  # no component
+        raise CliError(EXIT_USAGE, f"{path}: {exc}")
 
 
 def _emit(report: dict, args) -> None:
@@ -154,7 +155,10 @@ def _config_echo(args, **extra) -> dict:
 
 
 def cmd_lex(args) -> int:
-    alphabet = Alphabet.parse(args.alphabet, args.order)
+    try:
+        alphabet = Alphabet.parse(args.alphabet, args.order)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc))
     for w in words_up_to(alphabet, args.count):
         print(w)
     return EXIT_OK
@@ -214,13 +218,19 @@ def cmd_ccore(args) -> int:
     family = _load_family(args.family)
     alphabet, problem, cond = _load_problem_file(args.problem, args.horizon)
     _check_alphabet(family, alphabet, "problem")
-    if cond is None:
-        report = check_core(problem, family, args.index_bound, args.horizon,
-                            subset_samples=args.samples, seed=args.seed)
-        status = report["core_status"]
-    else:
-        report = check_ccore(cond, family, args.index_bound, args.horizon)
-        status = report["ccore_status"]
+    if cond is None and len(problem) < 2:
+        raise CliError(EXIT_USAGE, f"{args.problem}: core status concerns problems "
+                                   "with at least 2 components")
+    try:
+        if cond is None:
+            report = check_core(problem, family, args.index_bound, args.horizon,
+                                subset_samples=args.samples, seed=args.seed)
+            status = report["core_status"]
+        else:
+            report = check_ccore(cond, family, args.index_bound, args.horizon)
+            status = report["ccore_status"]
+    except ClosureFlagsAbsent as exc:
+        raise CliError(EXIT_USAGE, f"{args.family}: {exc}")
     _emit({"config": _config_echo(args), **report}, args)
     _summary(status)
     return EXIT_OK if status == "refuted" else EXIT_INCONCLUSIVE
@@ -261,9 +271,9 @@ def cmd_verify_trace(args) -> int:
     condition, alphabet, target = _load_condition_and_target(args, family)
     try:
         trace = trace_from_jsonl(_read_text(args.trace))
-    except ValueError as exc:
+        report = verify_trace(trace, family, condition, target, alphabet)
+    except ValueError as exc:  # a malformed line, or no line at all
         raise CliError(EXIT_USAGE, f"{args.trace}: {exc}")
-    report = verify_trace(trace, family, condition, target, alphabet)
     _emit({"config": _config_echo(args), **report}, args)
     if report["ok"]:
         _summary(f"trace verified over {report['steps']} steps")
@@ -308,7 +318,9 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cptk",
         description=__doc__,

@@ -30,8 +30,7 @@ import numpy as np
 from . import codec, kernels
 from .dfa import Dfa, dfa_length_equals
 from .langs import (EMPTY, Complement, DfaAtom, FiniteSet, Inter, LangExpr,
-                    Union, check_symbols, expr_from_json, member, regular_view,
-                    window_rows)
+                    Union, expr_from_json, member, regular_view, window_rows)
 from .verdicts import validate_horizon
 from .words import Alphabet, lex
 
@@ -608,8 +607,7 @@ def family_from_json(data: dict) -> FamilyEnum:
         except KeyError:
             raise ValueError(f"unknown builtin family {data['builtin']!r}") from None
     elif "list" in data:
-        exprs = [check_symbols(expr_from_json(e, alphabet.size), alphabet)
-                 for e in data["list"]]
+        exprs = [expr_from_json(e, alphabet) for e in data["list"]]
         declared = data.get("flags", {})
         flags = FamilyFlags(
             nontrivial=bool(declared.get("nontrivial", False)),

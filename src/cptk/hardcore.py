@@ -232,12 +232,15 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
     the run would write.  The first difference is reported last, as
     ``replay-divergence``.
 
-    Checks (a), (c) and (d) read window rows over ``len(trace)`` words;
-    the witnesses of (b) are looked up by scalar membership, once per
-    listed cancellation.  An index outside the guard is reported without
-    looking up its language.
+    Checks (a), (c) and (d), and the condition witness of (b), read window
+    rows over ``len(trace)`` words; the family witness of (b) is looked up
+    by :func:`langs.member`, once per listed cancellation.  An index
+    outside the guard is reported without looking up its language.  An
+    empty trace raises ValueError: a run writes at least one step.
     """
     steps = len(trace)
+    if steps < 1:
+        raise ValueError("an empty trace has no steps to verify")
     violations = []
     cond_row, target_row = window_rows([condition, target], alphabet, steps)
     guards = _Guards(family, steps)
@@ -269,7 +272,7 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
         # (b) cancellations need their condition witness
         for i in entry.cancelled:
             guarded = 0 <= i <= card_before
-            if not member(condition, w, alphabet):
+            if not cond_row >> pos & 1:
                 violations.append(_violation(pos, "cancel-no-condition-witness",
                                              f"index {i} cancelled on {w!r} not in the condition"))
             elif guarded and not member(family.expr(i), w, alphabet):

@@ -2,8 +2,10 @@
 
 An expression tree combines atoms (explicit finite sets, automata, named
 total-recursive predicates) under union, intersection, complement, left
-marking and left quotient.  Membership is decided structurally word by
-word, or in bulk as int rows over the window lex(0..n-1).
+marking and left quotient.  There is one evaluator, :func:`window_rows`:
+it gives membership in bulk as int rows over the window lex(0..n-1), and
+the membership of one word w in e is the one-word row of w⁻¹e.  Each
+predicate is an automaton built exact up to the longest word asked about.
 
 The regular fragment has an exact automaton backend.  A small sound
 rewriter (:func:`simplify`) collapses marker and complement structure, so
@@ -126,27 +128,15 @@ def _prime_mask(limit: int) -> np.ndarray:
     return _prime_sieve
 
 
-class _PredicateImpl:
-    def __init__(self, name, scalar, automaton):
-        self.name = name
-        self.scalar = scalar
-        # automaton(alphabet, longest): a Dfa that agrees with ``scalar`` on
-        # every word of length at most ``longest``
-        self.automaton = automaton
-
-
 def _length_predicate(test):
-    """Scalar and automaton of a predicate on word length alone."""
-    def scalar(alphabet, word):
-        return test(len(word))
-
+    """The automaton builder of a predicate on word length alone."""
     def automaton(alphabet, longest):
         # state n counts the length up to longest, where it stays
         rows = tuple((min(n + 1, longest),) * alphabet.size for n in range(longest + 1))
         return Dfa(alphabet.size, rows, 0,
                    frozenset(n for n in range(longest + 1) if test(n)))
 
-    return scalar, automaton
+    return automaton
 
 
 def _is_square(n):
@@ -159,10 +149,7 @@ def _is_prime(n):
 
 
 def _equal_counts(x, y):
-    def scalar(alphabet, word):
-        alphabet.code(x), alphabet.code(y)
-        return word.count(x) == word.count(y)
-
+    """The automaton builder of ``#x == #y``."""
     def automaton(alphabet, longest):
         # state longest + d holds #x - #y = d; no word of length at most
         # longest leaves [-longest, longest], where the count is clamped
@@ -173,54 +160,34 @@ def _equal_counts(x, y):
                      for s in range(top + 1))
         return Dfa(alphabet.size, rows, longest, frozenset({longest}))
 
-    return scalar, automaton
+    return automaton
 
 
-def resolve_predicate(name: str) -> _PredicateImpl:
+def resolve_predicate(name: str):
+    """The automaton builder of a named predicate: ``automaton(alphabet,
+    longest)`` is a Dfa that decides the predicate on every word of length
+    at most ``longest``."""
     if name == "square-length":
-        return _PredicateImpl(name, *_length_predicate(_is_square))
+        return _length_predicate(_is_square)
     if name == "prime-length":
-        return _PredicateImpl(name, *_length_predicate(_is_prime))
+        return _length_predicate(_is_prime)
     if name.startswith("equal-counts-") and len(name) == len("equal-counts-") + 2:
         x, y = name[-2], name[-1]
         if x != y:
-            return _PredicateImpl(name, *_equal_counts(x, y))
+            return _equal_counts(x, y)
     raise UnknownPredicate(name)
 
 
 # ---------------------------------------------------------------------------
-# membership: window rows for every evaluation, scalar member as the
-# independent one-word lookup
+# membership: the window rows evaluate every expression; one word is the
+# one-bit row of its quotient
 
 
 def member(expr: LangExpr, word: str, alphabet: Alphabet) -> bool:
-    """Structural membership of one word."""
+    """Is the word in the language?  w is in e exactly when the empty word,
+    lex(0), is in w⁻¹e: the one-word window row of the quotient."""
     alphabet.check(word)
-    return _member(expr, word, alphabet)
-
-
-def _member(expr, word, alphabet):
-    if isinstance(expr, FiniteSet):
-        return word in expr.words
-    if isinstance(expr, DfaAtom):
-        if expr.dfa.n_symbols != alphabet.size:
-            raise _alphabet_mismatch(expr, alphabet)
-        return expr.dfa.accepts(alphabet, word)
-    if isinstance(expr, Predicate):
-        return bool(resolve_predicate(expr.name).scalar(alphabet, word))
-    if isinstance(expr, Union):
-        return any(_member(a, word, alphabet) for a in expr.args)
-    if isinstance(expr, Inter):
-        return all(_member(a, word, alphabet) for a in expr.args)
-    if isinstance(expr, Complement):
-        return not _member(expr.arg, word, alphabet)
-    if isinstance(expr, LeftMark):
-        if not word or word[0] != expr.symbol:
-            return False
-        return _member(expr.arg, word[1:], alphabet)
-    if isinstance(expr, LeftQuotient):
-        return _member(expr.arg, expr.word + word, alphabet)
-    raise TypeError(f"not a language expression: {expr!r}")
+    return window_rows([LeftQuotient(word, expr)], alphabet, 1)[0] == 1
 
 
 def _alphabet_mismatch(expr, alphabet):
@@ -309,7 +276,7 @@ class _Lowering:
             return lambda: row
         if isinstance(e, Predicate):
             longest = len(u) + (len(lex(alphabet, n - 1)) if n else 0)
-            dfa = resolve_predicate(e.name).automaton(alphabet, longest)
+            dfa = resolve_predicate(e.name)(alphabet, longest)
             return self._atom(dfa.left_quotient(u) if u else dfa, n)
         if isinstance(e, (Union, Inter)):
             parts = [self._row(a, u, n, memo) for a in e.args]
@@ -763,57 +730,49 @@ def expr_to_json(expr: LangExpr) -> dict:
     raise TypeError(f"not a language expression: {expr!r}")
 
 
-def check_symbols(expr: LangExpr, alphabet: Alphabet) -> LangExpr:
-    """The expression, once every word, marker symbol and predicate symbol
-    in it is found in the alphabet; raises AlphabetMismatch otherwise."""
-    if isinstance(expr, FiniteSet):
-        for w in expr.words:
-            alphabet.check(w)
-    elif isinstance(expr, Predicate) and expr.name.startswith("equal-counts-"):
-        alphabet.check(expr.name[-2:])
-    elif isinstance(expr, (Union, Inter)):
-        for a in expr.args:
-            check_symbols(a, alphabet)
-    elif isinstance(expr, (Complement, LeftMark, LeftQuotient)):
-        if isinstance(expr, LeftMark):
-            alphabet.code(expr.symbol)
-        if isinstance(expr, LeftQuotient):
-            alphabet.check(expr.word)
-        check_symbols(expr.arg, alphabet)
-    return expr
-
-
 # deepest expression nesting read from JSON; evaluation and hashing recurse
 # once or more per level, and shipped inputs nest fewer than 10 levels
 MAX_EXPR_DEPTH = 200
 
 
-def expr_from_json(data: dict, n_symbols: int) -> LangExpr:
-    """The expression of this JSON object; ValueError when it is malformed
-    or nests deeper than ``MAX_EXPR_DEPTH`` levels."""
-    return _expr_from_json(data, n_symbols, MAX_EXPR_DEPTH)
+def expr_from_json(data: dict, alphabet: Alphabet) -> LangExpr:
+    """The expression of this JSON object over the alphabet.  Raises
+    ValueError when it is malformed or nests deeper than ``MAX_EXPR_DEPTH``
+    levels, and AlphabetMismatch at the first word, marker symbol,
+    quotient word or predicate symbol, in tree order, that is not in the
+    alphabet."""
+    return _expr_from_json(data, alphabet, MAX_EXPR_DEPTH)
 
 
-def _expr_from_json(data, n_symbols, depth):
+def _expr_from_json(data, alphabet, depth):
     if depth == 0:
         raise ValueError(f"language expression nested deeper than {MAX_EXPR_DEPTH} levels")
     if "finite" in data:
-        return FiniteSet(tuple(data["finite"]))
+        e = FiniteSet(tuple(data["finite"]))
+        for w in e.words:
+            alphabet.check(w)
+        return e
     if "dfa" in data:
-        return DfaAtom(Dfa.from_json(data["dfa"], n_symbols))
+        return DfaAtom(Dfa.from_json(data["dfa"], alphabet.size))
     if "predicate" in data:
-        resolve_predicate(data["predicate"])
-        return Predicate(data["predicate"])
+        name = data["predicate"]
+        resolve_predicate(name)
+        if name.startswith("equal-counts-"):
+            alphabet.check(name[-2:])
+        return Predicate(name)
     op = data.get("op")
     depth -= 1
     if op == "union":
-        return Union(tuple(_expr_from_json(a, n_symbols, depth) for a in data["args"]))
+        return Union(tuple(_expr_from_json(a, alphabet, depth) for a in data["args"]))
     if op == "intersect":
-        return Inter(tuple(_expr_from_json(a, n_symbols, depth) for a in data["args"]))
+        return Inter(tuple(_expr_from_json(a, alphabet, depth) for a in data["args"]))
     if op == "complement":
-        return Complement(_expr_from_json(data["arg"], n_symbols, depth))
+        return Complement(_expr_from_json(data["arg"], alphabet, depth))
     if op == "leftmark":
-        return LeftMark(data["symbol"], _expr_from_json(data["arg"], n_symbols, depth))
+        symbol = data["symbol"]
+        alphabet.code(symbol)
+        return LeftMark(symbol, _expr_from_json(data["arg"], alphabet, depth))
     if op == "leftquotient":
-        return LeftQuotient(data["word"], _expr_from_json(data["arg"], n_symbols, depth))
+        word = alphabet.check(data["word"])
+        return LeftQuotient(word, _expr_from_json(data["arg"], alphabet, depth))
     raise ValueError(f"malformed language expression JSON: {data!r}")

@@ -22,11 +22,12 @@ from cptk.hardcore import (TraceEntry, hardcore_run, is_proper_hardcore,
                            trace_to_jsonl, verify_trace)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, Predicate, Union, equivalent, is_finite,
-                        member, subset_of, to_automaton)
+                        subset_of, to_automaton)
 from cptk.words import Alphabet, compare, lex, ord_, LT
 
 from .batch_oracle import member_batch, window_for_horizon
 from .conftest import random_regular_expr
+from .scalar_oracle import member
 from .test_hardcore import simulate
 
 THRESHOLD = 32

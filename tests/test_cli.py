@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cptk import cli
 from cptk.cli import main
 from cptk.families import FamilyEnum
 from cptk.langs import MAX_EXPR_DEPTH, expr_to_json, FULL, LeftMark, Predicate, Complement
@@ -623,3 +624,77 @@ def test_json_nested_beyond_the_decoder_exits_2(tmp_path, capsys, reg_family_fil
                                "--family", reg_family_file], capsys)
     assert code == 2 and out == ""
     assert err == f"error: {problem}: JSON nested too deeply\n"
+
+
+MARKED_A, MARKED_B = expr_to_json(LeftMark("a", FULL)), expr_to_json(LeftMark("b", FULL))
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["lex", "--alphabet", "aa"], {}),
+    (["lex", "--alphabet", ""], {}),
+    (["lex", "--alphabet", "ab", "--order", "bc"], {}),
+    (["solve", "--problem", "p.json", "--family", "f.json"],
+     {"p.json": {"alphabet": "ab", "condition": None, "components": []}}),
+    (["solve", "--problem", "p.json", "--family", "f.json"],
+     {"p.json": {"alphabet": "ab", "condition": MARKED_A, "components": []}}),
+    (["ccore", "--problem", "p.json", "--family", "f.json"],
+     {"p.json": {"alphabet": "ab", "condition": None, "components": []}}),
+    (["ccore", "--problem", "p.json", "--family", "f.json"],
+     {"p.json": {"alphabet": "ab", "condition": None, "components": [MARKED_A]}}),
+    (["ccore", "--problem", "p.json", "--family", "f.json"],
+     {"p.json": {"alphabet": "ab", "condition": None, "components": [MARKED_A, MARKED_B]},
+      "f.json": {"alphabet": "ab", "builtin": "finite"}}),
+    (["ccore", "--problem", "p.json", "--family", "f.json"],
+     {"p.json": {"alphabet": "ab", "condition": MARKED_B, "components": [MARKED_A]},
+      "f.json": {"alphabet": "ab", "builtin": "finite"}}),
+])
+def test_refused_input_exits_2_with_one_error_line(tmp_path, capsys, argv, files):
+    """Each used to end in a traceback with exit 1: a malformed alphabet,
+    a problem of no component, a core question on one component, and a
+    family without the closure flags the core check needs."""
+    files = {"f.json": {"alphabet": "ab", "builtin": "regular"}, **files}
+    paths = {name: write(tmp_path, name, data) for name, data in files.items()}
+    code, out, err = run_main([paths.get(a, a) for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n  \n\n"])
+def test_verify_trace_of_no_entry_exits_2(finite_trace, capsys, text):
+    """An empty trace used to verify, with "ok": true over 0 steps."""
+    trace_path, argv = finite_trace
+    trace_path.write_text(text)
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {trace_path}: an empty trace has no steps to verify\n"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch, length_family_file):
+    """Two commands, an argparse usage error, then commands again: the
+    parser built once per process gives the reports of fresh parsers."""
+    target = write(tmp_path, "target.json", {"alphabet": "ab", "expr": MARKED_A})
+    trace = str(tmp_path / "trace.jsonl")
+    runs = [["lex", "--alphabet", "ab", "--order", "ba", "--count", "5"],
+            ["hardcore", "--family", length_family_file, "--target", target,
+             "--steps", "9", "--trace", trace, "--horizon", "7"],
+            ["hardcore", "--family", length_family_file],
+            ["lex", "--alphabet", "abc", "--count", "4"],
+            ["verify-trace", "--trace", trace, "--family", length_family_file,
+             "--target", target]]
+
+    def run_all():
+        out = []
+        for argv in runs:
+            try:
+                out.append(run_main(argv, capsys))
+            except SystemExit as exc:
+                out.append((exc.code, *capsys.readouterr()))
+        return out
+
+    assert cli.build_parser() is cli.build_parser()
+    once = run_all()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert run_all() == once
+    assert [code for code, _, _ in once] == [0, 0, 2, 0, 0]
+    assert json.loads(once[4][1])["config"]["horizon"] == 300

@@ -3,9 +3,11 @@ import pytest
 from cptk.classify import ProblemPrecondition, refines, set_of, solve
 from cptk.constructions import MarkedComponent, example_26, ziegler_problem
 from cptk.langs import (EMPTY, FULL, Complement, LeftMark, Predicate, Union,
-                        equivalent, member, to_automaton, window_rows)
+                        equivalent, to_automaton, window_rows)
 from cptk.classify import ClassificationProblem
 from cptk.words import words_up_to
+
+from .scalar_oracle import member
 
 
 def test_marked_component_expr(ab):

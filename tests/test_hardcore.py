@@ -15,11 +15,11 @@ from cptk.hardcore import (ACCEPTED, TraceEntry, hardcore_componentwise, hardcor
                            is_proper_hardcore, trace_from_jsonl, trace_to_jsonl,
                            verify_trace)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
-                        LeftMark, Predicate, is_finite, member, subset_of)
+                        LeftMark, Predicate, is_finite, subset_of)
 from cptk.words import Alphabet, lex, ord_
 
 from . import scalar_oracle
-from .scalar_oracle import hardcore_step, initial_state
+from .scalar_oracle import hardcore_step, initial_state, member
 from .trace_oracle import per_line_trace_from_jsonl, two_pass_verify_trace
 
 
@@ -122,6 +122,12 @@ def test_blocked_entry_records_blocker(ab, len_ab):
 def test_steps_validation(ab, len_ab):
     with pytest.raises(ValueError):
         hardcore_run(len_ab, EMPTY, FULL, ab, 0)
+
+
+def test_empty_trace_is_refused(ab, len_ab):
+    """A run writes at least one step, so a trace of none is no run's."""
+    with pytest.raises(ValueError, match="an empty trace has no steps to verify"):
+        verify_trace([], len_ab, EMPTY, FULL, ab)
 
 
 def test_cancellation_of_touching_indices(ab, reg_ab):
@@ -586,18 +592,21 @@ def test_verify_reports_cancellation_outside_guard(ab, index, monkeypatch):
 
 
 def count_family_member_calls(monkeypatch, family):
-    """Count scalar membership calls whose expression is a family one."""
+    """Count one-word membership calls, of the library and of the scalar
+    oracle, whose expression is a family one."""
     calls = []
-    real = cptk.langs.member
 
-    def counting(expr, word, alphabet):
-        if any(expr is e for e in family._exprs.values()):
-            calls.append((expr, word))
-        return real(expr, word, alphabet)
+    def counting(real):
+        def count(expr, word, alphabet):
+            if any(expr is e for e in family._exprs.values()):
+                calls.append((expr, word))
+            return real(expr, word, alphabet)
+        return count
 
-    monkeypatch.setattr(cptk.langs, "member", counting)
-    monkeypatch.setattr(cptk.hardcore, "member", counting)
-    monkeypatch.setattr(scalar_oracle, "member", counting)
+    library = counting(cptk.langs.member)
+    monkeypatch.setattr(cptk.langs, "member", library)
+    monkeypatch.setattr(cptk.hardcore, "member", library)
+    monkeypatch.setattr(scalar_oracle, "member", counting(scalar_oracle.member))
     return calls
 
 

@@ -7,11 +7,12 @@ import pytest
 
 from cptk import kernels, langs
 from cptk.families import regular_family
-from cptk.langs import DfaAtom, FiniteSet, LeftMark, Predicate, member, window_rows
+from cptk.langs import DfaAtom, FiniteSet, LeftMark, Predicate, window_rows
 from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
 
 from .batch_oracle import accepts_batch, batch_row, member_batch, row_bits, window
 from .conftest import random_dfa, random_mixed_expr
+from .scalar_oracle import member
 
 
 def scalar_final_state(dfa, alphabet, word):

@@ -15,10 +15,11 @@ from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
 
 from .batch_oracle import batch_row
 from .conftest import random_mixed_expr, random_regular_expr
+from .scalar_oracle import member as scalar_member
 
 
 def scalar_vector(expr, alphabet, count):
-    return [member(expr, w, alphabet) for w in words_up_to(alphabet, count)]
+    return [scalar_member(expr, w, alphabet) for w in words_up_to(alphabet, count)]
 
 
 def row_of(expr, alphabet, count):
@@ -289,7 +290,7 @@ def test_json_roundtrip_bit_exact(ab):
     for _ in range(80):
         expr = random_mixed_expr(rng, ab, depth=4)
         data = expr_to_json(expr)
-        back = expr_from_json(data, ab.size)
+        back = expr_from_json(data, ab)
         assert back == expr
         assert json.dumps(expr_to_json(back), sort_keys=True) == \
             json.dumps(data, sort_keys=True)
@@ -297,9 +298,9 @@ def test_json_roundtrip_bit_exact(ab):
 
 def test_json_rejects_malformed(ab):
     with pytest.raises(ValueError):
-        expr_from_json({"op": "xor", "args": []}, 2)
+        expr_from_json({"op": "xor", "args": []}, ab)
     with pytest.raises(UnknownPredicate):
-        expr_from_json({"predicate": "nope"}, 2)
+        expr_from_json({"predicate": "nope"}, ab)
 
 
 @pytest.mark.parametrize("horizon", [-1, -3])

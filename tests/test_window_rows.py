@@ -8,12 +8,13 @@ import pytest
 
 from cptk.dfa import Dfa
 from cptk.langs import (FULL, Complement, DfaAtom, FiniteSet, Inter, LeftMark,
-                        LeftQuotient, Predicate, Union, UnknownPredicate, member,
+                        LeftQuotient, Predicate, Union, UnknownPredicate,
                         resolve_predicate, window_rows)
 from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
 
 from .batch_oracle import batch_row
 from .conftest import random_dfa, random_mixed_expr
+from .scalar_oracle import member, scalar_predicate
 
 PREDICATES = ("square-length", "prime-length", "equal-counts-ab", "equal-counts-ba")
 
@@ -103,13 +104,13 @@ def test_predicate_automata_exact_up_to_their_length(symbols, longest):
                              // (alphabet.size - 1) if alphabet.size > 1 else longest + 1))
     assert len(words[-1]) == longest
     for name in predicates(alphabet):
-        impl = resolve_predicate(name)
+        automaton, scalar = resolve_predicate(name), scalar_predicate(name)
         for bound in range(longest + 1):
-            dfa = impl.automaton(alphabet, bound)
+            dfa = automaton(alphabet, bound)
             for w in words:
                 if len(w) > bound:
                     break
-                assert dfa.accepts(alphabet, w) == impl.scalar(alphabet, w), (name, bound, w)
+                assert dfa.accepts(alphabet, w) == scalar(alphabet, w), (name, bound, w)
 
 
 def outcome(build):

@@ -17,8 +17,10 @@ import json
 from cptk.families import FamilyEnum
 from cptk.hardcore import (ACCEPTED, TraceEntry, _bits, _Guards, _violation,
                            hardcore_run)
-from cptk.langs import LangExpr, member, window_rows
+from cptk.langs import LangExpr, window_rows
 from cptk.words import Alphabet, lex, words_up_to
+
+from .scalar_oracle import member
 
 
 def two_pass_verify_trace(trace: list[TraceEntry], family: FamilyEnum,
