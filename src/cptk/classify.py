@@ -29,9 +29,10 @@ INFINITE_EVIDENCE_THRESHOLD = 32
 
 
 def is_infinite_evidence(v: FinitenessVerdict) -> bool:
-    """Whether a finiteness verdict saw enough members below its horizon to
-    count, without proof, as infinite."""
-    return (v.count or 0) >= INFINITE_EVIDENCE_THRESHOLD
+    """Whether a finiteness verdict counts as infinite: an exact verdict
+    decides, and an unknown one needs ``INFINITE_EVIDENCE_THRESHOLD``
+    members below its horizon, evidence without proof."""
+    return v.is_infinite or (v.is_unknown and (v.count or 0) >= INFINITE_EVIDENCE_THRESHOLD)
 
 
 class ProblemPrecondition(ValueError):

@@ -296,8 +296,10 @@ def cmd_make(args) -> int:
                     "condition": expr_to_json(cond.condition),
                     "components": [expr_to_json(c) for c in cond.problem.components]}
             flags = cond.problem.check.flags
-    except (ProblemPrecondition, ValueError) as exc:
+    except ProblemPrecondition as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
+    except ValueError as exc:  # a base over an alphabet the construction cannot use
+        raise CliError(EXIT_USAGE, str(exc))
     for flag in flags:
         _summary(f"note: {flag}")
     _emit({"config": _config_echo(args), **data}, args)

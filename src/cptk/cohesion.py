@@ -23,7 +23,7 @@ from . import codec
 from .classify import (ClassificationProblem, ClosureFlagsAbsent, ConditionalProblem,
                        PartitionCertificate, disjoint_verdict, set_of, solve,
                        solve_conditional, validate_bounds, is_infinite_evidence)
-from .families import DcMember, FamilyEnum, dc_member, language_classes
+from .families import DcMember, FamilyEnum, dc_member, inside_check, language_classes
 from .langs import (Complement, Inter, LangExpr, expr_to_json, is_finite,
                     regular_view, simplify)
 from .verdicts import FinitenessVerdict
@@ -56,21 +56,6 @@ class CohesionVerdict:
         return out
 
 
-def infinite_evidence(expr: LangExpr, alphabet,
-                      horizon: int) -> tuple[bool, FinitenessVerdict]:
-    """Whether the language counts as infinite for splitting purposes.
-
-    Exact verdicts decide; otherwise the window count decides, as
-    :func:`classify.is_infinite_evidence` rules (non-exact evidence).
-    """
-    v = is_finite(expr, alphabet, horizon)
-    if v.is_infinite:
-        return True, v
-    if v.is_finite:
-        return False, v
-    return is_infinite_evidence(v), v
-
-
 def check_cohesive(a: LangExpr, family: FamilyEnum, index_bound: int,
                    horizon: int = 300) -> CohesionVerdict:
     """Scan complement pairs for one splitting the language both ways.
@@ -96,28 +81,22 @@ def check_ccohesive(a: LangExpr, region: LangExpr, family: FamilyEnum,
     return _check_cohesive_restricted(a, region, family, index_bound, horizon)
 
 
-def _certified_inside(q, region, alphabet) -> bool:
-    """``subset_of(q, region).is_certified``, without the window scan:
-    only the exact route of :func:`langs.emptiness` can certify."""
-    view = regular_view(Inter((q, Complement(region))), alphabet)
-    return view is not None and view.least_accepted() is None
-
-
 def _check_cohesive_restricted(a, region, family, index_bound, horizon):
     validate_bounds(index_bound, horizon)
     alphabet = family.alphabet
     least_pairs = [(members[0], complements[0]) for members, complements
                    in language_classes(family, index_bound, horizon) if complements]
+    inside = ((lambda i: True) if region is None
+              else inside_check(family, region, index_bound, horizon))
     for i, j in sorted(least_pairs, key=lambda p: codec.pair(*p)):
+        if not inside(i):
+            continue
         q = family.expr(i)
-        if region is not None and not _certified_inside(q, region, alphabet):
+        ev_in = is_finite(Inter((a, q)), alphabet, horizon)
+        if not is_infinite_evidence(ev_in):
             continue
-        side_in, ev_in = infinite_evidence(Inter((a, q)), alphabet, horizon)
-        if not side_in:
-            continue
-        side_out, ev_out = infinite_evidence(Inter((a, Complement(q))), alphabet,
-                                             horizon)
-        if side_out:
+        ev_out = is_finite(Inter((a, Complement(q))), alphabet, horizon)
+        if is_infinite_evidence(ev_out):
             m = dc_member(family, i, j, horizon)
             exact = ev_in.exact and ev_out.exact and m.status == "exact"
             return CohesionVerdict("refuted", index_bound, horizon, m, q,
@@ -174,9 +153,8 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
         si, sj = int(rng.integers(0, index_bound)), int(rng.integers(0, index_bound))
         slice_i = simplify(Inter((problem.components[int(i)], family.expr(si))), alphabet)
         slice_j = simplify(Inter((problem.components[int(j)], family.expr(sj))), alphabet)
-        ok_i, _ = infinite_evidence(slice_i, alphabet, horizon)
-        ok_j, _ = infinite_evidence(slice_j, alphabet, horizon)
-        if not (ok_i and ok_j):
+        if not all(is_infinite_evidence(is_finite(s, alphabet, horizon))
+                   for s in (slice_i, slice_j)):
             continue
         dv = disjoint_verdict(slice_i, slice_j, alphabet, horizon)
         if dv.is_refuted:
@@ -195,14 +173,13 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
             continue
         index = family.classes(index_bound, horizon)
         sep_index, comp_index = index.index_of(view), index.index_of(view.complement())
-        both_in, ev_in = infinite_evidence(Inter((set_of(problem), sep)),
-                                           alphabet, horizon)
-        both_out, ev_out = infinite_evidence(
-            Inter((set_of(problem), Complement(sep))), alphabet, horizon)
+        splits = all(is_infinite_evidence(is_finite(Inter((set_of(problem), side)),
+                                                    alphabet, horizon))
+                     for side in (sep, Complement(sep)))
         link = {"separator_index": sep_index, "complement_index": comp_index,
-                "splits_union": bool(both_in and both_out)}
+                "splits_union": splits}
         linked.append(link)
-        if (both_in and both_out and sep_index is not None
+        if (splits and sep_index is not None
                 and comp_index is not None and not cohesion.is_refuted):
             inconsistent = True
 

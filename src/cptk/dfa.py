@@ -382,11 +382,22 @@ class Dfa:
 
     @classmethod
     def from_json(cls, data: dict, n_symbols: int) -> "Dfa":
-        rows = tuple(tuple(int(t) for t in row) for row in data["transitions"])
-        if len(rows) != int(data["states"]):
+        """The automaton of a JSON object.  Its state count, initial state,
+        transition targets and accepting states are JSON integers: a float
+        or a boolean raises ValueError."""
+        rows, accepting = data["transitions"], data["accepting"]
+        if not (_ints([data["states"], data["initial"]]) and type(rows) is list
+                and all(map(_ints, rows)) and _ints(accepting)):
+            raise ValueError("automaton states, transitions and accepting states "
+                             "must be integers")
+        if len(rows) != data["states"]:
             raise ValueError("state count does not match transition table")
-        return cls(n_symbols, rows, int(data["initial"]),
-                   frozenset(int(s) for s in data["accepting"]))
+        return cls(n_symbols, tuple(map(tuple, rows)), data["initial"], frozenset(accepting))
+
+
+def _ints(values) -> bool:
+    """Is it a JSON list of integers?  A boolean is no integer."""
+    return type(values) is list and all(type(v) is int for v in values)
 
 
 def dfa_for_finite(n_symbols: int, code_words: tuple[tuple[int, ...], ...]) -> Dfa:

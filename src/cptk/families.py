@@ -30,7 +30,8 @@ import numpy as np
 from . import codec, kernels
 from .dfa import Dfa, dfa_length_equals
 from .langs import (EMPTY, Complement, DfaAtom, FiniteSet, Inter, LangExpr,
-                    Union, expr_from_json, member, regular_view, window_rows)
+                    Union, expr_from_json, member, regular_view, subset_of,
+                    window_rows)
 from .verdicts import validate_horizon
 from .words import Alphabet, lex
 
@@ -488,6 +489,17 @@ def language_classes(family: FamilyEnum, index_bound: int,
     return [(cls, index.complement(cls)) for cls in index.classes]
 
 
+def inside_check(family: FamilyEnum, region: LangExpr, index_bound: int, horizon: int):
+    """The test ``inside(i)`` of an index i below the bound: does
+    ``subset_of(e(i), region)`` certify it?  Only the indices whose rows
+    hold no window word outside the region ask; such a word refutes
+    containment on both routes of :func:`langs.emptiness`."""
+    rows, alphabet = family.rows(index_bound, horizon), family.alphabet
+    outside = ~window_rows([region], alphabet, horizon + 1)[0]
+    return lambda i: not rows[i] & outside and subset_of(family.expr(i), region, alphabet,
+                                                          horizon).is_certified
+
+
 def dc_member(family: FamilyEnum, i: int, j: int, horizon: int) -> DcMember:
     """A pair of indices from complement classes: proven on exact
     families, checked to the horizon on the others."""
@@ -580,8 +592,10 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
     else:  # nontriviality-preservation
         for op_name, op in CLOSURES.items():
             closed = op(family)
-            if family.flags.nontrivial and not closed.flags.nontrivial:
-                _record(report, False, {"closure": op_name})
+            if not (family.flags.nontrivial and closed.flags.nontrivial):
+                # broken when the closure drops the flag, and vacuous when
+                # the family never declared it
+                _record(report, not family.flags.nontrivial, {"closure": op_name})
                 continue
             # the empty and the full row both occur among the pool's indices
             trivial, seen = {0, (1 << (horizon + 1)) - 1}, set()
@@ -609,12 +623,9 @@ def family_from_json(data: dict) -> FamilyEnum:
     elif "list" in data:
         exprs = [expr_from_json(e, alphabet) for e in data["list"]]
         declared = data.get("flags", {})
-        flags = FamilyFlags(
-            nontrivial=bool(declared.get("nontrivial", False)),
-            union_closed=bool(declared.get("union_closed", False)),
-            inter_closed=bool(declared.get("inter_closed", False)),
-            complement_closed=bool(declared.get("complement_closed", False)),
-        )
+        flags = FamilyFlags(**{k: declared.get(k, False) for k in FamilyFlags().to_json()})
+        if any(type(v) is not bool for v in flags.to_json().values()):
+            raise ValueError(f"family flags must be true or false, not {declared!r}")
         fam = list_family(data.get("name", "user"), alphabet, exprs, flags)
     else:
         raise ValueError("family JSON needs 'builtin' or 'list'")

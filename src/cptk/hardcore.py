@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .classify import ConditionalProblem, is_infinite_evidence, validate_bounds
-from .families import FamilyEnum
+from .families import FamilyEnum, inside_check
 from .langs import Inter, LangExpr, is_finite, member, subset_of, window_rows
 from .words import Alphabet, lex, words_up_to
 
@@ -341,10 +341,11 @@ def is_proper_hardcore(b: LangExpr, target: LangExpr, family: FamilyEnum,
     # both checks depend only on the language: once per class on exact families
     groups = (family.classes(index_bound, horizon).classes if family.exact
               else [[i] for i in range(index_bound)])
+    inside = inside_check(family, target, index_bound, horizon)
     meets = {}
     for members in groups:
-        e = family.expr(members[0])
-        if subset_of(e, target, alphabet, horizon).is_certified:
+        if inside(members[0]):
+            e = family.expr(members[0])
             meets.update(dict.fromkeys(members, is_finite(Inter((b, e)), alphabet, horizon)))
     ordered = sorted(meets.items())
     violations = [{"index": i, "evidence": m.to_json()} for i, m in ordered if m.is_infinite]

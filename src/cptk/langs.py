@@ -31,7 +31,8 @@ from .words import Alphabet, lex, ord_
 
 
 class NonRegularLeaf(ValueError):
-    """Raised when an opaque predicate blocks automaton conversion."""
+    """Raised when an opaque predicate blocks automaton conversion; it never
+    leaves :func:`regular_view`, which returns None instead."""
 
 
 class UnknownPredicate(KeyError):
@@ -214,26 +215,10 @@ def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
     from :func:`kernels.packed_state_rows`, once per stack.  Union,
     intersection and complement are ``|``, ``&`` and ``full & ~``.
     """
-    exprs = list(exprs)
-    out = [0] * len(exprs)
     lowering = _Lowering(alphabet, count)
-    # a top-level atom only notes its position with its table: thousands of
-    # family indices then add no object each, and no collector work
-    lowered = []
-    for k, e in enumerate(exprs):
-        if type(e) is DfaAtom and e.dfa.n_symbols == alphabet.size:
-            _, accepts, _, ks = lowering.table(e.dfa)
-            accepts.append(e.dfa.accepting)
-            ks.append(k)
-        else:
-            lowered.append((k, lowering.lower(e)))
+    rows = [lowering.lower(e) for e in exprs]
     lowering.run()
-    for k, row in lowered:
-        out[k] = row()
-    for _, _, states, ks in lowering.tables.values():
-        for k in ks:
-            out[k] = _union_rows(states, exprs[k].dfa.accepting)
-    return out
+    return [row() for row in rows]
 
 
 class _Lowering:
@@ -242,15 +227,8 @@ class _Lowering:
     def __init__(self, alphabet: Alphabet, count: int):
         self.alphabet, self.count = alphabet, count
         # (transitions, initial) -> (automaton, the accepting sets asked
-        # about, {accepted-in state: row} once run, top-level positions)
-        self.tables: dict[tuple, tuple[Dfa, list, dict[int, int], list]] = {}
-
-    def table(self, dfa: Dfa) -> tuple:
-        key = (dfa.transitions, dfa.initial)
-        entry = self.tables.get(key)
-        if entry is None:
-            entry = self.tables[key] = (dfa, [], {}, [])
-        return entry
+        # about, {accepted-in state: row} once run)
+        self.tables: dict[tuple, tuple[Dfa, list, dict[int, int]]] = {}
 
     def lower(self, e):
         """The thunk of e's row over the whole window."""
@@ -301,10 +279,12 @@ class _Lowering:
 
     def _atom(self, dfa: Dfa, n: int):
         """The thunk of an automaton's row over lex(0..n-1), n <= count."""
-        _, accepts, states, _ = self.table(dfa)
+        _, accepts, states = self.tables.setdefault((dfa.transitions, dfa.initial),
+                                                    (dfa, [], {}))
         accepting = dfa.accepting
         accepts.append(accepting)
-        return lambda: _union_rows(states, accepting) & ((1 << n) - 1)
+        mask = (1 << n) - 1
+        return lambda: functools.reduce(operator.or_, (states[s] for s in accepting), 0) & mask
 
     def run(self) -> None:
         """Fill the state rows of every table with the stacked passes."""
@@ -313,18 +293,18 @@ class _Lowering:
         step = max(1, kernels.STACK_WORDS // max(count, 1))
         for lo in range(0, len(groups), step):
             stack = groups[lo:lo + step]
-            dfas = [d for d, _, _, _ in stack]
+            dfas = [d for d, _, _ in stack]
             offsets = np.cumsum([0] + [d.n_states for d in dfas])
             trans = np.concatenate([d._trans_array + off
                                     for d, off in zip(dfas, offsets)]).astype(np.int32)
             initials = offsets[:-1] + [d.initial for d in dfas]
             finals = kernels.window_final_states(trans, initials, count)
-            for _, accepts, states, _ in stack:
+            for _, accepts, states in stack:
                 states.update(dict.fromkeys(set().union(*accepts), 0))
-            used = [off + s for (_, _, states, _), off in zip(stack, offsets.tolist())
+            used = [off + s for (_, _, states), off in zip(stack, offsets.tolist())
                     for s in states]
             rows = iter(kernels.packed_state_rows(finals, int(offsets[-1]), used))
-            for _, _, states, _ in stack:
+            for _, _, states in stack:
                 for s in states:
                     states[s] = next(rows)
 
@@ -338,13 +318,6 @@ def _once(row):
             done.append(row())
         return done[0]
     return once
-
-
-def _union_rows(rows: dict, keys) -> int:
-    out = 0
-    for k in keys:
-        out |= rows[k]
-    return out
 
 
 def _finite_row(e: FiniteSet, u: tuple, alphabet: Alphabet, n: int) -> int:
@@ -588,21 +561,10 @@ def _simplify_quotient(word, arg, alphabet):
 # ---------------------------------------------------------------------------
 # automaton backend
 
-# entries each automaton cache keeps, least recently used evicted first
-AUTOMATON_CACHE_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=AUTOMATON_CACHE_SIZE)
-def to_automaton(expr: LangExpr, alphabet: Alphabet) -> Dfa:
-    """Exact minimized automaton; requires every leaf to be regular.
-
-    Raises :class:`NonRegularLeaf` if a named predicate occurs anywhere in
-    the tree.
-    """
-    return _convert(expr, alphabet).minimize()
-
 
 def _convert(expr, alphabet):
+    """An automaton of the expression; raises :class:`NonRegularLeaf` at a
+    predicate leaf."""
     if isinstance(expr, FiniteSet):
         return dfa_for_finite(alphabet.size, tuple(alphabet.codes(w) for w in expr.words))
     if isinstance(expr, DfaAtom):
@@ -611,19 +573,12 @@ def _convert(expr, alphabet):
         return expr.dfa
     if isinstance(expr, Predicate):
         raise NonRegularLeaf(expr.name)
-    if isinstance(expr, Union):
-        if not expr.args:
-            return _convert(EMPTY, alphabet)
-        acc = _convert(expr.args[0], alphabet)
+    if isinstance(expr, (Union, Inter)):
+        unit, product = ((EMPTY, Dfa.union) if isinstance(expr, Union)
+                         else (FULL, Dfa.intersection))
+        acc = _convert(expr.args[0] if expr.args else unit, alphabet)
         for a in expr.args[1:]:
-            acc = acc.union(_convert(a, alphabet)).minimize()
-        return acc
-    if isinstance(expr, Inter):
-        if not expr.args:
-            return _convert(FULL, alphabet)
-        acc = _convert(expr.args[0], alphabet)
-        for a in expr.args[1:]:
-            acc = acc.intersection(_convert(a, alphabet)).minimize()
+            acc = product(acc, _convert(a, alphabet)).minimize()
         return acc
     if isinstance(expr, Complement):
         return _convert(expr.arg, alphabet).complement()
@@ -634,6 +589,10 @@ def _convert(expr, alphabet):
     raise TypeError(f"not a language expression: {expr!r}")
 
 
+# entries the automaton cache keeps, least recently used evicted first
+AUTOMATON_CACHE_SIZE = 4096
+
+
 @functools.lru_cache(maxsize=AUTOMATON_CACHE_SIZE)
 def regular_view(expr: LangExpr, alphabet: Alphabet) -> Dfa | None:
     """The minimal automaton, the language key, if the simplified
@@ -641,7 +600,7 @@ def regular_view(expr: LangExpr, alphabet: Alphabet) -> Dfa | None:
     simplifies, converts and minimizes, so callers pass expressions as is.
     """
     try:
-        return to_automaton(simplify(expr, alphabet), alphabet)
+        return _convert(simplify(expr, alphabet), alphabet).minimize()
     except NonRegularLeaf:
         return None
 
@@ -748,7 +707,10 @@ def _expr_from_json(data, alphabet, depth):
     if depth == 0:
         raise ValueError(f"language expression nested deeper than {MAX_EXPR_DEPTH} levels")
     if "finite" in data:
-        e = FiniteSet(tuple(data["finite"]))
+        words = data["finite"]
+        if type(words) is not list or any(type(w) is not str for w in words):
+            raise ValueError(f"'finite' must be a list of strings, not {words!r}")
+        e = FiniteSet(tuple(words))
         for w in e.words:
             alphabet.check(w)
         return e

@@ -8,7 +8,7 @@ from cptk import langs
 from cptk.dfa import Dfa
 from cptk.families import language_classes, regular_family
 from cptk.langs import (Complement, DfaAtom, FiniteSet, Inter, LeftMark,
-                        LeftQuotient, Predicate, Union, regular_view)
+                        LeftQuotient, Predicate, Union, is_finite, regular_view)
 from cptk.words import Alphabet
 
 
@@ -34,7 +34,7 @@ def reg_abc(abc):
 
 @pytest.fixture
 def cold_caches():
-    """Empty the automaton caches and the table-check memo, so that a
+    """Empty the automaton cache and the table-check memo, so that a
     call-count guard counts the same work run alone and in the suite.
 
     The memos of the regular family's table route (decoded tables,
@@ -42,7 +42,6 @@ def cold_caches():
     family object, not in a module: a guard that builds its own family
     starts them cold."""
     langs.regular_view.cache_clear()
-    langs.to_automaton.cache_clear()
     dfa_module._table_fault.cache_clear()
 
 
@@ -64,6 +63,25 @@ def family_canonical(family, i: int) -> tuple | None:
     language, if regular."""
     view = regular_view(family.expr(i), family.alphabet)
     return canonical_key(view) if view is not None else None
+
+
+def certified_inside(q, region, alphabet) -> bool:
+    """The region check of the cohesion scan before the row filter: an
+    exact-only copy of ``subset_of(q, region).is_certified``."""
+    view = regular_view(Inter((q, Complement(region))), alphabet)
+    return view is not None and view.least_accepted() is None
+
+
+def infinite_evidence(expr, alphabet, horizon: int):
+    """The former ``cohesion.infinite_evidence``: whether the language
+    counts as infinite for splitting, with its finiteness verdict.  Exact
+    verdicts decide; otherwise 32 members below the horizon do."""
+    v = is_finite(expr, alphabet, horizon)
+    if v.is_infinite:
+        return True, v
+    if v.is_finite:
+        return False, v
+    return (v.count or 0) >= 32, v
 
 
 def complement_pairs(family, index_bound: int, horizon: int) -> list[tuple[int, int]]:

@@ -12,8 +12,7 @@ import pytest
 from cptk.classify import (ClassificationProblem, PartitionCertificate,
                            SolveNotFound, combine_pairwise, is_partition,
                            pad_partition, set_of, solve)
-from cptk.cohesion import (ccore1_check, check_cohesive, check_core,
-                           infinite_evidence)
+from cptk.cohesion import ccore1_check, check_cohesive, check_core
 from cptk.constructions import example_26, ziegler_problem
 from cptk.dfa import Dfa
 from cptk.families import (FamilyFlags, check_law, close_cc, length_family,
@@ -22,11 +21,11 @@ from cptk.hardcore import (TraceEntry, hardcore_run, is_proper_hardcore,
                            trace_to_jsonl, verify_trace)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, Predicate, Union, equivalent, is_finite,
-                        subset_of, to_automaton)
+                        regular_view, subset_of)
 from cptk.words import Alphabet, compare, lex, ord_, LT
 
 from .batch_oracle import member_batch, window_for_horizon
-from .conftest import random_regular_expr
+from .conftest import infinite_evidence, random_regular_expr
 from .scalar_oracle import member
 from .test_hardcore import simulate
 
@@ -207,10 +206,10 @@ def test_criterion_5_marker_construction(ab, abc, reg_ab, reg_abc):
     cond = example_26(base, ab)
     res = solve(cond.problem, reg_ab, index_bound=3700, horizon=300)
     assert isinstance(res, PartitionCertificate) and res.status == "exact"
-    bXs = to_automaton(LeftMark("b", FULL), ab)
+    bXs = regular_view(LeftMark("b", FULL), ab)
     aligned = [res.blocks[res.injection[0]], res.blocks[res.injection[1]]]
-    assert to_automaton(aligned[0], ab).minimize() == bXs.complement().minimize()
-    assert to_automaton(aligned[1], ab).minimize() == bXs.minimize()
+    assert regular_view(aligned[0], ab) == bXs.complement()
+    assert regular_view(aligned[1], ab) == bXs
 
     # (iii) the component pairs of the construction stay unsolved at bound 2000
     pair_results = []
@@ -298,7 +297,7 @@ def _random_configs(ab, reg_ab, rng):
         fam, cond, target = pool[run % len(pool)]
         if run >= len(pool):
             marker_pair = rng.choice(["ab", "ba"])
-            extra = DfaAtom(to_automaton(random_regular_expr(rng, ab, 1), ab))
+            extra = DfaAtom(regular_view(random_regular_expr(rng, ab, 1), ab))
             cond = LeftMark(marker_pair[0], FULL)
             target = Inter((LeftMark(marker_pair[1], FULL),
                             Union((extra, Complement(extra)))))

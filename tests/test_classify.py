@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from cptk.codec import tuple_code
-from cptk.classify import (ClassificationProblem, ClosureFlagsAbsent,
-                           ConditionalProblem, PartitionCertificate, ProblemPrecondition,
-                           SolveNotFound, combine_pairwise, is_partition,
-                           load_conditional, load_problem, pad_partition,
-                           refines, set_of, solve, solve_conditional)
+from cptk.classify import (INFINITE_EVIDENCE_THRESHOLD, ClassificationProblem,
+                           ClosureFlagsAbsent, ConditionalProblem, PartitionCertificate,
+                           ProblemPrecondition, SolveNotFound, combine_pairwise,
+                           is_infinite_evidence, is_partition, load_conditional,
+                           load_problem, pad_partition, refines, set_of, solve,
+                           solve_conditional)
 from cptk import families
 from cptk.families import list_family
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
-                        LeftMark, Predicate, Union, equivalent, subset_of,
-                        to_automaton, window_rows)
+                        LeftMark, Predicate, Union, equivalent, is_finite,
+                        subset_of, regular_view, window_rows)
+from cptk.verdicts import FINITE, INFINITE, UNKNOWN, FinitenessVerdict
 
 from .batch_oracle import member_batch, window_for_horizon
+from .conftest import infinite_evidence
 
 
 def mark(sym, inner=FULL):
@@ -149,7 +152,7 @@ def brute_solve(problem, family, index_bound, horizon):
 def test_solve_matches_exhaustive_oracle(ab, reg_ab):
     instances = [
         [mark("a"), mark("b")],
-        [DfaAtom(to_automaton(Inter((mark("a"), mark("a"))), ab)), mark("b")],
+        [DfaAtom(regular_view(Inter((mark("a"), mark("a"))), ab)), mark("b")],
         [LeftMark("a", Predicate("square-length")), mark("b")],
     ]
     for comps in instances:
@@ -347,9 +350,9 @@ def test_solve_marker_pair(ab, reg_ab):
     assert isinstance(res, PartitionCertificate)
     assert res.status == "exact"
     # blocks: everything-not-starting-b, everything-starting-b
-    bXs = to_automaton(mark("b"), ab)
-    assert to_automaton(res.blocks[0], ab).minimize() == bXs.complement().minimize()
-    assert to_automaton(res.blocks[1], ab).minimize() == bXs.minimize()
+    bXs = regular_view(mark("b"), ab)
+    assert regular_view(res.blocks[0], ab) == bXs.complement()
+    assert regular_view(res.blocks[1], ab) == bXs
     assert res.injection == (0, 1)
     # deterministic: identical bounds give the identical certificate
     again = solve(prob, reg_ab, index_bound=3700, horizon=300)
@@ -493,3 +496,29 @@ def test_combine_pairwise_missing_pair(abc, reg_abc):
     prob = load_problem(comps, abc)
     with pytest.raises(KeyError):
         combine_pairwise(prob, {}, reg_abc)
+
+
+@pytest.mark.parametrize("verdict, want", [
+    # an exact verdict decides, whatever its count
+    (FinitenessVerdict(FINITE, exact=True, count=INFINITE_EVIDENCE_THRESHOLD), False),
+    (FinitenessVerdict(INFINITE, exact=True,
+                       witness={"prefix": "", "loop": "a", "suffix": ""}), True),
+    (FinitenessVerdict(UNKNOWN, exact=False, count=INFINITE_EVIDENCE_THRESHOLD - 1,
+                       horizon=300), False),
+    (FinitenessVerdict(UNKNOWN, exact=False, count=INFINITE_EVIDENCE_THRESHOLD,
+                       horizon=300), True)])
+def test_infinite_evidence_rule(verdict, want):
+    assert is_infinite_evidence(verdict) is want
+
+
+def test_infinite_evidence_rule_matches_the_split_rule(ab):
+    """The one rule against the former split rule of the cohesion scan."""
+    sq = Predicate("square-length")
+    exprs = [EMPTY, FULL, FiniteSet(("a", "ab")), mark("a"), sq, LeftMark("a", sq),
+             Predicate("equal-counts-ab"),
+             Inter((sq, FiniteSet(tuple("ab" * k for k in range(40))))),
+             Inter((sq, FiniteSet(tuple("a" * k for k in range(40)))))]
+    for e in exprs:
+        for horizon in (0, 30, 300):
+            v = is_finite(e, ab, horizon)
+            assert (is_infinite_evidence(v), v) == infinite_evidence(e, ab, horizon)

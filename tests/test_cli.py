@@ -251,6 +251,28 @@ def test_make_degenerate_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("kind, symbols", [("ziegler", "ab"), ("example26", "cd")])
+def test_make_over_an_alphabet_it_cannot_use_exits_2(tmp_path, capsys, kind, symbols):
+    """A usage error, not a refuted precondition: it used to exit 3."""
+    base = write(tmp_path, "base.json", {"alphabet": symbols,
+                                         "expr": {"predicate": "square-length"}})
+    code, out, err = run_main(["make", kind, "--base", base], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: this construction needs") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("builtin", ["finite", "length"])
+def test_nontriviality_law_holds_vacuously_on_trivial_builtins(tmp_path, capsys, builtin):
+    """A family that does not declare itself nontrivial meets the law's
+    premise nowhere; each closure used to count as a disagreement."""
+    family = write(tmp_path, "family.json", {"alphabet": "ab", "builtin": builtin})
+    code, out, _ = run_main(["laws", "--family", family, "--law",
+                             "nontriviality-preservation", "--samples", "3"], capsys)
+    assert code == 0
+    report, = json.loads(out)["reports"]
+    assert report["disagreements"] == 0 and report["agreements"] == 5
+
+
 def test_ccore_subcommand(tmp_path, capsys, reg_family_file):
     problem = write(tmp_path, "p.json", {
         "alphabet": "ab",
@@ -354,7 +376,19 @@ def test_symbol_outside_alphabet_exits_2(tmp_path, capsys, reg_family_file,
                   "expr": {"op": "leftmark", "symbol": "a", "arg": 5}}),
     ("cohesive", [1, 2]),
     ("solve", [1, 2]),
-    ("solve", {"alphabet": "ab", "condition": None, "components": 5})])
+    ("solve", {"alphabet": "ab", "condition": None, "components": 5}),
+    # each used to be read as something else: "ab" as the set {a, b}, a
+    # float truncated, and a boolean as 0 or 1
+    ("cohesive", {"alphabet": "ab", "expr": {"finite": "ab"}}),
+    ("cohesive", {"alphabet": "ab", "expr": {"dfa": {
+        "states": 1.5, "initial": 0, "transitions": [[0, 0]], "accepting": []}}}),
+    ("cohesive", {"alphabet": "ab", "expr": {"dfa": {
+        "states": 2, "initial": True, "transitions": [[1, 0], [1, 1]], "accepting": []}}}),
+    ("cohesive", {"alphabet": "ab", "expr": {"dfa": {
+        "states": 2, "initial": 0, "transitions": [[1.9, 0], [True, False]],
+        "accepting": []}}}),
+    ("cohesive", {"alphabet": "ab", "expr": {"dfa": {
+        "states": 2, "initial": 0, "transitions": [[1, 0], [1, 1]], "accepting": [True]}}})])
 def test_wrongly_typed_input_exits_2(tmp_path, capsys, reg_family_file,
                                      command, data):
     """Valid JSON of the wrong type used to end in a TypeError traceback."""
@@ -373,7 +407,10 @@ def test_wrongly_typed_input_exits_2(tmp_path, capsys, reg_family_file,
     # a string used to be read as one operator per character
     {"alphabet": "ab", "builtin": "regular", "closure": "u"},
     {"alphabet": "ab", "builtin": "regular", "closure": "co"},
-    {"alphabet": "ab", "builtin": "regular", "closure": [1]}])
+    {"alphabet": "ab", "builtin": "regular", "closure": [1]},
+    # a string flag used to be read as true
+    {"alphabet": "ab", "list": [expr_to_json(FULL)], "flags": {"nontrivial": "false"}},
+    {"alphabet": "ab", "list": [expr_to_json(FULL)], "flags": {"union_closed": 1}}])
 def test_wrongly_typed_family_exits_2(tmp_path, capsys, family):
     target = write(tmp_path, "target.json",
                    {"alphabet": "ab", "expr": expr_to_json(FULL)})

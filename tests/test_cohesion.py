@@ -1,20 +1,21 @@
+import numpy as np
 import pytest
 
 from cptk.classify import (ClassificationProblem, ClosureFlagsAbsent, load_conditional,
                            load_problem)
 from cptk.codec import pair
-from cptk.cohesion import (CohesionVerdict, _certified_inside, ccore1_check,
-                           check_ccohesive, check_ccore, check_cohesive,
-                           check_core, infinite_evidence)
+from cptk.cohesion import (CohesionVerdict, ccore1_check, check_ccohesive,
+                           check_ccore, check_cohesive, check_core)
 from cptk.dfa import Dfa
 from cptk.families import (DcMember, FamilyFlags, canonical_index, close_cc,
-                           dc_member, list_family)
+                           dc_member, inside_check, list_family)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
-                        LeftMark, Predicate, Union, equivalent, simplify,
-                        subset_of, to_automaton)
+                        LeftMark, Predicate, Union, equivalent, regular_view,
+                        simplify)
 
 from .batch_oracle import member_batch, window_for_horizon
-from .conftest import complement_pairs, family_canonical
+from .conftest import (certified_inside, complement_pairs, family_canonical,
+                       infinite_evidence, random_mixed_expr)
 
 
 A_ONLY = DfaAtom(Dfa(2, ((0, 1), (1, 1)), 0, frozenset({0})))        # b-free words
@@ -98,7 +99,7 @@ def pair_scan(a, region, family, index_bound, horizon):
             hit = None
             usable = True
             if region is not None:
-                usable = subset_of(q, region, alphabet, horizon).is_certified
+                usable = certified_inside(q, region, alphabet)
             if usable:
                 side_in, ev_in = infinite_evidence(Inter((a, q)), alphabet, horizon)
                 if side_in:
@@ -167,8 +168,16 @@ def test_class_scan_matches_pair_scan_in_region(reg_ab, region):
     assert_matches_pair_scan(A_ONLY, reg_ab, 400, 300, region)
 
 
+def example_26_region(predicate, first, second):
+    """The region of example 26's components: the complement of the
+    condition first·P plus second·P^c."""
+    P = Predicate(predicate)
+    return Complement(Union((LeftMark(first, P), LeftMark(second, Complement(P)))))
+
+
 # the regions of the ccohesive tests, and the regions (complements of the
-# conditions) that the ccore tests check against
+# conditions) that the ccore tests check against, example 26's for both
+# predicates and both marker orders
 CCORE_REGIONS = {
     "a-started": LeftMark("a", FULL),
     "nonempty-words": Complement(FiniteSet(("",))),
@@ -176,25 +185,64 @@ CCORE_REGIONS = {
     "even-a-run": EVEN_A_RUN,
     "full": FULL,
     "not-b-started": Complement(LeftMark("b", FULL)),
-    "example-26": Complement(Union((LeftMark("a", SQ), LeftMark("b", Complement(SQ))))),
+    "example-26": example_26_region("square-length", "a", "b"),
+    "example-26-ba": example_26_region("square-length", "b", "a"),
+    "example-26-prime": example_26_region("prime-length", "a", "b"),
+    "example-26-prime-ba": example_26_region("prime-length", "b", "a"),
     "not-b-or-bb": Complement(FiniteSet(("b", "bb"))),
 }
 
 
+def region_check(family, index_bound, horizon, region, indices):
+    """The region check of the scan, and of ``is_proper_hardcore``'s
+    target, on each index."""
+    inside = inside_check(family, region, index_bound, horizon)
+    return [inside(i) for i in indices]
+
+
 @pytest.mark.parametrize("region", sorted(CCORE_REGIONS))
 def test_region_check_matches_subset_certificate(ab, reg_ab, region):
+    """The row filter and ``subset_of`` decide as the exact-only check
+    did, index by index."""
     region = simplify(CCORE_REGIONS[region], ab)
     preds = close_cc(list_family("preds", ab, [SQ, LeftMark("a", FULL),
                                                Predicate("prime-length"),
                                                LeftMark("a", SQ), EMPTY]))
     certified = 0
     for family, bound in ((reg_ab, 300), (preds, 10)):
-        for i in range(bound):
-            q = family.expr(i)
-            want = subset_of(q, region, ab, 300).is_certified
-            assert _certified_inside(q, region, ab) == want, i
-            certified += want
+        got = region_check(family, bound, 300, region, range(bound))
+        assert got == [certified_inside(family.expr(i), region, ab) for i in range(bound)]
+        certified += sum(got)
     assert certified
+
+
+def test_region_check_matches_on_random_mixed_regions(ab, reg_ab):
+    """Class by class, over random regions with predicate leaves and
+    horizons too short to tell many classes apart."""
+    rng = np.random.default_rng(16)
+    certified = 0
+    for _ in range(30):
+        region = random_mixed_expr(rng, ab)
+        for horizon in (6, 40):
+            leaders = [c[0] for c in reg_ab.classes(120, horizon).classes]
+            got = region_check(reg_ab, 120, horizon, region, leaders)
+            assert got == [certified_inside(reg_ab.expr(i), region, ab) for i in leaders]
+            certified += sum(got)
+    assert certified
+
+
+@pytest.mark.parametrize("region", ["example-26", "example-26-ba", "example-26-prime",
+                                    "not-b-or-bb", "a-started"])
+def test_ccohesive_matches_pair_scan_in_region(ab, reg_ab, region):
+    for target in (A_ONLY, LeftMark("a", SQ), LeftMark("b", Complement(SQ))):
+        assert_matches_pair_scan(target, reg_ab, 200, 300, simplify(CCORE_REGIONS[region], ab))
+
+
+def test_ccohesive_matches_pair_scan_in_random_regions(ab, reg_ab):
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        region = random_mixed_expr(rng, ab)
+        assert_matches_pair_scan(A_ONLY, reg_ab, 120, 40, region)
 
 
 def test_a_star_witness(reg_ab):
@@ -269,7 +317,7 @@ def test_ccohesive_pruned_region(ab, reg_ab):
     # enlarging the bound past the even-run language flips the verdict
     v2 = check_ccohesive(A_ONLY, region, reg_ab, index_bound=3700, horizon=300)
     assert v2.is_refuted
-    assert canonical_index(to_automaton(EVEN_A_RUN, ab)) < 3700
+    assert canonical_index(regular_view(EVEN_A_RUN, ab)) < 3700
     verify_refutation(v2, A_ONLY, reg_ab)
 
 

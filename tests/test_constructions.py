@@ -3,7 +3,7 @@ import pytest
 from cptk.classify import ProblemPrecondition, refines, set_of, solve
 from cptk.constructions import MarkedComponent, example_26, ziegler_problem
 from cptk.langs import (EMPTY, FULL, Complement, LeftMark, Predicate, Union,
-                        equivalent, to_automaton, window_rows)
+                        equivalent, regular_view, window_rows)
 from cptk.classify import ClassificationProblem
 from cptk.words import words_up_to
 
@@ -81,10 +81,10 @@ def test_example26_square_base(ab, reg_ab):
     res = solve(cond.problem, reg_ab, index_bound=3700, horizon=300)
     from cptk.classify import PartitionCertificate
     assert isinstance(res, PartitionCertificate)
-    bXs = to_automaton(LeftMark("b", FULL), ab)
+    bXs = regular_view(LeftMark("b", FULL), ab)
     aligned = [res.blocks[res.injection[0]], res.blocks[res.injection[1]]]
-    assert to_automaton(aligned[0], ab).minimize() == bXs.complement().minimize()
-    assert to_automaton(aligned[1], ab).minimize() == bXs.minimize()
+    assert regular_view(aligned[0], ab) == bXs.complement()
+    assert regular_view(aligned[1], ab) == bXs
 
 
 def test_example26_wrong_alphabet():

@@ -46,7 +46,11 @@ def read_only(data, n_symbols, depth=MAX_EXPR_DEPTH):
     if depth == 0:
         raise ValueError(f"language expression nested deeper than {MAX_EXPR_DEPTH} levels")
     if "finite" in data:
-        return FiniteSet(tuple(data["finite"]))
+        # the exact-type rule both readers share: a list of strings
+        words = data["finite"]
+        if type(words) is not list or any(type(w) is not str for w in words):
+            raise ValueError(f"'finite' must be a list of strings, not {words!r}")
+        return FiniteSet(tuple(words))
     if "dfa" in data:
         return DfaAtom(Dfa.from_json(data["dfa"], n_symbols))
     if "predicate" in data:
@@ -164,3 +168,27 @@ def test_reader_reports_the_first_fault_in_tree_order(ab):
         expr_from_json(data, ab)
     with pytest.raises(ValueError, match="malformed language expression"):
         old_expr_from_json(data, ab)
+
+
+DFA_JSON = {"states": 2, "initial": 0, "transitions": [[1, 0], [1, 1]], "accepting": [1]}
+
+
+@pytest.mark.parametrize("data", [
+    {"finite": "ab"},
+    {"finite": ["a", 1]},
+    {"dfa": {**DFA_JSON, "states": 2.0}},
+    {"dfa": {**DFA_JSON, "states": 1.5, "transitions": [[0, 0]], "accepting": []}},
+    {"dfa": {**DFA_JSON, "initial": True}},
+    {"dfa": {**DFA_JSON, "initial": 0.0}},
+    {"dfa": {**DFA_JSON, "transitions": [[1.9, 0], [True, False]]}},
+    {"dfa": {**DFA_JSON, "transitions": [[1, 0], "11"]}},
+    {"dfa": {**DFA_JSON, "transitions": {"0": [1, 0]}}},
+    {"dfa": {**DFA_JSON, "accepting": [True]}},
+    {"dfa": {**DFA_JSON, "accepting": 1}}])
+def test_reader_requires_exact_json_types(ab, data):
+    """Each used to be read as something else: the string "ab" as the set
+    {a, b}, a float truncated, a boolean as 0 or 1."""
+    with pytest.raises(ValueError, match="must be"):
+        expr_from_json(data, ab)
+    assert expr_from_json({"dfa": DFA_JSON}, ab) == \
+        DfaAtom(Dfa(2, ((1, 0), (1, 1)), 0, frozenset({1})))

@@ -13,7 +13,7 @@ from cptk.families import (LAW_IDS, FamilyEnum, canonical_index, check_law, clos
                            family_from_json, finite_family, length_family,
                            list_family, regular_family, regular_index_encode)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, LeftMark,
-                        Predicate, is_finite, to_automaton, window_rows)
+                        Predicate, is_finite, regular_view, window_rows)
 from cptk.words import Alphabet, AlphabetMismatch, lex, ord_
 
 from .batch_oracle import batch_row
@@ -63,8 +63,8 @@ def test_regular_family_semantically_closed_under_union(reg_ab, ab):
     rng = np.random.default_rng(7)
     for _ in range(20):
         i, j = int(rng.integers(0, 300)), int(rng.integers(0, 300))
-        di = to_automaton(reg_ab.expr(i), ab)
-        dj = to_automaton(reg_ab.expr(j), ab)
+        di = regular_view(reg_ab.expr(i), ab)
+        dj = regular_view(reg_ab.expr(j), ab)
         k = canonical_index(di.union(dj))
         assert k < 10 ** 6
         assert regular_index_decode(k, 2).minimize() == di.union(dj).minimize()
@@ -128,9 +128,9 @@ def test_dc_members_regular(reg_ab, ab):
     assert all(dc_member(reg_ab, i, j, 300).status == "exact" for i, j in pairs)
     assert (1, 0) in pairs  # everything = complement of empty
     for i, j in pairs[:40]:
-        vi = to_automaton(reg_ab.expr(i), ab)
-        vj = to_automaton(reg_ab.expr(j), ab)
-        assert vi.minimize() == vj.complement().minimize()
+        vi = regular_view(reg_ab.expr(i), ab)
+        vj = regular_view(reg_ab.expr(j), ab)
+        assert vi == vj.complement()
 
 
 def test_dc_members_length_family_empty(ab):

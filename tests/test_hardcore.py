@@ -15,7 +15,7 @@ from cptk.hardcore import (ACCEPTED, TraceEntry, hardcore_componentwise, hardcor
                            is_proper_hardcore, trace_from_jsonl, trace_to_jsonl,
                            verify_trace)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
-                        LeftMark, Predicate, is_finite, subset_of)
+                        LeftMark, Predicate, Union, is_finite, subset_of)
 from cptk.words import Alphabet, lex, ord_
 
 from . import scalar_oracle
@@ -342,7 +342,17 @@ B_FREE = DfaAtom(Dfa(2, ((0, 1), (1, 1)), 0, frozenset({0})))  # a*
     ("regular", 200, LeftMark("a", Predicate("prime-length")), LeftMark("a", FULL)),
     ("regular", 200, Predicate("prime-length"), FULL),
     ("finite", 60, A_RUNS, FULL),
-    ("finite", 60, Predicate("square-length"), FULL)])
+    ("finite", 60, Predicate("square-length"), FULL),
+    # targets with words outside them, which the row filter rules out
+    ("length", 40, A_RUNS, Complement(FiniteSet(("", "b")))),
+    ("regular", 200, B_FREE, Complement(FiniteSet(("",)))),
+    ("regular", 200, LeftMark("a", Predicate("prime-length")),
+     Complement(FiniteSet(("", "b")))),
+    ("regular", 200, B_FREE, Complement(LeftMark("b", Predicate("square-length")))),
+    ("regular", 200, LeftMark("a", Predicate("prime-length")),
+     Complement(Union((LeftMark("a", Predicate("square-length")),
+                       LeftMark("b", Complement(Predicate("square-length"))))))),
+    ("finite", 60, A_RUNS, Union((B_FREE, LeftMark("b", FULL))))])
 def test_proper_hardcore_class_walk_matches_per_index_check(ab, family_name, bound,
                                                             b, target):
     make = {"length": length_family, "regular": regular_family,

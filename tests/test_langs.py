@@ -7,10 +7,10 @@ import pytest
 from cptk import langs
 from cptk.classify import disjoint_verdict
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
-                        LeftMark, LeftQuotient, NonRegularLeaf, Predicate, Union,
+                        LeftMark, LeftQuotient, Predicate, Union,
                         UnknownPredicate, emptiness, equivalent, expr_from_json,
                         expr_to_json, is_finite, member, regular_view, simplify,
-                        subset_of, to_automaton, window_rows)
+                        subset_of, window_rows)
 from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
 
 from .batch_oracle import batch_row
@@ -43,7 +43,7 @@ def test_member_examples(ab):
 
 
 def test_member_quotient(ab):
-    L = DfaAtom(to_automaton(LeftMark("b", FULL), ab))
+    L = DfaAtom(regular_view(LeftMark("b", FULL), ab))
     quo = LeftQuotient("b", L)
     for w in ["", "a", "ab", "bb"]:
         assert member(quo, w, ab) == member(L, "b" + w, ab)
@@ -62,7 +62,7 @@ def test_member_agrees_with_automaton_on_random_trees(ab):
     rng = np.random.default_rng(42)
     for _ in range(500):
         expr = random_regular_expr(rng, ab)
-        dfa = to_automaton(expr, ab)
+        dfa = regular_view(expr, ab)
         got, want = window_rows([expr, DfaAtom(dfa)], ab, 2 ** 9 - 1)
         assert got == want
 
@@ -125,43 +125,40 @@ def test_simplify_collapses_marker_structure(ab):
     merged = simplify(Union((LeftMark("a", A), LeftMark("a", Complement(A)))), ab)
     view = regular_view(merged, ab)
     assert view is not None  # a(A u A^c) = aX* is regular
-    assert view.minimize() == to_automaton(LeftMark("a", FULL), ab).minimize()
+    assert view == regular_view(LeftMark("a", FULL), ab)
 
 
-def test_to_automaton_examples(ab):
-    d = to_automaton(Complement(FiniteSet(("",))), ab)
+def test_regular_view_examples(ab):
+    d = regular_view(Complement(FiniteSet(("",))), ab)
     assert row_of(DfaAtom(d), ab, 200) == (1 << 200) - 2
-    both = to_automaton(Union((LeftMark("a", FULL), LeftMark("b", FULL))), ab)
-    assert both.minimize() == d.minimize()  # X* minus the empty word
-    with pytest.raises(NonRegularLeaf):
-        to_automaton(Predicate("square-length"), ab)
+    both = regular_view(Union((LeftMark("a", FULL), LeftMark("b", FULL))), ab)
+    assert both == d  # X* minus the empty word
+    assert regular_view(Predicate("square-length"), ab) is None
 
 
-def test_to_automaton_keys_on_the_whole_alphabet(ab):
+def test_regular_view_keys_on_the_whole_alphabet(ab):
     """Keyed on the alphabet size alone, the cache handed {a} over the
     order b < a the automaton of {b} once {a} over ab was cached, and {a}
     over cd an automaton instead of a mismatch."""
     ba = Alphabet.parse("ab", order="ba")
     e = FiniteSet(("a",))
     for alphabet in (ab, ba, ab):
-        for d in (to_automaton(e, alphabet), regular_view(e, alphabet)):
-            assert d.accepts(alphabet, "a") and not d.accepts(alphabet, "b")
+        d = regular_view(e, alphabet)
+        assert d.accepts(alphabet, "a") and not d.accepts(alphabet, "b")
     with pytest.raises(AlphabetMismatch):
-        to_automaton(e, Alphabet.parse("cd"))
+        regular_view(e, Alphabet.parse("cd"))
 
 
 def test_automaton_caches_are_bounded_lru(ab):
-    """Both automaton caches keep the most recently used
+    """The automaton cache keeps the most recently used
     ``AUTOMATON_CACHE_SIZE`` entries; an evicted one is rebuilt equal."""
     size = langs.AUTOMATON_CACHE_SIZE
     langs.regular_view.cache_clear()
-    langs.to_automaton.cache_clear()
     exprs = [FiniteSet((lex(ab, i),)) for i in range(size + 1)]
     views = [regular_view(e, ab) for e in exprs[:size]]
     regular_view(exprs[0], ab)  # now the most recently used: exprs[1] goes next
     views.append(regular_view(exprs[size], ab))
-    for cache in (langs.regular_view, langs.to_automaton):
-        assert cache.cache_info().currsize == size
+    assert langs.regular_view.cache_info().currsize == size
     misses = langs.regular_view.cache_info().misses
     assert regular_view(exprs[0], ab) is views[0]
     assert regular_view(exprs[size], ab) is views[size]
