@@ -10,7 +10,7 @@ diagonalization loop for building hard cores.
 from .words import Alphabet, compare, lex, ord_, succ
 from .langs import (Complement, DfaAtom, FiniteSet, Inter, LangExpr, LeftMark,
                     LeftQuotient, Predicate, Union, EMPTY, FULL, member,
-                    simplify, regular_view,
+                    regular_view,
                     is_finite, subset_of, equivalent, expr_to_json,
                     expr_from_json)
 from .dfa import Dfa

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import codec
 from .families import FamilyEnum
 from .langs import (FULL, Complement, Inter, LangExpr, Union, emptiness,
-                    equivalent, is_finite, simplify, subset_of, window_rows)
+                    equivalent, is_finite, subset_of, window_rows)
 from .verdicts import (CERTIFIED, REFUTED, UNKNOWN, FinitenessVerdict, Verdict,
                        validate_horizon)
 from .words import Alphabet
@@ -492,8 +492,8 @@ def combine_pairwise(problem: ClassificationProblem,
             sep, _ = aligned_pair(i, nxt)
             separators.append(sep)
         p = Union(tuple(separators))
-        blocks = [simplify(Inter((q, p)), alphabet) for q in blocks]
-        blocks.append(simplify(Complement(p), alphabet))
+        blocks = [Inter((q, p)) for q in blocks]
+        blocks.append(Complement(p))
     pv = is_partition(blocks, alphabet, horizon=horizon)
     if pv.is_refuted:
         raise ProblemPrecondition(f"combined blocks do not partition: {pv.witness!r}")

@@ -82,6 +82,8 @@ def _read_json(path: str):
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_USAGE,
                        f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise CliError(EXIT_USAGE, f"{path}: {exc}")
     except RecursionError:
         raise CliError(EXIT_USAGE, f"{path}: JSON nested too deeply")
 

@@ -25,7 +25,7 @@ from .classify import (ClassificationProblem, ClosureFlagsAbsent, ConditionalPro
                        solve_conditional, validate_bounds, is_infinite_evidence)
 from .families import DcMember, FamilyEnum, dc_member, inside_check, language_classes
 from .langs import (Complement, Inter, LangExpr, expr_to_json, is_finite,
-                    regular_view, simplify)
+                    regular_view)
 from .verdicts import FinitenessVerdict
 
 
@@ -151,8 +151,8 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
     for _ in range(subset_samples):
         i, j = rng.choice(k, size=2, replace=False)
         si, sj = int(rng.integers(0, index_bound)), int(rng.integers(0, index_bound))
-        slice_i = simplify(Inter((problem.components[int(i)], family.expr(si))), alphabet)
-        slice_j = simplify(Inter((problem.components[int(j)], family.expr(sj))), alphabet)
+        slice_i = Inter((problem.components[int(i)], family.expr(si)))
+        slice_j = Inter((problem.components[int(j)], family.expr(sj)))
         if not all(is_infinite_evidence(is_finite(s, alphabet, horizon))
                    for s in (slice_i, slice_j)):
             continue
@@ -212,8 +212,7 @@ def ccore1_check(component: LangExpr, condition: LangExpr, family: FamilyEnum,
     res = solve_conditional(single, family, index_bound, horizon)
     solvable_exact = isinstance(res, PartitionCertificate) and res.status == "exact"
     solvable_horizon = isinstance(res, PartitionCertificate) and res.status != "exact"
-    region = simplify(Complement(condition), alphabet)
-    ccoh = check_ccohesive(component, region, family, index_bound, horizon)
+    ccoh = check_ccohesive(component, Complement(condition), family, index_bound, horizon)
     refutes = solvable_exact or (ccoh.is_refuted and ccoh.exact)
     return {
         "conditional_solve": res.to_json(),

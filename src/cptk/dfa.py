@@ -418,17 +418,6 @@ def dfa_for_finite(n_symbols: int, code_words: tuple[tuple[int, ...], ...]) -> D
     return Dfa(n_symbols, tuple(rows), 0, frozenset(accept))
 
 
-def dfa_word_starts_with(n_symbols: int, code: int) -> Dfa:
-    """Automaton for the words whose first symbol has the given code."""
-    # states: 0 initial, 1 accept-sink, 2 dead
-    rows = (
-        tuple(1 if x == code else 2 for x in range(n_symbols)),
-        tuple(1 for _ in range(n_symbols)),
-        tuple(2 for _ in range(n_symbols)),
-    )
-    return Dfa(n_symbols, rows, 0, frozenset({1}))
-
-
 def dfa_length_equals(n_symbols: int, length: int) -> Dfa:
     """Automaton for {w : |w| = length}."""
     # states 0..length count, length+1 is overflow

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import codec, kernels
 from .dfa import Dfa, dfa_length_equals
-from .langs import (EMPTY, Complement, DfaAtom, FiniteSet, Inter, LangExpr,
-                    Union, expr_from_json, member, regular_view, subset_of,
+from .langs import (EMPTY, MAX_EXPR_DEPTH, Complement, DfaAtom, FiniteSet, Inter,
+                    LangExpr, Union, expr_from_json, member, regular_view, subset_of,
                     window_rows)
 from .verdicts import validate_horizon
 from .words import Alphabet, lex
@@ -629,9 +629,13 @@ def family_from_json(data: dict) -> FamilyEnum:
         fam = list_family(data.get("name", "user"), alphabet, exprs, flags)
     else:
         raise ValueError("family JSON needs 'builtin' or 'list'")
-    if not isinstance(data.get("closure", []), list):
+    closure = data.get("closure", [])
+    if not isinstance(closure, list):
         raise ValueError("'closure' must be a list of operator names")
-    for op_name in data.get("closure", []):
+    # each operator nests the expressions one level, b three (u of s of cc)
+    if sum(3 if op_name == "b" else 1 for op_name in closure) > MAX_EXPR_DEPTH:
+        raise ValueError(f"closure operators nested deeper than {MAX_EXPR_DEPTH} levels")
+    for op_name in closure:
         try:
             fam = CLOSURES[op_name](fam)
         except KeyError:

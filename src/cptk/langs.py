@@ -7,10 +7,12 @@ it gives membership in bulk as int rows over the window lex(0..n-1), and
 the membership of one word w in e is the one-word row of w⁻¹e.  Each
 predicate is an automaton built exact up to the longest word asked about.
 
-The regular fragment has an exact automaton backend.  A small sound
-rewriter (:func:`simplify`) collapses marker and complement structure, so
-many mixed expressions — for example the intersection of differently
-marked opaque languages — still get exact answers.
+The exact automaton backend, :func:`regular_view`, has one regularity
+rule: read every predicate leaf, keyed by its context, as FULL and as
+EMPTY.  When every assignment gives the same language, the expression does
+not depend on its predicates and that language is its automaton.  So many
+mixed expressions (S ∪ ¬S, a·S ∪ ¬(a·S), the intersection of differently
+marked opaque languages) still get exact answers.
 """
 
 from __future__ import annotations
@@ -24,15 +26,10 @@ from math import isqrt
 import numpy as np
 
 from . import kernels
-from .dfa import Dfa, dfa_for_finite, dfa_word_starts_with
+from .dfa import Dfa, dfa_for_finite
 from .verdicts import (CERTIFIED, FINITE, INFINITE, REFUTED, UNKNOWN,
                        FinitenessVerdict, Verdict, validate_horizon)
 from .words import Alphabet, lex, ord_
-
-
-class NonRegularLeaf(ValueError):
-    """Raised when an opaque predicate blocks automaton conversion; it never
-    leaves :func:`regular_view`, which returns None instead."""
 
 
 class UnknownPredicate(KeyError):
@@ -97,14 +94,6 @@ class LeftQuotient(LangExpr):
 
 EMPTY = FiniteSet(())
 FULL = Complement(EMPTY)
-
-
-def is_empty_expr(e: LangExpr) -> bool:
-    return isinstance(e, FiniteSet) and not e.words
-
-
-def is_full_expr(e: LangExpr) -> bool:
-    return isinstance(e, Complement) and is_empty_expr(e.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -369,223 +358,70 @@ def _mark_row(row: int, b: int, c: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sound structural simplification
-
-
-def _as_direct_dfa(expr, alphabet):
-    """Automaton for syntactically regular leaves, else None."""
-    if isinstance(expr, DfaAtom):
-        return expr.dfa
-    if isinstance(expr, FiniteSet):
-        return dfa_for_finite(alphabet.size, tuple(alphabet.codes(w) for w in expr.words))
-    if isinstance(expr, Complement):
-        inner = _as_direct_dfa(expr.arg, alphabet)
-        return inner.complement() if inner is not None else None
-    return None
-
-
-def _dfa_atom(dfa: Dfa) -> LangExpr:
-    """Minimized automaton atom, collapsed to EMPTY or FULL when trivial."""
-    m = dfa.minimize()
-    if not m.accepting:
-        return EMPTY
-    if m.n_states == 1:
-        return FULL
-    return DfaAtom(m)
-
-
-def simplify(expr: LangExpr, alphabet: Alphabet) -> LangExpr:
-    """Equivalent expression with marker/complement structure collapsed.
-
-    Every rewrite preserves the language exactly, so exact procedures may
-    run on the simplified form.
-    """
-    if isinstance(expr, (FiniteSet, Predicate)):
-        return expr
-    if isinstance(expr, DfaAtom):
-        return _dfa_atom(expr.dfa)
-    if isinstance(expr, Complement):
-        arg = simplify(expr.arg, alphabet)
-        if isinstance(arg, Complement):
-            return arg.arg
-        if isinstance(arg, LeftMark):
-            # (xL)^c = x(L^c) plus everything not starting with x
-            marked = simplify(LeftMark(arg.symbol, Complement(arg.arg)), alphabet)
-            other = _dfa_atom(dfa_word_starts_with(alphabet.size, alphabet.code(arg.symbol))
-                              .complement())
-            return _simplify_union((marked, other), alphabet)
-        return Complement(arg)
-    if isinstance(expr, Union):
-        return _simplify_union(tuple(simplify(a, alphabet) for a in expr.args), alphabet)
-    if isinstance(expr, Inter):
-        return _simplify_inter(tuple(simplify(a, alphabet) for a in expr.args), alphabet)
-    if isinstance(expr, LeftMark):
-        arg = simplify(expr.arg, alphabet)
-        if is_empty_expr(arg):
-            return EMPTY
-        return LeftMark(expr.symbol, arg)
-    if isinstance(expr, LeftQuotient):
-        return _simplify_quotient(expr.word, simplify(expr.arg, alphabet), alphabet)
-    raise TypeError(f"not a language expression: {expr!r}")
-
-
-def _flatten(args, node_type):
-    out = []
-    for a in args:
-        if isinstance(a, node_type):
-            out.extend(a.args)
-        else:
-            out.append(a)
-    return out
-
-
-def _simplify_union(args, alphabet):
-    flat = _flatten(args, Union)
-    kept, seen = [], set()
-    for a in flat:
-        if is_full_expr(a):
-            return FULL
-        if is_empty_expr(a) or a in seen:
-            continue
-        seen.add(a)
-        kept.append(a)
-    for a in kept:
-        if Complement(a) in seen or (isinstance(a, Complement) and a.arg in seen):
-            return FULL
-    # merge marks that share a symbol: xL | xM = x(L | M)
-    marks: dict[str, list] = {}
-    rest = []
-    for a in kept:
-        if isinstance(a, LeftMark):
-            marks.setdefault(a.symbol, []).append(a.arg)
-        else:
-            rest.append(a)
-    for sym, parts in marks.items():
-        inner = parts[0] if len(parts) == 1 else _simplify_union(tuple(parts), alphabet)
-        merged = LeftMark(sym, inner) if not is_empty_expr(inner) else EMPTY
-        if not is_empty_expr(merged):
-            rest.append(merged)
-    if not rest:
-        return EMPTY
-    if len(rest) == 1:
-        return rest[0]
-    return Union(tuple(rest))
-
-
-_DISTRIBUTE_BUDGET = 64
-
-
-def _simplify_inter(args, alphabet):
-    flat = _flatten(args, Inter)
-    kept, seen = [], set()
-    for a in flat:
-        if is_empty_expr(a):
-            return EMPTY
-        if is_full_expr(a) or a in seen:
-            continue
-        seen.add(a)
-        kept.append(a)
-    for a in kept:
-        if Complement(a) in seen or (isinstance(a, Complement) and a.arg in seen):
-            return EMPTY
-    # distribute over unions while the expansion stays small; this is what
-    # lets marker/complement collapses fire inside unions
-    product = 1
-    for a in kept:
-        if isinstance(a, Union):
-            product *= max(len(a.args), 1)
-    if product > 1 and product <= _DISTRIBUTE_BUDGET:
-        choice_sets = [a.args if isinstance(a, Union) else (a,) for a in kept]
-        terms = [_simplify_inter(combo, alphabet)
-                 for combo in itertools.product(*choice_sets)]
-        return _simplify_union(tuple(terms), alphabet)
-    marks = [a for a in kept if isinstance(a, LeftMark)]
-    if marks:
-        symbols = {m.symbol for m in marks}
-        if len(symbols) > 1:
-            return EMPTY  # distinct forced first symbols
-        sym = next(iter(symbols))
-        inner_parts = [m.arg for m in marks]
-        rest = []
-        for a in kept:
-            if isinstance(a, LeftMark):
-                continue
-            direct = _as_direct_dfa(a, alphabet)
-            if direct is not None:
-                # xL n D = x(L n x^-1 D)
-                inner_parts.append(_dfa_atom(direct.left_quotient((alphabet.code(sym),))))
-            else:
-                rest.append(a)
-        inner = inner_parts[0] if len(inner_parts) == 1 else _simplify_inter(tuple(inner_parts), alphabet)
-        mark = EMPTY if is_empty_expr(inner) else LeftMark(sym, inner)
-        if is_empty_expr(mark):
-            return EMPTY
-        if not rest:
-            return mark
-        return Inter(tuple([mark] + rest))
-    if not kept:
-        return FULL
-    if len(kept) == 1:
-        return kept[0]
-    return Inter(tuple(kept))
-
-
-def _simplify_quotient(word, arg, alphabet):
-    alphabet.check(word)
-    if word == "":
-        return arg
-    if is_empty_expr(arg):
-        return EMPTY
-    if isinstance(arg, LeftMark):
-        if word[0] == arg.symbol:
-            return _simplify_quotient(word[1:], arg.arg, alphabet)
-        return EMPTY
-    if isinstance(arg, Union):
-        return _simplify_union(tuple(_simplify_quotient(word, a, alphabet) for a in arg.args), alphabet)
-    if isinstance(arg, Inter):
-        return _simplify_inter(tuple(_simplify_quotient(word, a, alphabet) for a in arg.args), alphabet)
-    if isinstance(arg, Complement):
-        inner = _simplify_quotient(word, arg.arg, alphabet)
-        if isinstance(inner, Complement):
-            return inner.arg
-        return Complement(inner)
-    if isinstance(arg, FiniteSet):
-        return FiniteSet(tuple(w[len(word):] for w in arg.words if w.startswith(word)))
-    if isinstance(arg, DfaAtom):
-        return _dfa_atom(arg.dfa.left_quotient(alphabet.codes(word)))
-    if isinstance(arg, LeftQuotient):
-        return _simplify_quotient(arg.word + word, simplify(arg.arg, alphabet), alphabet)
-    return LeftQuotient(word, arg)
-
-
-# ---------------------------------------------------------------------------
 # automaton backend
 
 
-def _convert(expr, alphabet):
-    """An automaton of the expression; raises :class:`NonRegularLeaf` at a
-    predicate leaf."""
+# most predicate leaf contexts regular_view substitutes: one conversion per
+# FULL/EMPTY assignment, so at most 2**6 = 64 conversions per expression
+LEAF_CONTEXTS = 6
+
+
+@functools.lru_cache(maxsize=None)
+def _constant(n_symbols: int, full: bool) -> Dfa:
+    """The one-state automaton of every word or of none."""
+    return Dfa(n_symbols, ((0,) * n_symbols,), 0, frozenset({0} if full else ()))
+
+
+def _decided(dfa: Dfa) -> bool | None:
+    """True when every state accepts, False when none does, else None."""
+    if not dfa.accepting:
+        return False
+    return True if len(dfa.accepting) == dfa.n_states else None
+
+
+def _convert(expr, alphabet, leaves, u=(), marks=""):
+    """An automaton of u⁻¹expr with every predicate leaf read as FULL or
+    EMPTY, as ``leaves`` says.
+
+    ``u`` is the pending quotient, as in :class:`_Lowering`: a mark at a
+    nonempty u consumes its first symbol or is empty, and automata and
+    finite sets take the quotient.  ``marks`` is the string of marks above
+    the node.  A predicate leaf is keyed by its context ``(marks, u,
+    name)``; a key not yet in ``leaves`` reads EMPTY and is added.  Union
+    and intersection convert every part first, so that every leaf is seen;
+    a part that accepts everything or nothing then decides the node or
+    drops out, with no product.
+    """
+    b = alphabet.size
     if isinstance(expr, FiniteSet):
-        return dfa_for_finite(alphabet.size, tuple(alphabet.codes(w) for w in expr.words))
+        return dfa_for_finite(b, tuple(alphabet.codes(w) for w in expr.words)).left_quotient(u)
     if isinstance(expr, DfaAtom):
-        if expr.dfa.n_symbols != alphabet.size:
+        if expr.dfa.n_symbols != b:
             raise _alphabet_mismatch(expr, alphabet)
-        return expr.dfa
+        return expr.dfa.left_quotient(u) if u else expr.dfa
     if isinstance(expr, Predicate):
-        raise NonRegularLeaf(expr.name)
+        return _constant(b, leaves.setdefault((marks, u, expr.name), False))
     if isinstance(expr, (Union, Inter)):
-        unit, product = ((EMPTY, Dfa.union) if isinstance(expr, Union)
-                         else (FULL, Dfa.intersection))
-        acc = _convert(expr.args[0] if expr.args else unit, alphabet)
-        for a in expr.args[1:]:
-            acc = product(acc, _convert(a, alphabet)).minimize()
-        return acc
+        union = isinstance(expr, Union)
+        acc = None
+        for part in [_convert(a, alphabet, leaves, u, marks) for a in expr.args]:
+            decided = _decided(part)
+            if decided is union:
+                return part
+            if decided is None:
+                acc = part if acc is None else acc.product(
+                    part, operator.or_ if union else operator.and_).minimize()
+        return _constant(b, not union) if acc is None else acc
     if isinstance(expr, Complement):
-        return _convert(expr.arg, alphabet).complement()
+        return _convert(expr.arg, alphabet, leaves, u, marks).complement()
     if isinstance(expr, LeftMark):
-        return _convert(expr.arg, alphabet).left_mark(alphabet.code(expr.symbol))
+        c = alphabet.code(expr.symbol)
+        if u:
+            return (_convert(expr.arg, alphabet, leaves, u[1:], marks) if u[0] == c
+                    else _constant(b, False))
+        return _convert(expr.arg, alphabet, leaves, (), marks + expr.symbol).left_mark(c)
     if isinstance(expr, LeftQuotient):
-        return _convert(expr.arg, alphabet).left_quotient(alphabet.codes(expr.word))
+        return _convert(expr.arg, alphabet, leaves, alphabet.codes(expr.word) + u, marks)
     raise TypeError(f"not a language expression: {expr!r}")
 
 
@@ -595,14 +431,31 @@ AUTOMATON_CACHE_SIZE = 4096
 
 @functools.lru_cache(maxsize=AUTOMATON_CACHE_SIZE)
 def regular_view(expr: LangExpr, alphabet: Alphabet) -> Dfa | None:
-    """The minimal automaton, the language key, if the simplified
-    expression is regular.  The one door to the exact backend: it
-    simplifies, converts and minimizes, so callers pass expressions as is.
+    """The minimal automaton, the language key, when the expression does
+    not depend on its predicates: substitute, convert, minimize.  The one
+    door to the exact backend, so callers pass expressions as they are.
+
+    The expression is converted with every predicate leaf context read as
+    EMPTY, and again under each other FULL/EMPTY assignment, all-FULL
+    first.  A word w reads each context at one word, u·w with the marks
+    taken off, so its membership is a Boolean function of the atoms' bits
+    and one bit per context.  When every assignment gives one language,
+    that function ignores the context bits and the language is regular.
+    Past ``LEAF_CONTEXTS`` contexts, or when two assignments differ, the
+    answer is None and callers take the window route.
     """
-    try:
-        return _convert(simplify(expr, alphabet), alphabet).minimize()
-    except NonRegularLeaf:
+    leaves: dict = {}
+    base = _convert(expr, alphabet, leaves)
+    keys = list(leaves)
+    if len(keys) > LEAF_CONTEXTS:
         return None
+    others = itertools.islice(itertools.product((True, False), repeat=len(keys)),
+                              2 ** len(keys) - 1)
+    for bits in others:
+        other = _convert(expr, alphabet, dict(zip(keys, bits)))
+        if base.product(other, operator.ne).least_accepted() is not None:
+            return None
+    return base.minimize()
 
 
 # ---------------------------------------------------------------------------

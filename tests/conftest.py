@@ -161,3 +161,23 @@ def random_mixed_expr(rng: np.random.Generator, alphabet: Alphabet, depth: int =
         return Complement(random_mixed_expr(rng, alphabet, depth - 1))
     sym = str(rng.choice(list(alphabet.symbols)))
     return LeftMark(sym, random_mixed_expr(rng, alphabet, depth - 1))
+
+
+def random_tree(rng, alphabet, depth=4):
+    """A random expression with predicate, mark and quotient nodes."""
+    if depth == 0 or rng.random() < 0.25:
+        return random_mixed_expr(rng, alphabet, 0)
+
+    def sub():
+        return random_tree(rng, alphabet, depth - 1)
+    roll = rng.random()
+    if roll < 0.2:
+        return Union(tuple(sub() for _ in range(int(rng.integers(1, 3)))))
+    if roll < 0.4:
+        return Inter(tuple(sub() for _ in range(int(rng.integers(1, 3)))))
+    if roll < 0.55:
+        return Complement(sub())
+    symbols = list(alphabet.symbols)
+    if roll < 0.75:
+        return LeftMark(str(rng.choice(symbols)), sub())
+    return LeftQuotient("".join(rng.choice(symbols, size=int(rng.integers(1, 3)))), sub())

@@ -179,8 +179,12 @@ def three_family_members():
 
 def test_solve_matches_exhaustive_oracle_three_components(ab):
     """Families over ab with three-block partitions and near misses: the
-    words starting aa, ab or b, and the same split by square length."""
+    words starting aa, ab or b, and the same split by square length.  A
+    check on one predicate is exact; the words starting b together with
+    the (empty) square-and-prime lengths need two predicates, so their
+    containment holds up to the horizon only."""
     sq = Predicate("square-length")
+    sq_prime = Inter((sq, Predicate("prime-length")))
     aa, a_b, b, rest, regular = three_family_members()
     exact = list_family("three", ab, regular)
     mixed = list_family("three-mixed", ab, regular + [
@@ -191,6 +195,7 @@ def test_solve_matches_exhaustive_oracle_three_components(ab):
         (exact, [aa, a_b, b]),
         (exact, [b, a_b, aa]),
         (exact, [aa, a_b, Inter((b, sq))]),
+        (exact, [aa, a_b, Union((b, sq_prime))]),
         (mixed, [Inter((aa, sq)), a_b, b]),
         (mixed, [Inter((aa, Complement(sq))), a_b, b]),
         (mixed, [aa, b, mark("a", mark("a", sq))]),
@@ -277,8 +282,10 @@ def test_solve_conditional_matches_oracle_on_exact_list_family(ab):
     does not is rejected by is_partition alone.  The near misses put in
     front of ``three`` match the row of the rest (words starting b, plus
     the empty word and a) up to the horizon, but overlap the words
-    starting aa or miss a word beyond the window."""
+    starting aa or miss a word beyond the window.  As in the plain search,
+    the component that needs two predicates is certified to the horizon."""
     sq = Predicate("square-length")
+    sq_prime = Inter((sq, Predicate("prime-length")))
     aa, a_b, b, rest, regular = three_family_members()
     near = [Union((rest, FiniteSet(("a" * 12,)))),
             Inter((rest, Complement(FiniteSet(("b" * 8,)))))]
@@ -291,6 +298,7 @@ def test_solve_conditional_matches_oracle_on_exact_list_family(ab):
         (FiniteSet(("", "a")), [b]),
         (mark("a"), [b]),
         (aa, [a_b, Inter((b, sq))]),
+        (aa, [a_b, Union((b, sq_prime))]),
         (EMPTY, [aa, a_b, b]),
         (FiniteSet(("",)), [mark("a")]),
         (FiniteSet(("a",)), [a_b, aa]),

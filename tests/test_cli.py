@@ -663,6 +663,48 @@ def test_json_nested_beyond_the_decoder_exits_2(tmp_path, capsys, reg_family_fil
     assert err == f"error: {problem}: JSON nested too deeply\n"
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["cohesive", "--target", "big.json", "--family", "f.json"], "expr"),
+    (["solve", "--problem", "big.json", "--family", "f.json"], "components"),
+    (["make", "ziegler", "--base", "big.json"], "expr")])
+def test_oversized_json_integer_exits_2(tmp_path, capsys, reg_family_file, argv, key):
+    """An integer of more than 4300 digits ended in a ValueError traceback
+    (exit 1) from the decoder; a family file already exited 2."""
+    dfa = '{"dfa": {"states": 1%s, "initial": 0, "transitions": [[0, 0]], "accepting": []}}' \
+        % ("0" * 4999)
+    value = f"[{dfa}]" if key == "components" else dfa
+    big = tmp_path / "big.json"
+    big.write_text(f'{{"alphabet": "ab", "{key}": {value}}}')
+    paths = {"big.json": str(big), "f.json": reg_family_file}
+    code, out, err = run_main([paths.get(a, a) for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {big}: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("closure, want", [
+    (["u"] * MAX_EXPR_DEPTH, 4),
+    (["b"] * 66 + ["co", "cc"], 4),
+    (["u"] * (MAX_EXPR_DEPTH + 1), 2),
+    (["b"] * 67, 2),
+    (["b"] * 150, 2),
+    (["u"] * 500, 2),
+    (["co"] * 520, 2)])
+def test_closure_nesting_limit(tmp_path, capsys, closure, want):
+    """The last three ended in a RecursionError traceback (exit 1).  Each
+    operator nests the family's expressions one level, b three."""
+    target = write(tmp_path, "target.json", {"alphabet": "ab", "expr": expr_to_json(FULL)})
+    family = write(tmp_path, "fam.json",
+                   {"alphabet": "ab", "builtin": "regular", "closure": closure})
+    code, out, err = run_main(["cohesive", "--target", target, "--family", family,
+                               "--index-bound", "5", "--horizon", "5"], capsys)
+    assert code == want
+    if want == 2:
+        assert out == ""
+        assert err == (f"error: {family}: closure operators nested deeper than "
+                       f"{MAX_EXPR_DEPTH} levels\n")
+
+
 MARKED_A, MARKED_B = expr_to_json(LeftMark("a", FULL)), expr_to_json(LeftMark("b", FULL))
 
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from cptk import dfa as dfa_module
-from cptk.dfa import Dfa, dfa_for_finite, dfa_length_equals, dfa_word_starts_with
+from cptk.dfa import Dfa, dfa_for_finite, dfa_length_equals
 from cptk.families import length_family
 from cptk.langs import DfaAtom, is_finite, window_rows
 from cptk.words import lex, words_up_to
 
 from .conftest import random_dfa, unmarked_minimize
+from .simplify_oracle import dfa_word_starts_with
 
 
 def brute_accepted(dfa, alphabet, count):

@@ -9,13 +9,14 @@ from cptk.classify import disjoint_verdict
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, LeftQuotient, Predicate, Union,
                         UnknownPredicate, emptiness, equivalent, expr_from_json,
-                        expr_to_json, is_finite, member, regular_view, simplify,
+                        expr_to_json, is_finite, member, regular_view,
                         subset_of, window_rows)
 from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
 
 from .batch_oracle import batch_row
 from .conftest import random_mixed_expr, random_regular_expr
 from .scalar_oracle import member as scalar_member
+from .simplify_oracle import simplify
 
 
 def scalar_vector(expr, alphabet, count):
@@ -167,7 +168,7 @@ def test_automaton_caches_are_bounded_lru(ab):
     assert langs.regular_view.cache_info().misses == misses + 1
     # cached results equal conversions that no cache touched
     for i in (0, 1, size // 2, size):
-        assert views[i] == langs._convert(exprs[i], ab).minimize()
+        assert views[i] == langs._convert(exprs[i], ab, {}).minimize()
         assert views[i].accepts(ab, lex(ab, i)) and views[i].count_accepted() == 1
 
 
@@ -205,7 +206,12 @@ def test_subset_of_examples(ab):
     v = subset_of(full, aXs, ab)
     assert v.is_refuted and v.witness == ""
     sq = Predicate("square-length")
+    # sq ∩ ¬(sq ∪ {a}) is empty whether sq reads as FULL or as EMPTY
     v = subset_of(sq, Union((sq, FiniteSet(("a",)))), ab, horizon=200)
+    assert v.is_certified and v.exact
+    # no square length is prime, but no FULL/EMPTY reading of the two
+    # predicates shows it: only the window speaks
+    v = subset_of(sq, Complement(Predicate("prime-length")), ab, horizon=200)
     assert v.is_unknown and v.horizon == 200
 
 

@@ -1,10 +1,10 @@
-"""One simplification per question and one Hopcroft pass per automaton.
+"""One regularity question per emptiness and one Hopcroft pass per automaton.
 
-``emptiness`` no longer simplifies before :func:`langs.regular_view`, which
-simplifies itself, and :meth:`Dfa.minimize` returns its own results as they
-are.  ``old_emptiness`` (the route with both simplifications) and
-``unmarked_minimize`` (Hopcroft on a fresh copy) are the differential
-oracles; the pass counts pin the work saved.
+``emptiness`` asks :func:`langs.regular_view` once, with the expression as
+it is, and :meth:`Dfa.minimize` returns its own results as they are.
+``old_emptiness`` (the structural simplifier of ``simplify_oracle``, then
+the view) and ``unmarked_minimize`` (Hopcroft on a fresh copy) are the
+differential oracles; the pass counts pin the work saved.
 """
 
 import dataclasses
@@ -16,13 +16,13 @@ import pytest
 from cptk import cli
 from cptk.dfa import Dfa
 from cptk.families import length_family
-from cptk.langs import (Complement, DfaAtom, Inter, LeftMark, LeftQuotient, Union, emptiness,
-                        regular_view, simplify)
+from cptk.langs import Complement, DfaAtom, emptiness, regular_view
 from cptk.verdicts import CERTIFIED, REFUTED, UNKNOWN, Verdict
 from cptk.words import Alphabet, lex
 
 from .batch_oracle import batch_row
-from .conftest import random_dfa, random_mixed_expr, unmarked_minimize
+from .conftest import random_dfa, random_tree, unmarked_minimize
+from .simplify_oracle import simplify
 
 ALPHABETS = [Alphabet.parse(s) for s in ("a", "ab", "abc")]
 
@@ -41,26 +41,6 @@ def old_emptiness(expr, alphabet, horizon=300):
                        witness=lex(alphabet, (row & -row).bit_length() - 1),
                        detail={"route": "window"})
     return Verdict(UNKNOWN, exact=False, horizon=horizon)
-
-
-def random_tree(rng, alphabet, depth=4):
-    """A random expression with predicate, mark and quotient nodes."""
-    if depth == 0 or rng.random() < 0.25:
-        return random_mixed_expr(rng, alphabet, 0)
-
-    def sub():
-        return random_tree(rng, alphabet, depth - 1)
-    roll = rng.random()
-    if roll < 0.2:
-        return Union(tuple(sub() for _ in range(int(rng.integers(1, 3)))))
-    if roll < 0.4:
-        return Inter(tuple(sub() for _ in range(int(rng.integers(1, 3)))))
-    if roll < 0.55:
-        return Complement(sub())
-    symbols = list(alphabet.symbols)
-    if roll < 0.75:
-        return LeftMark(str(rng.choice(symbols)), sub())
-    return LeftQuotient("".join(rng.choice(symbols, size=int(rng.integers(1, 3)))), sub())
 
 
 @pytest.mark.parametrize("alphabet", ALPHABETS, ids=str)
@@ -145,7 +125,8 @@ def test_length_family_classes_minimize_each_index_once(ab, hopcroft_passes):
 def test_example26_ccore_passes(tmp_path, capsys, hopcroft_passes):
     """`cptk ccore` on example 26 over square-length at bound 3700 made
     7109 passes before, and 2745 while its region check asked an automaton
-    of every class; the row filter leaves few classes to ask."""
+    of every class; the row filter leaves few classes to ask.  The view
+    made 25 while the structural simplifier built its automata."""
     sq = {"predicate": "square-length"}
 
     def mark(x, arg):
@@ -161,4 +142,4 @@ def test_example26_ccore_passes(tmp_path, capsys, hopcroft_passes):
                      "--family", str(tmp_path / "family.json"), "--index-bound", "3700"])
     capsys.readouterr()
     assert code == 4
-    assert len(hopcroft_passes) <= 25
+    assert len(hopcroft_passes) <= 22
