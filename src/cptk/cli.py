@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="family indices scanned (default 500)")
         p.add_argument("--horizon", type=_int_at_least(0), default=300,
                        help="last word rank checked on windows (default 300)")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_int_at_least(0), default=0,
                        help="seed for sampling harnesses (default 0)")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if steps:

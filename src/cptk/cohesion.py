@@ -15,9 +15,8 @@ cross-links the two.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import codec
 from .classify import (ClassificationProblem, ClosureFlagsAbsent, ConditionalProblem,
@@ -119,6 +118,8 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
     contradiction is reported as an internal inconsistency.
     """
     validate_bounds(index_bound, horizon)
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if not (family.flags.nontrivial and family.flags.union_closed):
         raise ClosureFlagsAbsent("core checks need a nontrivial, union-closed family")
     if len(problem) < 2:
@@ -126,7 +127,7 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
     alphabet = problem.alphabet
     cohesion = check_cohesive(set_of(problem), family, index_bound, horizon)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)  # only random(), as in families.check_law
     findings = []
     refuted_by_subproblem = False
     k = len(problem)
@@ -149,17 +150,19 @@ def check_core(problem: ClassificationProblem, family: FamilyEnum, index_bound: 
     # sliced subproblems: component n family language, kept only with
     # infinite evidence
     for _ in range(subset_samples):
-        i, j = rng.choice(k, size=2, replace=False)
-        si, sj = int(rng.integers(0, index_bound)), int(rng.integers(0, index_bound))
-        slice_i = Inter((problem.components[int(i)], family.expr(si)))
-        slice_j = Inter((problem.components[int(j)], family.expr(sj)))
+        # two distinct components: j skips over i
+        i, j = int(rng.random() * k), int(rng.random() * (k - 1))
+        j += j >= i
+        si, sj = int(rng.random() * index_bound), int(rng.random() * index_bound)
+        slice_i = Inter((problem.components[i], family.expr(si)))
+        slice_j = Inter((problem.components[j], family.expr(sj)))
         if not all(is_infinite_evidence(is_finite(s, alphabet, horizon))
                    for s in (slice_i, slice_j)):
             continue
         dv = disjoint_verdict(slice_i, slice_j, alphabet, horizon)
         if dv.is_refuted:
             continue
-        try_subproblem({"slices": [[int(i), si], [int(j), sj]]}, (slice_i, slice_j))
+        try_subproblem({"slices": [[i, si], [j, sj]]}, (slice_i, slice_j))
 
     # cross-check: an exactly solvable subproblem induces a splitting pair
     linked = []

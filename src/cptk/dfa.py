@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-
-import numpy as np
+from functools import lru_cache
 
 from .words import Alphabet
 
@@ -71,12 +69,6 @@ class Dfa:
             raise ValueError(fault)
         if any(not 0 <= s < n for s in self.accepting):
             raise ValueError("accepting state out of range")
-
-    @cached_property
-    def _trans_array(self) -> np.ndarray:
-        """Transition table as an array, for the stacked window pass."""
-        return np.array(self.transitions, dtype=np.int64).reshape(self.n_states,
-                                                                  self.n_symbols)
 
     @property
     def n_states(self) -> int:
@@ -154,26 +146,10 @@ class Dfa:
     # ------------------------------------------------------------------
     # canonical form
 
-    def reachable(self) -> "Dfa":
-        seen = {self.initial: 0}
-        order = [self.initial]
-        queue = deque(order)
-        while queue:
-            s = queue.popleft()
-            for x in range(self.n_symbols):
-                t = self.transitions[s][x]
-                if t not in seen:
-                    seen[t] = len(order)
-                    order.append(t)
-                    queue.append(t)
-        rows = tuple(tuple(seen[self.transitions[s][x]] for x in range(self.n_symbols))
-                     for s in order)
-        accepting = frozenset(seen[s] for s in self.accepting if s in seen)
-        return Dfa(self.n_symbols, rows, 0, accepting)
-
     def minimize(self) -> "Dfa":
         """The minimal automaton, the language key: Hopcroft partition
-        refinement, then breadth-first renumbering.
+        refinement over all states, then breadth-first renumbering of the
+        blocks reachable from the initial block.
 
         Equal languages always give equal automata, so language equality is
         ``a.minimize() == b.minimize()``.  Minimizing a result again returns
@@ -181,29 +157,24 @@ class Dfa:
         """
         if self._minimal:
             return self
-        m = self.reachable()
-        n = m.n_states
-        block = m._coarsest_congruence()
-        n_blocks = max(block) + 1
-        rep_trans = [None] * n_blocks
-        for s in range(n):
+        block = self._coarsest_congruence()
+        rep_trans = [None] * (max(block) + 1)
+        for s, row in enumerate(self.transitions):
             if rep_trans[block[s]] is None:
-                rep_trans[block[s]] = tuple(block[m.transitions[s][x]] for x in range(m.n_symbols))
-        # breadth-first renumbering from the initial block
-        renum = {block[m.initial]: 0}
-        order = [block[m.initial]]
-        queue = deque(order)
-        while queue:
-            bks = queue.popleft()
-            for x in range(m.n_symbols):
-                t = rep_trans[bks][x]
+                rep_trans[block[s]] = tuple(block[t] for t in row)
+        # breadth-first renumbering from the initial block; the blocks of
+        # unreachable states get no number
+        renum = {block[self.initial]: 0}
+        order = [block[self.initial]]
+        for bk in order:
+            for t in rep_trans[bk]:
                 if t not in renum:
                     renum[t] = len(order)
                     order.append(t)
-                    queue.append(t)
-        rows = tuple(tuple(renum[rep_trans[bk][x]] for x in range(m.n_symbols)) for bk in order)
-        accepting = frozenset(renum[block[s]] for s in m.accepting)
-        out = Dfa(m.n_symbols, rows, 0, accepting)
+        rows = tuple(tuple(renum[t] for t in rep_trans[bk]) for bk in order)
+        accepting = frozenset(renum[block[s]] for s in self.accepting
+                              if block[s] in renum)
+        out = Dfa(self.n_symbols, rows, 0, accepting)
         object.__setattr__(out, "_minimal", True)
         return out
 

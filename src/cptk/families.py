@@ -23,9 +23,8 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import codec, kernels
 from .dfa import Dfa, dfa_length_equals
@@ -259,30 +258,22 @@ def _regular_rows(n: int, n_symbols: int, lo: int, hi: int, count: int) -> list[
     """The rows over lex(0..count-1) of the offsets lo..hi-1 into the
     n-state block of the regular family.
 
-    The block's tables are decoded a stack at a time, with vectorised
-    digits, and run in one pass of :func:`kernels.window_final_states`; the
-    2^n accepting sets of a table are built up one state at a time, each
-    set's row one OR of a smaller set's row and a state's row.
+    The range's tables are decoded with :func:`kernels.table_digits` and
+    run in one :func:`kernels.state_rows` call; the 2^n accepting sets of a
+    table are built up one state at a time, each set's row one OR of a
+    smaller set's row and a state's row.
     """
-    width = n * n_symbols
     first, last = lo >> n, (hi - 1) >> n  # the tables of the range
-    step = max(1, kernels.STACK_WORDS // (n * max(count, 1)))
+    tables = last + 1 - first
+    states = kernels.state_rows(kernels.table_digits(first, last, n, n_symbols),
+                                [n] * tables, [0] * tables, [range(n)] * tables, count)
     out = []
-    for rank in range(first, last + 1, step):
-        ranks = np.arange(rank, min(rank + step, last + 1), dtype=np.int64)
-        digits = np.empty((len(ranks), width), dtype=np.int32)
-        for p in range(width - 1, -1, -1):
-            ranks, digits[:, p] = np.divmod(ranks, n)
-        offsets = np.arange(0, len(digits) * n, n, dtype=np.int32)
-        trans = (digits + offsets[:, None]).reshape(-1, n_symbols)
-        finals = kernels.window_final_states(trans, offsets, count)
-        states = kernels.packed_state_rows(finals, len(trans), np.arange(len(trans)))
-        for t in range(0, len(states), n):
-            # acc rank a accepts in state s when bit n-1-s of a is set
-            sets = [0]
-            for state in reversed(states[t:t + n]):
-                sets += [row | state for row in sets]
-            out += sets
+    for t in range(0, len(states), n):
+        # acc rank a accepts in state s when bit n-1-s of a is set
+        sets = [0]
+        for state in reversed(states[t:t + n]):
+            sets += [row | state for row in sets]
+        out += sets
     skip = lo - (first << n)
     return out[skip:skip + hi - lo]
 
@@ -550,16 +541,19 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
     if law_id not in LAW_IDS:
         raise ValueError(f"unknown law {law_id!r}; choose from {LAW_IDS}")
     validate_horizon(horizon)
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+    # random() is the one method whose stream Python keeps for a given seed
+    rng = random.Random(seed)
     report = _law_report(law_id, index_samples, horizon)
 
     if law_id == "distributivity":
         fu_s = close_s(close_u(family))
         fs_u = close_u(close_s(family))
         for _ in range(index_samples):
-            parts = [[int(rng.integers(0, LAW_INDEX_POOL))
-                      for _ in range(int(rng.integers(1, 3)))]
-                     for _ in range(int(rng.integers(1, 3)))]
+            parts = [[int(rng.random() * LAW_INDEX_POOL)
+                      for _ in range(1 + int(rng.random() * 2))]
+                     for _ in range(1 + int(rng.random() * 2))]
             inter_of_unions = codec.seq_code([codec.seq_code(p) for p in parts])
             choices = list(itertools.product(*parts))
             union_of_inters = codec.seq_code([codec.seq_code(c) for c in choices])
@@ -570,21 +564,21 @@ def check_law(law_id: str, family: FamilyEnum, index_samples: int, horizon: int,
         co_u = close_u(close_co(family))
         s_co = close_co(close_s(family))
         for _ in range(index_samples):
-            parts = [int(rng.integers(0, LAW_INDEX_POOL))
-                     for _ in range(int(rng.integers(1, 4)))]
+            parts = [int(rng.random() * LAW_INDEX_POOL)
+                     for _ in range(1 + int(rng.random() * 3))]
             code = codec.seq_code(parts)
             _compare_on_window(report, family, co_u.expr(code), s_co.expr(code),
                                horizon, {"parts": parts})
     elif law_id == "co-involution":
         coco = close_co(close_co(family))
         for _ in range(index_samples):
-            i = int(rng.integers(0, LAW_INDEX_POOL))
+            i = int(rng.random() * LAW_INDEX_POOL)
             _compare_on_window(report, family, coco.expr(i), family.expr(i),
                                horizon, {"index": i})
     elif law_id == "cc-dc-fixpoint":
         cc = close_cc(family)
         for _ in range(index_samples):
-            i = int(rng.integers(0, 2 * LAW_INDEX_POOL))
+            i = int(rng.random() * 2 * LAW_INDEX_POOL)
             partner = i + 1 if i % 2 == 0 else i - 1
             _compare_on_window(report, family, Complement(cc.expr(i)),
                                cc.expr(partner), horizon,

@@ -1,15 +1,62 @@
-"""The vector kernels behind the window rows: :func:`window_final_states`
-runs a stack of automata over the window lex(0..count-1) in one pass over
-the ranks, and :func:`packed_state_rows` turns the final states into one
-int row per state."""
+"""The vector kernels behind the window rows, in the one module of
+:mod:`cptk` that imports numpy.  :func:`state_rows` is the stacked pass:
+automata run over the window lex(0..count-1) a stack at a time, each
+stack in one :func:`window_final_states` pass and one
+:func:`packed_state_rows` packing."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-# bound on automata x words per stacked pass, which keeps the int32 state
-# array and the gathers that fill it small
+# bound on automata x words, and on wanted states x words, per stack, which
+# keeps the int32 state array, its gathers and the packed one-hot small
 STACK_WORDS = 1 << 16
+
+
+def state_rows(trans, sizes, initials, wanted, count: int) -> list[int]:
+    """The rows over lex(0..count-1) of the wanted states of a run of
+    automata, flat and in order: bit j of a state's row is set when lex(j)
+    ends in that state.
+
+    ``trans`` holds the automata's transition rows one after another (any
+    array-like of shape states × symbols), each automaton numbering its
+    states from 0; ``sizes``, ``initials`` and ``wanted`` give each
+    automaton's state count, its initial state and the states whose rows
+    are asked for.  A stack takes automata while both automata × words and
+    wanted states × words stay within ``STACK_WORDS``, one automaton at
+    least.
+    """
+    trans = np.asarray(trans, dtype=np.int32)
+    starts = [0, *itertools.accumulate(sizes)]
+    words, out, lo = max(count, 1), [], 0
+    while lo < len(sizes):
+        hi, n_wanted = lo + 1, len(wanted[lo])
+        while (hi < len(sizes) and (hi + 1 - lo) * words <= STACK_WORDS
+               and (n_wanted + len(wanted[hi])) * words <= STACK_WORDS):
+            n_wanted += len(wanted[hi])
+            hi += 1
+        # state ids within the stack: each automaton's own ids plus its offset
+        offsets = [s - starts[lo] for s in starts[lo:hi]]
+        shift = np.repeat(np.array(offsets, dtype=np.int32), sizes[lo:hi])
+        finals = window_final_states(trans[starts[lo]:starts[hi]] + shift[:, None],
+                                     np.add(offsets, initials[lo:hi]), count)
+        out += packed_state_rows(finals, len(shift), [
+            off + s for off, states in zip(offsets, wanted[lo:hi]) for s in states])
+        lo = hi
+    return out
+
+
+def table_digits(first: int, last: int, n: int, n_symbols: int) -> np.ndarray:
+    """The transition rows of the n-state tables of ranks first..last over
+    ``n_symbols`` symbols, one table after another: the base-n digits of
+    each rank, the first position most significant."""
+    ranks = np.arange(first, last + 1, dtype=np.int64)
+    digits = np.empty((len(ranks), n * n_symbols), dtype=np.int32)
+    for p in reversed(range(n * n_symbols)):
+        ranks, digits[:, p] = np.divmod(ranks, n)
+    return digits.reshape(-1, n_symbols)
 
 
 def window_final_states(trans: np.ndarray, initials: np.ndarray,

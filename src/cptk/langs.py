@@ -23,8 +23,6 @@ import operator
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
-
 from . import kernels
 from .dfa import Dfa, dfa_for_finite
 from .verdicts import (CERTIFIED, FINITE, INFINITE, REFUTED, UNKNOWN,
@@ -101,19 +99,18 @@ FULL = Complement(EMPTY)
 
 # one sieve, regrown to at least double its length when a longer word
 # length is asked about
-_prime_sieve = np.zeros(0, dtype=bool)
+_prime_sieve = bytearray()
 
 
-def _prime_mask(limit: int) -> np.ndarray:
-    """Primality of 0..n for some n >= limit."""
+def _prime_mask(limit: int) -> bytearray:
+    """Primality of 0..n for some n >= limit, one byte per number."""
     global _prime_sieve
     if limit >= len(_prime_sieve):
         size = max(limit + 1, 2 * len(_prime_sieve))
-        sieve = np.ones(size, dtype=bool)
-        sieve[:2] = False
+        sieve = bytearray(min(size, 2)) + b"\1" * (size - 2)
         for p in range(2, isqrt(size - 1) + 1):
             if sieve[p]:
-                sieve[p * p::p] = False
+                sieve[p * p::p] = bytes(len(range(p * p, size, p)))
         _prime_sieve = sieve
     return _prime_sieve
 
@@ -197,12 +194,11 @@ def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
     shifts each length block into place.  Automaton atoms at u become the
     automaton started where u leads; a predicate becomes an automaton that
     is exact on every word of the window prefixed by u.  All automaton
-    leaves of all expressions share stacked passes of
-    :func:`kernels.window_final_states`, one run per distinct (transitions,
-    initial) table, and a leaf's row is the union of the rows of its
-    accepting states.  The rows of the states some atom accepts in come
-    from :func:`kernels.packed_state_rows`, once per stack.  Union,
-    intersection and complement are ``|``, ``&`` and ``full & ~``.
+    leaves of all expressions share one :func:`kernels.state_rows` call,
+    one run per distinct (transitions, initial) table, which gives the rows
+    of the states some atom accepts in; a leaf's row is the union of the
+    rows of its accepting states.  Union, intersection and complement are
+    ``|``, ``&`` and ``full & ~``.
     """
     lowering = _Lowering(alphabet, count)
     rows = [lowering.lower(e) for e in exprs]
@@ -211,13 +207,13 @@ def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
 
 
 class _Lowering:
-    """Expressions lowered to row thunks over one set of stacked passes."""
+    """Expressions lowered to row thunks over one stacked pass."""
 
     def __init__(self, alphabet: Alphabet, count: int):
         self.alphabet, self.count = alphabet, count
-        # (transitions, initial) -> (automaton, the accepting sets asked
-        # about, {accepted-in state: row} once run)
-        self.tables: dict[tuple, tuple[Dfa, list, dict[int, int]]] = {}
+        # (transitions, initial) -> (automaton, {accepted-in state: row}),
+        # the rows filled in by run()
+        self.tables: dict[tuple, tuple[Dfa, dict[int, int]]] = {}
 
     def lower(self, e):
         """The thunk of e's row over the whole window."""
@@ -268,34 +264,22 @@ class _Lowering:
 
     def _atom(self, dfa: Dfa, n: int):
         """The thunk of an automaton's row over lex(0..n-1), n <= count."""
-        _, accepts, states = self.tables.setdefault((dfa.transitions, dfa.initial),
-                                                    (dfa, [], {}))
+        _, states = self.tables.setdefault((dfa.transitions, dfa.initial), (dfa, {}))
         accepting = dfa.accepting
-        accepts.append(accepting)
+        states.update(dict.fromkeys(accepting, 0))
         mask = (1 << n) - 1
         return lambda: functools.reduce(operator.or_, (states[s] for s in accepting), 0) & mask
 
     def run(self) -> None:
-        """Fill the state rows of every table with the stacked passes."""
-        count = self.count
+        """Fill the state rows of every table with one stacked pass."""
         groups = list(self.tables.values())
-        step = max(1, kernels.STACK_WORDS // max(count, 1))
-        for lo in range(0, len(groups), step):
-            stack = groups[lo:lo + step]
-            dfas = [d for d, _, _ in stack]
-            offsets = np.cumsum([0] + [d.n_states for d in dfas])
-            trans = np.concatenate([d._trans_array + off
-                                    for d, off in zip(dfas, offsets)]).astype(np.int32)
-            initials = offsets[:-1] + [d.initial for d in dfas]
-            finals = kernels.window_final_states(trans, initials, count)
-            for _, accepts, states in stack:
-                states.update(dict.fromkeys(set().union(*accepts), 0))
-            used = [off + s for (_, _, states), off in zip(stack, offsets.tolist())
-                    for s in states]
-            rows = iter(kernels.packed_state_rows(finals, int(offsets[-1]), used))
-            for _, _, states in stack:
-                for s in states:
-                    states[s] = next(rows)
+        rows = iter(kernels.state_rows(
+            [row for d, _ in groups for row in d.transitions],
+            [d.n_states for d, _ in groups], [d.initial for d, _ in groups],
+            [states for _, states in groups], self.count))
+        for _, states in groups:
+            for s in states:
+                states[s] = next(rows)
 
 
 def _once(row):

@@ -7,7 +7,7 @@ window row.  The code is a copy of the replaced modules.  Only the names
 it used to reach through its own modules are spelled out: the mismatch
 error of :mod:`cptk.langs`, the predicate batch functions
 (resolved through :func:`predicate_batch`) and ``Dfa.accepts_batch``
-(now :func:`accepts_batch`).
+(now :func:`accepts_batch`, which converts the transition table itself).
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def symbol_counts(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
 
 def accepts_batch(dfa, packed: PackedWords) -> np.ndarray:
     """``Dfa.accepts_batch``."""
-    finals = dfa_final_states(dfa._trans_array, dfa.initial,
+    finals = dfa_final_states(np.array(dfa.transitions, dtype=np.int64), dfa.initial,
                               packed.flat, packed.starts, packed.lengths)
     acc = np.zeros(dfa.n_states, dtype=bool)
     for s in dfa.accepting:
@@ -164,7 +164,7 @@ def _square_batch(packed):
 
 def _prime_batch(packed):
     top = int(packed.lengths.max()) if len(packed) else 2
-    return langs._prime_mask(top)[packed.lengths]
+    return np.frombuffer(langs._prime_mask(top), dtype=np.uint8)[packed.lengths] == 1
 
 
 def _equal_counts_batch(x, y):

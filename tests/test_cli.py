@@ -345,6 +345,20 @@ def test_counts_that_check_nothing_exit_2(capsys, reg_family_file, argv, flag):
     assert captured.out == "" and f"{flag}: must be at least" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["laws"], ["ccore", "--problem", "p.json"]])
+def test_negative_seed_exits_2(capsys, reg_family_file, argv):
+    """A negative seed ended in numpy's seeding traceback (exit 1); Python's
+    ``random.Random(-1)`` would draw seed 1's stream instead."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--family", reg_family_file, "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "--seed" in line
+            and "must be at least 0" in line] == \
+        [f"cptk {argv[0]}: error: argument --seed: must be at least 0, got -1"]
+
+
 def test_lex_count_zero_prints_nothing(capsys):
     assert run_main(["lex", "--alphabet", "ab", "--count", "0"], capsys)[:2] == (0, "")
 

@@ -391,6 +391,26 @@ def test_ccore1_requires_nontrivial(ab):
         ccore1_check(LeftMark("a", FULL), EMPTY, fam, 10, 100)
 
 
+@pytest.mark.parametrize("seed,slices", [
+    (0, [[[1, 27], [0, 17]], [[1, 51], [0, 20]], [[0, 59], [1, 33]],
+         [[0, 40], [1, 16]], [[1, 53], [0, 59]], [[0, 59], [1, 45]]]),
+    (5, [[[0, 35], [1, 37]], [[1, 52], [0, 9]]])])
+def test_core_slices_pinned_per_seed(ab, reg_ab, seed, slices):
+    """Slices are drawn from ``random.Random(seed)``, whose ``random()``
+    stream Python keeps for a given seed."""
+    prob = load_problem([LeftMark("a", FULL), LeftMark("b", FULL)], ab)
+    report = check_core(prob, reg_ab, index_bound=66, horizon=60, subset_samples=6,
+                        seed=seed)
+    assert [e["subproblem"]["slices"] for e in report["subproblems"]
+            if "slices" in e["subproblem"]] == slices
+
+
+def test_core_rejects_negative_seed(ab, reg_ab):
+    prob = load_problem([LeftMark("a", FULL), LeftMark("b", FULL)], ab)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        check_core(prob, reg_ab, index_bound=66, horizon=60, seed=-1)
+
+
 @pytest.mark.parametrize("index_bound,horizon", [(50, -1), (0, 300)])
 def test_checks_reject_bounds_without_evidence(ab, reg_ab, index_bound, horizon):
     prob = load_problem([LeftMark("a", FULL), LeftMark("b", FULL)], ab)

@@ -183,6 +183,55 @@ def test_minimize_gives_canonical_equality(ab):
     assert d1.minimize() != d1.complement().minimize()
 
 
+def two_pass_minimize(dfa):
+    """``Dfa.minimize`` as it was: a breadth-first copy of the reachable
+    states (the deleted ``Dfa.reachable``), then Hopcroft's refinement and
+    renumbering on that copy."""
+    b = dfa.n_symbols
+    seen = {dfa.initial: 0}
+    order = [dfa.initial]
+    for s in order:
+        for t in dfa.transitions[s]:
+            if t not in seen:
+                seen[t] = len(order)
+                order.append(t)
+    m = Dfa(b, tuple(tuple(seen[t] for t in dfa.transitions[s]) for s in order), 0,
+            frozenset(seen[s] for s in dfa.accepting if s in seen))
+    block = m._coarsest_congruence()
+    rep_trans = [None] * (max(block) + 1)
+    for s in range(m.n_states):
+        if rep_trans[block[s]] is None:
+            rep_trans[block[s]] = tuple(block[m.transitions[s][x]] for x in range(b))
+    renum = {block[m.initial]: 0}
+    order = [block[m.initial]]
+    for bk in order:
+        for t in rep_trans[bk]:
+            if t not in renum:
+                renum[t] = len(order)
+                order.append(t)
+    rows = tuple(tuple(renum[t] for t in rep_trans[bk]) for bk in order)
+    return Dfa(b, rows, 0, frozenset(renum[block[s]] for s in m.accepting))
+
+
+def test_one_pass_minimize_matches_two_pass():
+    """Hopcroft over all states, unreachable ones included, then numbering
+    from the initial block gives the automaton that refining the reachable
+    copy gave.  A random initial state leaves many states unreachable."""
+    rng = np.random.default_rng(23)
+    unreachable = 0
+    for _ in range(4000):
+        b, n = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        rows = tuple(tuple(int(rng.integers(0, n)) for _ in range(b)) for _ in range(n))
+        d = Dfa(b, rows, int(rng.integers(0, n)),
+                frozenset(s for s in range(n) if rng.random() < 0.5))
+        want = two_pass_minimize(d)
+        assert d.minimize() == want
+        assert unmarked_minimize(d) == want
+        # a state neither initial nor any transition's target is unreachable
+        unreachable += len({d.initial} | {t for row in rows for t in row}) < n
+    assert unreachable > 500
+
+
 def test_minimize_idempotent(ab):
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -256,12 +305,3 @@ def test_count_accepted_deep_chain(ab):
     assert v.is_finite and v.exact
     assert v.count == 2 ** 3000
 
-
-def test_transition_array_built_on_first_batch_use(ab):
-    d = Dfa(2, ((1, 0), (1, 1)), 0, frozenset({1}))
-    assert "_trans_array" not in vars(d)
-    words = ("", "a", "b", "aa", "ab", "ba", "bb")
-    assert rows_of([d], ab, 7)[0] == sum(d.accepts(ab, w) << j for j, w in enumerate(words))
-    assert "_trans_array" in vars(d)
-    fresh = Dfa(2, ((1, 0), (1, 1)), 0, frozenset({1}))
-    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)

@@ -217,6 +217,23 @@ def test_laws_hold_on_regular_family(reg_ab, law):
     assert report["first_counterexample"] is None
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_law_reports_kept_across_the_sampler_change(reg_ab, seed):
+    """The reports the numpy sampler gave at these seeds: counts only, since
+    a sample shows only as a counterexample."""
+    for law in LAW_IDS:
+        samples = 5 if law == "nontriviality-preservation" else 12
+        assert check_law(law, reg_ab, 12, 40, seed) == {
+            "law": law, "samples": 12, "horizon": 40, "agreements": samples,
+            "disagreements": 0, "first_counterexample": None}
+
+
+def test_check_law_rejects_negative_seed(reg_ab):
+    """``random.Random(-1)`` would silently draw seed 1's stream."""
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        check_law("deMorgan", reg_ab, 5, 100, -1)
+
+
 def test_check_law_rejects_unknown(reg_ab):
     with pytest.raises(ValueError):
         check_law("associativity", reg_ab, 5, 100)

@@ -1,11 +1,16 @@
 """Kernels against scalar oracles: the stacked pass over a window and the
 int bitset rows built on it, also against the replaced per-word batch
-evaluator kept in :mod:`tests.batch_oracle`."""
+evaluator kept in :mod:`tests.batch_oracle` and the stacking loops that
+:func:`cptk.kernels.state_rows` replaced."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 
 from cptk import kernels, langs
+from cptk.dfa import Dfa
 from cptk.families import regular_family
 from cptk.langs import DfaAtom, FiniteSet, LeftMark, Predicate, window_rows
 from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
@@ -24,7 +29,7 @@ def scalar_final_state(dfa, alphabet, word):
 
 def single_final_states(dfa, count):
     """The stacked pass over a stack of one automaton."""
-    return kernels.window_final_states(dfa._trans_array.astype(np.int32),
+    return kernels.window_final_states(np.array(dfa.transitions, dtype=np.int32),
                                        np.array([dfa.initial]), count)[0]
 
 
@@ -75,7 +80,7 @@ def test_member_batch_matches_scalar_member(ab):
 
 def stack(dfas):
     offsets = np.cumsum([0] + [d.n_states for d in dfas])
-    trans = np.concatenate([d._trans_array + off for d, off in zip(dfas, offsets)])
+    trans = np.concatenate([np.array(d.transitions) + off for d, off in zip(dfas, offsets)])
     return trans.astype(np.int32), offsets[:-1] + [d.initial for d in dfas], offsets
 
 
@@ -147,7 +152,7 @@ def per_state_window_rows(exprs, alphabet, count):
     for lo in range(0, len(groups), step):
         dfas = [exprs[ks[0]].dfa for ks in groups[lo:lo + step]]
         offsets = np.cumsum([0] + [d.n_states for d in dfas])
-        trans = np.concatenate([d._trans_array + off
+        trans = np.concatenate([np.array(d.transitions) + off
                                 for d, off in zip(dfas, offsets)]).astype(np.int32)
         initials = offsets[:-1] + [d.initial for d in dfas]
         finals = kernels.window_final_states(trans, initials, count)
@@ -249,3 +254,146 @@ def test_finite_set_row_mismatch_in_a_mixed_list(ab):
     assert outcome(lambda: window_rows(sets, ab, 50)) == outcome(reference)
     with pytest.raises(AlphabetMismatch):
         window_rows(sets, ab, 50)
+
+
+# ---------------------------------------------------------------------------
+# the one stacked pass against the two stacking loops it replaced
+
+
+def lowering_stack_rows(dfas, wanted, count):
+    """The stacking loop of ``langs._Lowering.run`` before
+    ``kernels.state_rows``: stacks of ``STACK_WORDS // count`` automata."""
+    out = []
+    step = max(1, kernels.STACK_WORDS // max(count, 1))
+    for lo in range(0, len(dfas), step):
+        stack = dfas[lo:lo + step]
+        offsets = np.cumsum([0] + [d.n_states for d in stack])
+        trans = np.concatenate([np.array(d.transitions, dtype=np.int64) + off
+                                for d, off in zip(stack, offsets)]).astype(np.int32)
+        initials = offsets[:-1] + [d.initial for d in stack]
+        finals = kernels.window_final_states(trans, initials, count)
+        used = [off + s for states, off in zip(wanted[lo:lo + step], offsets.tolist())
+                for s in states]
+        out += kernels.packed_state_rows(finals, int(offsets[-1]), used)
+    return out
+
+
+def table_stack_rows(n, n_symbols, lo, hi, count):
+    """``families._regular_rows`` before ``kernels.state_rows``: stacks of
+    ``STACK_WORDS // (n · count)`` tables, decoded a stack at a time."""
+    width = n * n_symbols
+    first, last = lo >> n, (hi - 1) >> n
+    step = max(1, kernels.STACK_WORDS // (n * max(count, 1)))
+    out = []
+    for rank in range(first, last + 1, step):
+        ranks = np.arange(rank, min(rank + step, last + 1), dtype=np.int64)
+        digits = np.empty((len(ranks), width), dtype=np.int32)
+        for p in range(width - 1, -1, -1):
+            ranks, digits[:, p] = np.divmod(ranks, n)
+        offsets = np.arange(0, len(digits) * n, n, dtype=np.int32)
+        trans = (digits + offsets[:, None]).reshape(-1, n_symbols)
+        finals = kernels.window_final_states(trans, offsets, count)
+        states = kernels.packed_state_rows(finals, len(trans), np.arange(len(trans)))
+        for t in range(0, len(states), n):
+            sets = [0]
+            for state in reversed(states[t:t + n]):
+                sets += [row | state for row in sets]
+            out += sets
+    skip = lo - (first << n)
+    return out[skip:skip + hi - lo]
+
+
+def random_tables(rng, n_symbols, k):
+    """k automata with random initial states, and a random set of wanted
+    states for each (some empty, some all states)."""
+    dfas, wanted = [], []
+    for _ in range(k):
+        n = int(rng.integers(1, 7))
+        rows = tuple(tuple(int(rng.integers(0, n)) for _ in range(n_symbols))
+                     for _ in range(n))
+        dfas.append(Dfa(n_symbols, rows, int(rng.integers(0, n)), frozenset()))
+        wanted.append([s for s in range(n) if rng.random() < 0.6])
+    return dfas, wanted
+
+
+def state_rows_of(dfas, wanted, count):
+    return kernels.state_rows([row for d in dfas for row in d.transitions],
+                              [d.n_states for d in dfas], [d.initial for d in dfas],
+                              wanted, count)
+
+
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 301, 2001])
+def test_state_rows_match_the_lowering_loop(symbols, count, monkeypatch):
+    rng = np.random.default_rng(count + len(symbols))
+    dfas, wanted = random_tables(rng, len(symbols), 40)
+    assert state_rows_of(dfas, wanted, count) == lowering_stack_rows(dfas, wanted, count)
+    assert state_rows_of([], [], count) == []
+    # small stacks: one automaton per stack from 16 words on
+    monkeypatch.setattr(kernels, "STACK_WORDS", 16)
+    assert state_rows_of(dfas, wanted, count) == lowering_stack_rows(dfas, wanted, count)
+
+
+def test_state_rows_bound_wanted_states_per_stack(monkeypatch):
+    """A stack holds at most STACK_WORDS // words wanted states, unless one
+    automaton alone wants more."""
+    dfas, wanted = random_tables(np.random.default_rng(5), 2, 30)
+    monkeypatch.setattr(kernels, "STACK_WORDS", 40)
+    want = lowering_stack_rows(dfas, wanted, 9)
+    stacks = []
+    real = kernels.window_final_states
+
+    def recording(trans, initials, count):
+        stacks.append(len(initials))
+        return real(trans, initials, count)
+
+    monkeypatch.setattr(kernels, "window_final_states", recording)
+    assert state_rows_of(dfas, wanted, 9) == want
+    lo = 0
+    for k in stacks:
+        n_wanted = sum(map(len, wanted[lo:lo + k]))
+        assert k * 9 <= 40 and (n_wanted * 9 <= 40 or k == 1)
+        if lo + k < len(dfas):  # the next automaton would break a bound
+            assert (k + 1) * 9 > 40 or (n_wanted + len(wanted[lo + k])) * 9 > 40
+        lo += k
+    assert lo == len(dfas)
+    assert min(stacks[:-1]) < 40 // 9  # some stack was cut by its wanted states
+
+
+# over "a" the state-count blocks start at 0, 2, 18 and 234, over "ab" at
+# 0, 2 and 66, over "abc" at 0, 2 and 258; each range starts mid-table
+TABLE_RANGES = {"a": [(0, 240), (17, 19), (3, 233)],
+                "ab": [(0, 3700), (65, 67), (1, 300), (1001, 1013)],
+                "abc": [(0, 300), (257, 500), (250, 270)]}
+
+
+@pytest.mark.parametrize("symbols", TABLE_RANGES)
+@pytest.mark.parametrize("count", [0, 1, 9, 200])
+@pytest.mark.parametrize("stack_words", [16, kernels.STACK_WORDS])
+def test_regular_rows_match_the_table_loop(symbols, count, stack_words, monkeypatch):
+    monkeypatch.setattr(kernels, "STACK_WORDS", stack_words)
+    family = regular_family(Alphabet.parse(symbols))
+    b = len(symbols)
+    starts = [0]  # starts[n - 1]: the first index of the n-state block
+    for n in range(1, 5):
+        starts.append(starts[-1] + n ** (n * b) * 2 ** n)
+    for lo, hi in TABLE_RANGES[symbols]:
+        want, i = [], lo
+        while i < hi:
+            n = next(m for m in range(1, 5) if i < starts[m])
+            end = min(hi, starts[n])
+            want += table_stack_rows(n, b, i - starts[n - 1], end - starts[n - 1], count)
+            i = end
+        assert family.row_builder(lo, hi, count) == want
+
+
+def test_numpy_only_in_kernels():
+    """``cptk.kernels`` is the one module of the package that imports numpy."""
+    importers = []
+    for path in sorted(pathlib.Path(kernels.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(n.split(".")[0] == "numpy" for n in names):
+                importers.append(path.name)
+    assert importers == ["kernels.py"]
