@@ -33,13 +33,17 @@ def tuple_code(values) -> int:
 
 
 def tuple_decode(code: int, arity: int) -> tuple[int, ...]:
+    """The inverse of :func:`tuple_code` at the given arity.  Unpairing
+    stops once the code reaches 0, since ``unpair(0) == (0, 0)``: every
+    value left is 0."""
     if arity < 1:
         raise ValueError("arity must be positive")
     out = []
-    for _ in range(arity - 1):
+    while code and len(out) < arity - 1:
         x, code = unpair(code)
         out.append(x)
     out.append(code)
+    out += [0] * (arity - len(out))
     return tuple(out)
 
 

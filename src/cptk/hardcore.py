@@ -9,17 +9,24 @@ is inherently sequential and emits one trace entry per word; traces are
 bit-reproducible and replay-verifiable.
 
 :func:`hardcore_run` and :func:`verify_trace` work on int bitset window
-rows: the condition and target rows over every rank, and the family rows
-of the guarded indices folded into one column bitset per rank, so a step
-reads one column instead of asking each guarded language about its word.
-Both decide a step by the one rule of :func:`_step`; the verifier replays
-the run inside its own loop, from the state the trace itself builds, and
-looks up each cancellation witness by scalar membership.
+rows, and decide only the steps that change state.  Their guard state,
+:class:`_GuardState`, holds the row of each live guarded index and
+``blocked``, the OR of those rows.  A step changes the state only on a
+blocked condition word (a cancellation) or on an unblocked target word
+outside the condition (an acceptance); one bitset expression finds the
+next such event, :func:`_step` decides it, and the skips before it are
+written at once by one segment rule.  The verifier acts only at the
+ranks where an entry can fail a check or change the state, replays the
+run from the state the trace itself builds, and looks up each
+cancellation witness by scalar membership.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
@@ -107,60 +114,140 @@ _OPTIONAL_FIELDS = (("reason", str), ("blocking", int))
 _JSON_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
 
 
+# a TraceEntry from a tuple of its seven fields, built without a Python
+# frame: TraceEntry._make less its length check, which the tuples of
+# _GuardState.segment always pass
+_entry = functools.partial(tuple.__new__, TraceEntry)
+
+
 def _field_error(data: dict, key: str, kind: type) -> ValueError:
     if key not in data:
         return ValueError(f"missing field {key!r}")
     return ValueError(f"field {key!r} must be {_JSON_TYPE_NAMES[kind]}, not {data[key]!r}")
 
 
-class _Guards:
-    """The guarded indices by rank over lex(0..steps-1): bit i of
-    ``cols[j]`` is set when index i is guarded at rank j and lex(j) lies
-    in its language.
+# the family rows a run fetches first: one fetch of a few rows costs about
+# as much as one of a single row, and most runs guard a few indices
+FIRST_ROWS = 8
 
-    Family rows are fetched for the indices below a bound that doubles as
-    more indices become guarded, and never passes ``steps``.
+
+class _GuardState:
+    """The live guarded indices of a diagonalization over lex(0..steps-1),
+    with the condition and target rows and the word of every rank.
+
+    ``live`` maps each guarded, uncancelled index whose language meets the
+    ranks still to come to its family row, masked from its guard rank on,
+    in ascending index order; ``blocked`` is the OR of those rows.  Family
+    rows are fetched for the indices below a bound that starts at
+    ``FIRST_ROWS`` and doubles as more indices become guarded, and never
+    passes ``steps``.
     """
 
-    def __init__(self, family: FamilyEnum, steps: int):
+    def __init__(self, family: FamilyEnum, condition: LangExpr, target: LangExpr,
+                 alphabet: Alphabet, steps: int):
         self.family = family
         self.steps = steps
-        self.cols = [0] * steps
+        self.cond, target_row = window_rows([condition, target], alphabet, steps)
+        self.target = target_row
+        self.accept = target_row & ~self.cond
+        self.words = list(words_up_to(alphabet, steps))
+        self.reasons = _reasons(self.cond, target_row, steps)
         self.rows: list[int] = []
+        self.live: dict[int, int] = {}
+        self.blocked = 0
+        self.guard(0, 0)
 
     def guard(self, i: int, n: int) -> None:
         """Index i is guarded from rank n on."""
         if n >= self.steps:
             return
         if i >= len(self.rows):
-            bound = min(self.steps, max(2 * len(self.rows), i + 1))
+            bound = min(self.steps, max(2 * len(self.rows), i + 1, FIRST_ROWS))
             self.rows = self.family.rows(bound, self.steps - 1)
-        bit = 1 << i
-        cols = self.cols
-        for j in _bits(self.rows[i] >> n):
-            cols[n + j] |= bit
+        row = self.rows[i] >> n << n
+        if row:
+            self.live[i] = row
+            self.blocked |= row
+
+    def cancel(self, indices) -> None:
+        """The listed indices are cancelled: the live ones leave ``live``,
+        and ``blocked`` is recomputed once if any did."""
+        if [i for i in indices if self.live.pop(i, 0)]:
+            self.reblock()
+
+    def reblock(self) -> None:
+        """``blocked`` from the rows still live."""
+        self.blocked = functools.reduce(operator.or_, self.live.values(), 0)
+
+    def next_event(self, n: int) -> int:
+        """The least rank at or past n whose step changes the state, a
+        cancellation or an acceptance; ``steps`` if there is none."""
+        blocked = self.blocked
+        events = ((self.cond & blocked) | (self.accept & ~blocked)) >> n
+        return n + (events & -events).bit_length() - 1 if events else self.steps
+
+    def live_at(self, n: int) -> int:
+        """The bitset of the live indices whose languages contain lex(n)."""
+        col = 0
+        if self.blocked >> n & 1:
+            for i, row in self.live.items():
+                if row >> n & 1:
+                    col |= 1 << i
+        return col
+
+    def step(self, n: int) -> tuple[str, int, str | None, int | None]:
+        """:func:`_step` on rank n."""
+        return _step(self.live_at(n), self.cond >> n & 1, self.target >> n & 1)
+
+    def segment(self, a: int, b: int, card: int):
+        """The plain entry tuples of ranks a..b-1, none of them an event:
+        skips, each with the reason its rank's rows give, and a blocked
+        target rank naming the least live index that contains it."""
+        blocking = [None] * (b - a)
+        todo = (self.accept & self.blocked) >> a & ((1 << (b - a)) - 1)
+        for i, row in self.live.items():
+            if not todo:
+                break
+            hit = row >> a & todo
+            for j in _bits(hit):
+                blocking[j] = i
+            todo ^= hit
+        return zip(range(a, b), self.words[a:b], itertools.repeat(SKIPPED),
+                   itertools.repeat(()), itertools.repeat(card), self.reasons[a:b], blocking)
+
+
+def _reasons(cond: int, target: int, steps: int) -> list[str]:
+    """The reason of each rank's step when it changes no state: inside the
+    condition, outside the target, or else blocked."""
+    width = f"0{steps}b"
+    table = {("0", "0"): REASON_NOT_IN_TARGET, ("0", "1"): REASON_BLOCKED,
+             ("1", "0"): REASON_IN_CONDITION, ("1", "1"): REASON_IN_CONDITION}
+    return list(map(table.__getitem__, zip(format(cond, width)[::-1],
+                                           format(target, width)[::-1])))
 
 
 def _bits(mask: int):
-    """The set bits of an int bitset, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The set bits of an int bitset, ascending, read off its binary
+    digits at once."""
+    if not mask:
+        return ()
+    return itertools.compress(itertools.count(), format(mask, "b")[::-1].encode()
+                              .translate(_DIGIT_VALUES))
 
 
-def _step(col: int, cancelled: int, in_condition: int, in_target: int
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _step(live: int, in_condition: int, in_target: int
           ) -> tuple[str, int, str | None, int | None]:
     """One step of the loop on one word: its action, the bitset of the
     indices it cancels, its reason and its blocking index.
 
-    ``col`` holds the guarded indices whose languages contain the word,
-    ``cancelled`` the indices cancelled before it.  A condition word cancels
-    every uncancelled index of its column; a target word outside the
-    condition is blocked by the least of them, and accepted when there is
-    none.
+    ``live`` holds the guarded, uncancelled indices whose languages contain
+    the word.  A condition word cancels all of them; a target word outside
+    the condition is blocked by the least of them, and accepted when there
+    is none.
     """
-    live = col & ~cancelled
     if in_condition:
         return (CANCELLED if live else SKIPPED), live, REASON_IN_CONDITION, None
     if not in_target:
@@ -173,34 +260,40 @@ def _step(col: int, cancelled: int, in_condition: int, in_target: int
 def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
                  alphabet: Alphabet, steps: int
                  ) -> tuple[DiagonalizationState, list[TraceEntry]]:
-    """The diagonalization over the first ``steps`` words, on window rows.
+    """The diagonalization over the first ``steps`` words, by events.
 
-    Step n runs the loop of the module docstring on lex(n).  The
-    condition and target rows cover every rank; a guarded index adds its
-    family row to the column bitsets of the ranks still to come, so each
-    step reads one column and :func:`_step` decides it.
+    Step n runs the loop of the module docstring on lex(n).  Between two
+    events the state is constant, so :meth:`_GuardState.segment` writes
+    the skips of the stretch at once; :func:`_step` decides each event.
 
     The accepted prefix decides membership below rank ``steps`` exactly
     (accept exactly the listed words); beyond that the run says nothing.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    cond_row, target_row = window_rows([condition, target], alphabet, steps)
-    guards = _Guards(family, steps)
-    guards.guard(0, 0)
-    cols = guards.cols
+    guards = _GuardState(family, condition, target, alphabet, steps)
     accepted: list[str] = []
     cancelled = 0
     trace: list[TraceEntry] = []
-    for n, w in enumerate(words_up_to(alphabet, steps)):
-        action, hits, reason, blocking = _step(cols[n], cancelled, cond_row >> n & 1,
-                                               target_row >> n & 1)
-        cancelled |= hits
+    n = 0
+    while n < steps:
+        b = guards.next_event(n)
+        if b > n:
+            trace += map(_entry, guards.segment(n, b, len(accepted)))
+        if b == steps:
+            break
+        action, hits, reason, blocking = guards.step(b)
+        listed = ()
+        if hits:
+            cancelled |= hits
+            listed = tuple(_bits(hits))
+            guards.cancel(listed)
         if action == ACCEPTED:
-            accepted.append(w)
-            guards.guard(len(accepted), n + 1)
-        trace.append(TraceEntry(n, w, action, tuple(_bits(hits)), len(accepted),
-                                reason, blocking))
+            accepted.append(guards.words[b])
+            guards.guard(len(accepted), b + 1)
+        trace.append(_entry((b, guards.words[b], action, listed, len(accepted),
+                             reason, blocking)))
+        n = b + 1
     state = DiagonalizationState(steps, tuple(accepted), frozenset(_bits(cancelled)))
     return state, trace
 
@@ -225,11 +318,15 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
     avoids the condition (it is strictly increasing because every checked
     entry holds the word of its step); and full equality with a fresh run.
 
-    The replay runs inside the one loop: until the first entry that
-    differs from the run's, the guards built from the trace's acceptances
-    and the cancellations it lists are exactly the state of a fresh
-    :func:`hardcore_run`, so :func:`_step` on that state gives the entry
-    the run would write.  The first difference is reported last, as
+    The checks act only at the ranks read off the trace's columns where
+    an entry can fail them or change the state: a wrong step number or
+    word, a listed cancellation, an acceptance, or a count that differs
+    from the acceptances before it.  Between two such ranks the guard
+    state the trace builds is constant, and until the first entry that
+    differs from the run's it is exactly the state of a fresh
+    :func:`hardcore_run`; so the replay compares each stretch with the
+    entries :meth:`_GuardState.segment` and :func:`_step` give for it, in
+    one pass.  The first difference is reported last, as
     ``replay-divergence``.
 
     Checks (a), (c) and (d), and the condition witness of (b), read window
@@ -242,24 +339,30 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
     if steps < 1:
         raise ValueError("an empty trace has no steps to verify")
     violations = []
-    cond_row, target_row = window_rows([condition, target], alphabet, steps)
-    guards = _Guards(family, steps)
-    guards.guard(0, 0)
+    guards = _GuardState(family, condition, target, alphabet, steps)
+    words = guards.words
     accepted_ranks: list[int] = []
     cancel: set[int] = set()
-    cancel_mask = 0   # the cancelled indices that can ever be guarded
     divergence = None
-    for pos, (entry, w) in enumerate(zip(trace, words_up_to(alphabet, steps))):
-        if divergence is None:
-            action, hits, reason, blocking = _step(guards.cols[pos], cancel_mask,
-                                                   cond_row >> pos & 1,
-                                                   target_row >> pos & 1)
-            want = (pos, w, action, tuple(_bits(hits)),
-                    len(accepted_ranks) + (action == ACCEPTED), reason, blocking)
-            if entry != want:
-                divergence = _violation(pos, "replay-divergence",
-                                        {"expected": TraceEntry(*want).to_json(),
-                                         "found": entry.to_json()})
+    replayed = 0   # the entries below this rank equal the run's
+    for pos in _acting_ranks(trace, words):
+        # replay up to this rank from the state the trace has built so far
+        card = len(accepted_ranks)
+        while divergence is None and replayed <= pos:
+            a = replayed
+            b = min(guards.next_event(a), pos) if a < pos else pos
+            action, hits, reason, blocking = guards.step(b)
+            last = (b, words[b], action, tuple(_bits(hits)), card + (action == ACCEPTED),
+                    reason, blocking)
+            if (b > a and any(map(operator.ne, trace[a:b], guards.segment(a, b, card)))
+                    or trace[b] != last):
+                want = [*guards.segment(a, b, card), last]
+                k = next(k for k, e in enumerate(want) if e != trace[a + k])
+                divergence = _violation(a + k, "replay-divergence",
+                                        {"expected": TraceEntry(*want[k]).to_json(),
+                                         "found": trace[a + k].to_json()})
+            replayed = b + 1
+        entry, w = trace[pos], words[pos]
         if entry.n != pos:
             violations.append(_violation(entry.n, "step-numbering",
                                          f"expected step {pos}"))
@@ -272,7 +375,7 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
         # (b) cancellations need their condition witness
         for i in entry.cancelled:
             guarded = 0 <= i <= card_before
-            if not cond_row >> pos & 1:
+            if not guards.cond >> pos & 1:
                 violations.append(_violation(pos, "cancel-no-condition-witness",
                                              f"index {i} cancelled on {w!r} not in the condition"))
             elif guarded and not member(family.expr(i), w, alphabet):
@@ -286,20 +389,21 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
                 violations.append(_violation(pos, "cancel-repeated",
                                              f"index {i} already cancelled"))
             cancel.add(i)
-            if 0 <= i < steps:
-                cancel_mask |= 1 << i
+        if entry.cancelled:
+            guards.cancel(entry.cancelled)
         if entry.action == ACCEPTED:
             # (d) prefix discipline
-            if not target_row >> pos & 1:
+            if not guards.target >> pos & 1:
                 violations.append(_violation(pos, "accept-outside-target", w))
-            if cond_row >> pos & 1:
+            if guards.cond >> pos & 1:
                 violations.append(_violation(pos, "accept-inside-condition", w))
             # (a) acceptance guard
-            for i in _bits(guards.cols[pos] & ~cancel_mask):
+            for i in _bits(guards.live_at(pos)):
                 violations.append(_violation(pos, "accept-blocked",
                                              f"uncancelled index {i} contains {w!r}"))
             accepted_ranks.append(pos)
-            guards.guard(len(accepted_ranks), pos + 1)
+            if len(accepted_ranks) not in cancel:
+                guards.guard(len(accepted_ranks), pos + 1)
         if entry.card != len(accepted_ranks):
             violations.append(_violation(pos, "card-mismatch",
                                          f"declared {entry.card}, replay has {len(accepted_ranks)}"))
@@ -312,14 +416,36 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
     for i, row in enumerate(family.rows(final_card, steps - 1)):
         late = row & since[i]
         if late and i not in cancel:
-            words = [lex(alphabet, r) for r in _bits(late)]
+            met = [lex(alphabet, r) for r in _bits(late)]
             violations.append(_violation(None, "late-intersection",
-                                         f"index {i} meets words accepted while guarded: {words}"))
+                                         f"index {i} meets words accepted while guarded: {met}"))
     if divergence is not None:
         violations.append(divergence)
     return {"ok": not violations, "violations": violations,
             "steps": steps, "final_card": final_card,
             "cancelled": sorted(cancel)}
+
+
+def _acting_ranks(trace: list[TraceEntry], words: list[str]) -> list[int]:
+    """The ranks, ascending, where the verifier's checks can act on a
+    trace whose words of rank 0.. are ``words``: the first wrong step
+    number, which ends the checks, or else the last rank, which ends the
+    replay; and before it every wrong word, listed cancellation,
+    acceptance, and count that differs from the acceptances of the right
+    words up to its rank."""
+    ns, found, actions, cancelled, cards = itertools.islice(zip(*trace), 5)
+    ranks = range(len(trace))
+    end = next(itertools.compress(ranks, map(operator.ne, ns, ranks)), len(trace))
+    ranks = range(end)
+    right = list(map(operator.eq, found, words[:end]))
+    accepts = list(map(operator.eq, actions[:end], itertools.repeat(ACCEPTED)))
+    counts = itertools.accumulate(map(operator.and_, right, accepts))
+    acting = {*itertools.compress(ranks, map(operator.not_, right)),
+              *itertools.compress(ranks, accepts),
+              *itertools.compress(ranks, cancelled),
+              *itertools.compress(ranks, map(operator.ne, cards, counts)),
+              min(end, len(trace) - 1)}
+    return sorted(acting)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,19 @@ def state_rows(trans, sizes, initials, wanted, count: int) -> list[int]:
     automata, flat and in order: bit j of a state's row is set when lex(j)
     ends in that state.
 
-    ``trans`` holds the automata's transition rows one after another (any
-    array-like of shape states × symbols), each automaton numbering its
-    states from 0; ``sizes``, ``initials`` and ``wanted`` give each
-    automaton's state count, its initial state and the states whose rows
-    are asked for.  A stack takes automata while both automata × words and
-    wanted states × words stay within ``STACK_WORDS``, one automaton at
-    least.
+    ``trans`` holds the automata's transition rows one after another (an
+    array of shape states × symbols, or a sequence of equally long rows),
+    each automaton numbering its states from 0; ``sizes``, ``initials``
+    and ``wanted`` give each automaton's state count, its initial state
+    and the states whose rows are asked for.  A stack takes automata while
+    both automata × words and wanted states × words stay within
+    ``STACK_WORDS``, one automaton at least.
     """
+    if not isinstance(trans, np.ndarray):
+        # one flat pass: np.asarray on a list of row tuples is several times slower
+        width = len(trans[0]) if trans else 0
+        trans = np.fromiter(itertools.chain.from_iterable(trans), np.int32,
+                            len(trans) * width).reshape(len(trans), width)
     trans = np.asarray(trans, dtype=np.int32)
     starts = [0, *itertools.accumulate(sizes)]
     words, out, lo = max(count, 1), [], 0

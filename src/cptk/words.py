@@ -144,8 +144,7 @@ def words_up_to(alphabet: Alphabet, count: int):
     """
     length = 0
     while count > 0:
-        for symbols in itertools.islice(
-                itertools.product(alphabet.symbols, repeat=length), count):
-            yield "".join(symbols)
+        yield from map("".join, itertools.islice(
+            itertools.product(alphabet.symbols, repeat=length), count))
         count -= alphabet.size ** length
         length += 1

@@ -47,6 +47,33 @@ def test_seq_roundtrip(values):
     assert seq_decode(seq_code(values)) == tuple(values)
 
 
+def looping_tuple_decode(code, arity):
+    """``tuple_decode`` as it was: one unpair per value but the last, also
+    once the code has reached 0."""
+    if arity < 1:
+        raise ValueError("arity must be positive")
+    out = []
+    for _ in range(arity - 1):
+        x, code = unpair(code)
+        out.append(x)
+    out.append(code)
+    return tuple(out)
+
+
+def test_tuple_decode_matches_the_unpairing_loop():
+    """Every sequence code below 20,000, every code below 10,000 at every
+    arity up to 8, and some large codes."""
+    for code in range(20_000):
+        n_minus_1, payload = unpair(code)
+        assert seq_decode(code) == looping_tuple_decode(payload, n_minus_1 + 1)
+    for code in range(10_000):
+        for arity in range(1, 9):
+            assert tuple_decode(code, arity) == looping_tuple_decode(code, arity)
+    for code in (10 ** 12, 2 ** 64 + 3, pair(0, 0), pair(5, 0), pair(0, 5)):
+        for arity in range(1, 12):
+            assert tuple_decode(code, arity) == looping_tuple_decode(code, arity)
+
+
 def test_seq_decode_total():
     seen = set()
     for code in range(2000):

@@ -803,9 +803,10 @@ def test_reader_splits_lines_on_newline_only():
             trace_from_jsonl(trace_to_jsonl(entries).replace("\n", c))
 
 
-def test_verify_trace_command_builds_one_guard_and_no_run(tmp_path, capsys, monkeypatch):
-    """The replay reads the verifier's own guards: it used to run the whole
-    diagonalization again, with a second _Guards."""
+def test_verify_trace_command_builds_one_guard_state_and_no_run(tmp_path, capsys,
+                                                                 monkeypatch):
+    """The replay reads the verifier's own guard state: it used to run the
+    whole diagonalization again, with a second one."""
     files = {"regular.json": {"alphabet": "ab", "builtin": "regular"},
              "condition.json": {"alphabet": "ab", "expr": {"op": "leftmark", "symbol": "a",
                                                            "arg": {"predicate": "prime-length"}}},
@@ -817,21 +818,20 @@ def test_verify_trace_command_builds_one_guard_and_no_run(tmp_path, capsys, monk
             "--condition", str(tmp_path / "condition.json"),
             "--target", str(tmp_path / "target.json"), "--trace", str(tmp_path / "t.jsonl")]
     assert cli.main(["hardcore", *args, "--steps", "200"]) == 0
-    guards = []
-    real_init = cptk.hardcore._Guards.__init__
+    states = []
+    real_init = cptk.hardcore._GuardState.__init__
 
-    def counting_init(self, family, steps):
-        guards.append(steps)
-        real_init(self, family, steps)
+    def counting_init(self, family, condition, target, alphabet, steps):
+        states.append(steps)
+        real_init(self, family, condition, target, alphabet, steps)
 
     def no_run(*args):
         raise AssertionError("hardcore_run called")
 
-    monkeypatch.setattr(cptk.hardcore._Guards, "__init__", counting_init)
+    monkeypatch.setattr(cptk.hardcore._GuardState, "__init__", counting_init)
     monkeypatch.setattr(cptk.hardcore, "hardcore_run", no_run)
     monkeypatch.setattr(cli, "hardcore_run", no_run)
     capsys.readouterr()
     assert cli.main(["verify-trace", *args]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
-    assert guards == [200]
-
+    assert states == [200]

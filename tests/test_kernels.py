@@ -334,6 +334,22 @@ def test_state_rows_match_the_lowering_loop(symbols, count, monkeypatch):
     assert state_rows_of(dfas, wanted, count) == lowering_stack_rows(dfas, wanted, count)
 
 
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+@pytest.mark.parametrize("k", [0, 1, 4, 100])
+def test_state_rows_read_row_lists_as_arrays(symbols, k):
+    """Transition rows given as a list of tuples (read in one flat pass)
+    and as an int32 or int64 array give the same rows."""
+    rng = np.random.default_rng(k + len(symbols))
+    dfas, wanted = random_tables(rng, len(symbols), k)
+    rows = [row for d in dfas for row in d.transitions]
+    args = ([d.n_states for d in dfas], [d.initial for d in dfas], wanted, 301)
+    want = kernels.state_rows(rows, *args)
+    for dtype in (np.int32, np.int64):
+        array = np.array(rows, dtype=dtype).reshape(len(rows), len(symbols))
+        assert kernels.state_rows(array, *args) == want
+    assert want == lowering_stack_rows(dfas, wanted, 301)
+
+
 def test_state_rows_bound_wanted_states_per_stack(monkeypatch):
     """A stack holds at most STACK_WORDS // words wanted states, unless one
     automaton alone wants more."""
