@@ -35,7 +35,7 @@ from .cohesion import check_ccohesive, check_ccore, check_cohesive, check_core
 from .constructions import example_26, ziegler_problem
 from .families import LAW_IDS, check_law, family_from_json
 from .hardcore import (hardcore_run, trace_from_jsonl, trace_to_jsonl, verify_trace)
-from .langs import EMPTY, expr_from_json, expr_to_json
+from .langs import EMPTY, UnknownPredicate, expr_from_json, expr_to_json
 from .words import Alphabet, words_up_to
 
 EXIT_OK = 0
@@ -53,6 +53,17 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _malformed(path: str, exc: Exception) -> CliError:
+    """Exit 2 for an input file of the wrong shape.  A KeyError's text is
+    only the key, quoted, so it is named: an unknown predicate, else a
+    missing field."""
+    if isinstance(exc, UnknownPredicate):
+        return CliError(EXIT_USAGE, f"{path}: unknown predicate {exc.args[0]!r}")
+    if isinstance(exc, KeyError):
+        return CliError(EXIT_USAGE, f"{path}: missing field {exc.args[0]!r}")
+    return CliError(EXIT_USAGE, f"{path}: {exc}")
 
 
 def _read_text(path: str) -> str:
@@ -94,7 +105,7 @@ def _load_language(path: str):
         alphabet = Alphabet.parse(data["alphabet"], data.get("order"))
         expr = expr_from_json(data["expr"], alphabet)
     except MALFORMED as exc:
-        raise CliError(EXIT_USAGE, f"{path}: {exc}")
+        raise _malformed(path, exc)
     return alphabet, expr
 
 
@@ -102,7 +113,7 @@ def _load_family(path: str):
     try:
         return family_from_json(_read_json(path))
     except MALFORMED as exc:
-        raise CliError(EXIT_USAGE, f"{path}: {exc}")
+        raise _malformed(path, exc)
 
 
 def _check_alphabet(family, alphabet: Alphabet, what: str) -> None:
@@ -121,7 +132,7 @@ def _load_problem_file(path: str, horizon: int):
         condition = data.get("condition")
         cond_expr = None if condition is None else expr_from_json(condition, alphabet)
     except MALFORMED as exc:
-        raise CliError(EXIT_USAGE, f"{path}: {exc}")
+        raise _malformed(path, exc)
     try:
         if cond_expr is None:
             return alphabet, load_problem(comps, alphabet, horizon), None

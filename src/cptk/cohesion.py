@@ -5,7 +5,9 @@ complement splits it into two infinite parts.  The checker scans the
 language classes below an index bound, one least complement pair per
 class, and returns either a re-verifiable refutation witness or
 "consistent up to these bounds" — never a positive cohesiveness claim,
-which no finite procedure could back.
+which no finite procedure could back.  Each side of a class is exact
+where the intersection is regular; otherwise its window evidence is read
+off the class rows and the target's row, with no window pass per class.
 
 Core status combines two routes: cohesiveness of the component union, and
 bounded solvability of sampled subproblems.  On automaton-backed families
@@ -15,6 +17,7 @@ cross-links the two.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -23,8 +26,8 @@ from .classify import (ClassificationProblem, ClosureFlagsAbsent, ConditionalPro
                        PartitionCertificate, disjoint_verdict, set_of, solve,
                        solve_conditional, validate_bounds, is_infinite_evidence)
 from .families import DcMember, FamilyEnum, dc_member, inside_check, language_classes
-from .langs import (Complement, Inter, LangExpr, expr_to_json, is_finite,
-                    regular_view)
+from .langs import (Complement, Inter, LangExpr, expr_to_json, finiteness, is_finite,
+                    regular_view, window_rows)
 from .verdicts import FinitenessVerdict
 
 
@@ -82,25 +85,46 @@ def check_ccohesive(a: LangExpr, region: LangExpr, family: FamilyEnum,
 
 def _check_cohesive_restricted(a, region, family, index_bound, horizon):
     validate_bounds(index_bound, horizon)
-    alphabet = family.alphabet
     least_pairs = [(members[0], complements[0]) for members, complements
                    in language_classes(family, index_bound, horizon) if complements]
     inside = ((lambda i: True) if region is None
               else inside_check(family, region, index_bound, horizon))
+    evidence = meet_finiteness(a, family, index_bound, horizon)
     for i, j in sorted(least_pairs, key=lambda p: codec.pair(*p)):
         if not inside(i):
             continue
-        q = family.expr(i)
-        ev_in = is_finite(Inter((a, q)), alphabet, horizon)
+        ev_in = evidence(i)
         if not is_infinite_evidence(ev_in):
             continue
-        ev_out = is_finite(Inter((a, Complement(q))), alphabet, horizon)
+        ev_out = evidence(i, outside=True)
         if is_infinite_evidence(ev_out):
             m = dc_member(family, i, j, horizon)
             exact = ev_in.exact and ev_out.exact and m.status == "exact"
-            return CohesionVerdict("refuted", index_bound, horizon, m, q,
+            return CohesionVerdict("refuted", index_bound, horizon, m, family.expr(i),
                                    (ev_in, ev_out), exact)
     return CohesionVerdict("consistent", index_bound, horizon)
+
+
+def meet_finiteness(x: LangExpr, family: FamilyEnum, index_bound: int, horizon: int):
+    """The finiteness of x ∩ e(i), or with ``outside`` of x ∩ e(i)ᶜ, for an
+    index i below the bound: ``finiteness_at(i, outside=False)``.
+
+    The verdict is ``langs.is_finite``'s, by its own rule: exact from
+    :func:`langs.regular_view` of the intersection, else the count of the
+    window row.  The row is read off x's row, found once on first need,
+    and the family row of i, as ``window_rows`` lowers ``Inter`` to ``&``
+    and ``Complement`` to ``full & ~``: no window pass per index.
+    """
+    rows, alphabet = family.rows(index_bound, horizon), family.alphabet
+    x_row = functools.cache(lambda: window_rows([x], alphabet, horizon + 1)[0])
+
+    def finiteness_at(i: int, outside: bool = False):
+        q = family.expr(i)
+        part, row = (Complement(q), ~rows[i]) if outside else (q, rows[i])
+        return finiteness(regular_view(Inter((x, part)), alphabet),
+                          lambda: x_row() & row, alphabet, horizon)
+
+    return finiteness_at
 
 
 # ---------------------------------------------------------------------------

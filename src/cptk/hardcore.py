@@ -33,8 +33,9 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .classify import ConditionalProblem, is_infinite_evidence, validate_bounds
+from .cohesion import meet_finiteness
 from .families import FamilyEnum, inside_check
-from .langs import Inter, LangExpr, is_finite, member, subset_of, window_rows
+from .langs import LangExpr, is_finite, member, subset_of, window_rows
 from .words import Alphabet, lex, words_up_to
 
 
@@ -468,11 +469,11 @@ def is_proper_hardcore(b: LangExpr, target: LangExpr, family: FamilyEnum,
     groups = (family.classes(index_bound, horizon).classes if family.exact
               else [[i] for i in range(index_bound)])
     inside = inside_check(family, target, index_bound, horizon)
+    meet = meet_finiteness(b, family, index_bound, horizon)
     meets = {}
     for members in groups:
         if inside(members[0]):
-            e = family.expr(members[0])
-            meets.update(dict.fromkeys(members, is_finite(Inter((b, e)), alphabet, horizon)))
+            meets.update(dict.fromkeys(members, meet(members[0])))
     ordered = sorted(meets.items())
     violations = [{"index": i, "evidence": m.to_json()} for i, m in ordered if m.is_infinite]
     suspects = [{"index": i, "members_seen": m.count} for i, m in ordered

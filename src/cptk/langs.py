@@ -450,10 +450,23 @@ def is_finite(expr: LangExpr, alphabet: Alphabet, horizon: int = 0) -> Finitenes
     """Exact on the regular fragment; otherwise a horizon scan.
 
     Opaque predicates never produce an exact Infinite verdict: the scan
-    reports how many members it saw and leaves the question open.
+    reports how many members it saw and leaves the question open.  The two
+    routes are :func:`regular_view` and the verdict rule of
+    :func:`finiteness`, which the cohesion scan and ``is_proper_hardcore``
+    share: they read the window row of an intersection off the target's
+    row and the family rows instead of evaluating it here.
     """
     validate_horizon(horizon)
-    view = regular_view(expr, alphabet)
+    return finiteness(regular_view(expr, alphabet),
+                      lambda: window_rows([expr], alphabet, horizon + 1)[0],
+                      alphabet, horizon)
+
+
+def finiteness(view: Dfa | None, row, alphabet: Alphabet, horizon: int) -> FinitenessVerdict:
+    """The finiteness verdict of a language from its automaton ``view``, as
+    :func:`regular_view` finds it, exact; or, when there is none, from
+    ``row()``, the thunk of its window row over lex(0..horizon), which is
+    called only then and counts the members seen."""
     if view is not None:
         count = view.count_accepted()
         if count is None:
@@ -462,8 +475,7 @@ def is_finite(expr: LangExpr, alphabet: Alphabet, horizon: int = 0) -> Finitenes
                        "suffix": alphabet.word(w)}
             return FinitenessVerdict(INFINITE, exact=True, witness=witness)
         return FinitenessVerdict(FINITE, exact=True, count=count)
-    seen = window_rows([expr], alphabet, horizon + 1)[0].bit_count()
-    return FinitenessVerdict(UNKNOWN, exact=False, count=seen, horizon=horizon)
+    return FinitenessVerdict(UNKNOWN, exact=False, count=row().bit_count(), horizon=horizon)
 
 
 def emptiness(expr: LangExpr, alphabet: Alphabet, horizon: int = 300) -> Verdict:

@@ -752,6 +752,38 @@ def test_refused_input_exits_2_with_one_error_line(tmp_path, capsys, argv, files
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+NOPE = {"predicate": "nope"}
+
+
+@pytest.mark.parametrize("role,data,message", [
+    ("language", {"alphabet": "ab"}, "missing field 'expr'"),
+    ("language", {"alphabet": "ab", "expr": {"op": "leftmark", "arg": MARKED_A}},
+     "missing field 'symbol'"),
+    ("language", {"alphabet": "ab", "expr": NOPE}, "unknown predicate 'nope'"),
+    ("problem", {"alphabet": "ab", "condition": None}, "missing field 'components'"),
+    ("problem", {"alphabet": "ab", "condition": None, "components": [MARKED_A, NOPE]},
+     "unknown predicate 'nope'"),
+    ("family", {"alphabet": "ab", "list": [{"op": "complement"}]}, "missing field 'arg'"),
+    ("family", {"alphabet": "ab", "list": [MARKED_A, NOPE]}, "unknown predicate 'nope'")])
+def test_missing_field_or_unknown_predicate_is_named(tmp_path, capsys, role, data,
+                                                     message):
+    """A KeyError used to print only its key: ``error: t.json: 'expr'``."""
+    files = {"language": {"alphabet": "ab", "expr": MARKED_A},
+             "problem": {"alphabet": "ab", "condition": None,
+                         "components": [MARKED_A, MARKED_B]},
+             "family": {"alphabet": "ab", "builtin": "regular"}}
+    files[role] = data
+    paths = {name: write(tmp_path, f"{name}.json", d) for name, d in files.items()}
+    if role == "problem":
+        argv = ["solve", "--problem", paths["problem"]]
+    else:
+        argv = ["cohesive", "--target", paths["language"]]
+    code, out, err = run_main(argv + ["--family", paths["family"], "--index-bound", "5"],
+                              capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {paths[role]}: {message}\n"
+
+
 @pytest.mark.parametrize("text", ["", "\n", "\n  \n\n"])
 def test_verify_trace_of_no_entry_exits_2(finite_trace, capsys, text):
     """An empty trace used to verify, with "ok": true over 0 steps."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cptk import cohesion, kernels
 from cptk.classify import (ClassificationProblem, ClosureFlagsAbsent, load_conditional,
                            load_problem)
 from cptk.codec import pair
@@ -8,9 +9,10 @@ from cptk.cohesion import (CohesionVerdict, ccore1_check, check_ccohesive,
                            check_ccore, check_cohesive, check_core)
 from cptk.dfa import Dfa
 from cptk.families import (DcMember, FamilyFlags, canonical_index, close_cc,
-                           dc_member, inside_check, list_family)
+                           dc_member, inside_check, list_family, regular_family)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
-                        LeftMark, Predicate, Union, equivalent, regular_view)
+                        LeftMark, Predicate, Union, equivalent, is_finite,
+                        regular_view)
 
 from .batch_oracle import member_batch, window_for_horizon
 from .conftest import (certified_inside, complement_pairs, family_canonical,
@@ -137,10 +139,30 @@ def test_class_scan_matches_pair_scan_regular_abc(abc, reg_abc):
         assert_matches_pair_scan(target, reg_abc, 150, 200)
 
 
+def predicate_family(ab):
+    return close_cc(list_family("preds", ab, [SQ, LeftMark("a", FULL),
+                                              Predicate("prime-length"),
+                                              LeftMark("a", SQ), SQ]))
+
+
+def repeated_family(ab):
+    """Several indices per language, complements listed before and after."""
+    even_a_copy = DfaAtom(Dfa(2, ((1, 3), (2, 3), (1, 3), (3, 3)), 0,
+                              frozenset({0, 2})))
+    return list_family("repeats", ab, [LeftMark("a", FULL), EMPTY, EVEN_A_RUN,
+                                       Complement(LeftMark("a", FULL)), FULL,
+                                       even_a_copy, Complement(EVEN_A_RUN), EMPTY])
+
+
+def repeated_predicate_family(ab):
+    """As :func:`repeated_family`, with predicate languages: not exact."""
+    return list_family("repeats-preds", ab, [SQ, LeftMark("a", FULL), Complement(SQ), SQ,
+                                             EMPTY, Complement(LeftMark("a", FULL)),
+                                             Complement(SQ), FULL])
+
+
 def test_class_scan_matches_pair_scan_predicate_family(ab):
-    fam = close_cc(list_family("preds", ab, [SQ, LeftMark("a", FULL),
-                                             Predicate("prime-length"),
-                                             LeftMark("a", SQ), SQ]))
+    fam = predicate_family(ab)
     assert not fam.exact
     verdicts = [assert_matches_pair_scan(t, fam, 10, 200)
                 for t in (A_ONLY, LeftMark("b", FULL), Predicate("equal-counts-ab"))]
@@ -149,16 +171,72 @@ def test_class_scan_matches_pair_scan_predicate_family(ab):
 
 
 def test_class_scan_matches_pair_scan_repeated_list_family(ab):
-    # several indices per language, complements listed before and after
-    even_a_copy = DfaAtom(Dfa(2, ((1, 3), (2, 3), (1, 3), (3, 3)), 0,
-                              frozenset({0, 2})))
-    fam = list_family("repeats", ab, [LeftMark("a", FULL), EMPTY, EVEN_A_RUN,
-                                      Complement(LeftMark("a", FULL)), FULL,
-                                      even_a_copy, Complement(EVEN_A_RUN), EMPTY])
+    fam = repeated_family(ab)
     assert fam.exact
     verdicts = [assert_matches_pair_scan(t, fam, 16, 300)
                 for t in (A_ONLY, A_FREE, LeftMark("b", SQ))]
     assert [v.is_refuted for v in verdicts] == [True, False, False]
+
+
+# the families of the per-class evidence test, with their index bounds
+EVIDENCE_FAMILIES = {
+    "regular-ab": (lambda ab, abc: regular_family(ab), 200),
+    "regular-abc": (lambda ab, abc: regular_family(abc), 100),
+    "predicates": (lambda ab, abc: predicate_family(ab), 10),
+    "repeated": (lambda ab, abc: repeated_family(ab), 16),
+    "repeated-predicates": (lambda ab, abc: repeated_predicate_family(ab), 16),
+}
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 40, 300])
+@pytest.mark.parametrize("family_name", sorted(EVIDENCE_FAMILIES))
+def test_scan_evidence_matches_is_finite_per_class(ab, abc, monkeypatch, family_name,
+                                                   horizon):
+    """For every class the scan visits, both sides read off the class rows
+    and the target row are ``is_finite`` of the intersection, which stays
+    the oracle: exact verdicts and window counts alike."""
+    make, bound = EVIDENCE_FAMILIES[family_name]
+    family = make(ab, abc)
+    alphabet = family.alphabet
+    rng = np.random.default_rng(20 + horizon)
+    targets = [random_mixed_expr(rng, alphabet) for _ in range(4)] + [LeftMark("a", SQ)]
+    visited, routes = set(), set()
+    scan_evidence = cohesion.meet_finiteness
+
+    def checked(a, family, index_bound, horizon):
+        evidence = scan_evidence(a, family, index_bound, horizon)
+
+        def at(i, outside=False):
+            q = family.expr(i)
+            for side, part in ((False, Inter((a, q))), (True, Inter((a, Complement(q))))):
+                got = evidence(i, side)
+                assert got.to_json() == is_finite(part, alphabet, horizon).to_json()
+                routes.add(got.exact)
+            visited.add((a, i))
+            return evidence(i, outside)
+        return at
+
+    monkeypatch.setattr(cohesion, "meet_finiteness", checked)
+    for a in targets:
+        check_cohesive(a, family, bound, horizon)
+    assert visited and routes == {True, False}
+
+
+def test_scan_makes_no_window_pass_per_class(ab, monkeypatch):
+    """With the family rows cached, the scan's one stacked pass is the
+    target's row; it made one per class that took the window route, 23."""
+    family = regular_family(ab)
+    family.classes(400, 300)
+    calls = []
+    state_rows = kernels.state_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return state_rows(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "state_rows", counted)
+    assert check_cohesive(LeftMark("a", SQ), family, 400, 300).status == "consistent"
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("region", [LeftMark("a", FULL), Complement(FiniteSet(("",))),

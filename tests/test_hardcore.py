@@ -7,10 +7,10 @@ import pytest
 import cptk.hardcore
 import cptk.langs
 from cptk import cli
-from cptk.classify import load_conditional
+from cptk.classify import is_infinite_evidence, load_conditional
 from cptk.dfa import Dfa
-from cptk.families import (FamilyFlags, finite_family, length_family, list_family,
-                           regular_family)
+from cptk.families import (FamilyFlags, close_cc, finite_family, length_family,
+                           list_family, regular_family)
 from cptk.hardcore import (ACCEPTED, TraceEntry, hardcore_componentwise, hardcore_run,
                            is_proper_hardcore, trace_from_jsonl, trace_to_jsonl,
                            verify_trace)
@@ -19,6 +19,7 @@ from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
 from cptk.words import Alphabet, lex, ord_
 
 from . import scalar_oracle
+from .conftest import random_mixed_expr
 from .scalar_oracle import hardcore_step, initial_state, member
 from .trace_oracle import per_line_trace_from_jsonl, two_pass_verify_trace
 
@@ -360,6 +361,58 @@ def test_proper_hardcore_class_walk_matches_per_index_check(ab, family_name, bou
     report = is_proper_hardcore(b, target, make(ab), index_bound=bound, horizon=300)
     expected = scalar_is_proper_hardcore(b, target, make(ab), bound, horizon=300)
     assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def class_walk_is_proper_hardcore(b, target, family, index_bound, horizon=300):
+    """The class walk with one ``is_finite`` call per in-target class, which
+    reading the meets off b's row and the family rows replaced; kept as
+    oracle."""
+    alphabet = family.alphabet
+    groups = (family.classes(index_bound, horizon).classes if family.exact
+              else [[i] for i in range(index_bound)])
+    meets = {}
+    for members in groups:
+        if subset_of(family.expr(members[0]), target, alphabet, horizon).is_certified:
+            e = family.expr(members[0])
+            meets.update(dict.fromkeys(members, is_finite(Inter((b, e)), alphabet, horizon)))
+    ordered = sorted(meets.items())
+    return {"violations": [{"index": i, "evidence": m.to_json()}
+                           for i, m in ordered if m.is_infinite],
+            "suspects": [{"index": i, "members_seen": m.count} for i, m in ordered
+                         if m.is_unknown and is_infinite_evidence(m)]}
+
+
+# families over ab, each with its index bound: exact and not exact, with
+# repeated languages
+HARDCORE_FAMILIES = {
+    "regular": (regular_family, 200),
+    "length": (length_family, 40),
+    "finite": (finite_family, 60),
+    "predicates": (lambda ab: close_cc(list_family(
+        "preds", ab, [Predicate("square-length"), LeftMark("a", FULL),
+                      Predicate("prime-length"), LeftMark("a", Predicate("square-length"))])),
+        8),
+    "repeated-predicates": (lambda ab: list_family(
+        "repeats", ab, [Predicate("square-length"), LeftMark("a", FULL), EMPTY,
+                        Complement(Predicate("square-length")), Predicate("square-length"),
+                        FULL, Complement(LeftMark("a", FULL))]), 7),
+}
+
+
+@pytest.mark.parametrize("horizon", [0, 40, 300])
+@pytest.mark.parametrize("family_name", sorted(HARDCORE_FAMILIES))
+def test_proper_hardcore_meets_match_per_class_is_finite(ab, family_name, horizon):
+    make, bound = HARDCORE_FAMILIES[family_name]
+    rng = np.random.default_rng(7 + horizon)
+    bs = [random_mixed_expr(rng, ab) for _ in range(4)]
+    bs.append(LeftMark("a", Predicate("prime-length")))
+    for b in bs:
+        for target in (FULL, LeftMark("a", FULL), Complement(FiniteSet(("",)))):
+            report = is_proper_hardcore(b, target, make(ab), index_bound=bound,
+                                        horizon=horizon)
+            expected = class_walk_is_proper_hardcore(b, target, make(ab), bound, horizon)
+            got = {k: report[k] for k in expected}
+            assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_componentwise_runs(ab, reg_ab):
