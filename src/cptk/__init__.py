@@ -26,8 +26,8 @@ from .classify import (ClassificationProblem, ConditionalProblem,
 from .cohesion import (CohesionVerdict, check_cohesive, check_ccohesive,
                        check_core, check_ccore)
 from .hardcore import (DiagonalizationState, TraceEntry, hardcore_run,
-                       verify_trace, is_proper_hardcore, hardcore_componentwise,
-                       trace_to_jsonl, trace_from_jsonl)
+                       verify_trace, is_proper_hardcore, trace_to_jsonl,
+                       trace_from_jsonl)
 from .constructions import MarkedComponent, ziegler_problem, example_26
 
 __version__ = "0.1.0"

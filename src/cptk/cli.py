@@ -34,7 +34,7 @@ from .classify import (ClosureFlagsAbsent, ProblemPrecondition, PartitionCertifi
 from .cohesion import check_ccohesive, check_ccore, check_cohesive, check_core
 from .constructions import example_26, ziegler_problem
 from .families import LAW_IDS, check_law, family_from_json
-from .hardcore import (hardcore_run, trace_from_jsonl, trace_to_jsonl, verify_trace)
+from .hardcore import hardcore_run, trace_to_jsonl, verify_trace
 from .langs import EMPTY, UnknownPredicate, expr_from_json, expr_to_json
 from .words import Alphabet, words_up_to
 
@@ -283,8 +283,7 @@ def cmd_verify_trace(args) -> int:
     family = _load_family(args.family)
     condition, alphabet, target = _load_condition_and_target(args, family)
     try:
-        trace = trace_from_jsonl(_read_text(args.trace))
-        report = verify_trace(trace, family, condition, target, alphabet)
+        report = verify_trace(_read_text(args.trace), family, condition, target, alphabet)
     except ValueError as exc:  # a malformed line, or no line at all
         raise CliError(EXIT_USAGE, f"{args.trace}: {exc}")
     _emit({"config": _config_echo(args), **report}, args)

@@ -15,10 +15,13 @@ rows, and decide only the steps that change state.  Their guard state,
 blocked condition word (a cancellation) or on an unblocked target word
 outside the condition (an acceptance); one bitset expression finds the
 next such event, :func:`_step` decides it, and the skips before it are
-written at once by one segment rule.  The verifier acts only at the
-ranks where an entry can fail a check or change the state, replays the
-run from the state the trace itself builds, and looks up each
-cancellation witness by scalar membership.
+written at once by one segment rule.  The verifier reads the text of a
+trace: it writes the lines of its own replay by the writer's line rule,
+compares them with the text, and checks each event on the replay's own
+fields, so a clean trace is never decoded.  Only from the first line
+that differs does it decode, and then it acts only at the ranks where
+an entry can fail a check or change the state.  It looks up each
+cancellation's family witness by scalar membership.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
-from .classify import ConditionalProblem, is_infinite_evidence, validate_bounds
+from .classify import is_infinite_evidence, validate_bounds
 from .cohesion import meet_finiteness
 from .families import FamilyEnum, inside_check
 from .langs import LangExpr, is_finite, member, subset_of, window_rows
@@ -307,7 +310,7 @@ def _violation(step, code, detail):
     return {"step": step, "code": code, "detail": detail}
 
 
-def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExpr,
+def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: LangExpr,
                  target: LangExpr, alphabet: Alphabet) -> dict:
     """Replay a trace and assert the loop invariants.
 
@@ -319,24 +322,36 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
     avoids the condition (it is strictly increasing because every checked
     entry holds the word of its step); and full equality with a fresh run.
 
-    The checks act only at the ranks read off the trace's columns where
-    an entry can fail them or change the state: a wrong step number or
-    word, a listed cancellation, an acceptance, or a count that differs
-    from the acceptances before it.  Between two such ranks the guard
-    state the trace builds is constant, and until the first entry that
-    differs from the run's it is exactly the state of a fresh
-    :func:`hardcore_run`; so the replay compares each stretch with the
-    entries :meth:`_GuardState.segment` and :func:`_step` give for it, in
-    one pass.  The first difference is reported last, as
-    ``replay-divergence``.
+    ``trace`` is the text of a trace file, one entry per nonblank
+    ``"\\n"``-separated line; a list of entries is first written by
+    :func:`trace_to_jsonl`.  Until the first entry that differs from the
+    run's, the guard state the trace builds is exactly the state of a
+    fresh :func:`hardcore_run`.  So the replay writes each stretch of
+    skips (:meth:`_GuardState.segment`) and the event after it
+    (:func:`_step`) by the writer's own line rule and compares that text
+    with the trace's at a cursor; a clean trace is never decoded.  Checks
+    (a), (b) and (d) run at each event on the replay's own fields, which
+    are what decoding its line would give.
+
+    From the first line that differs on, the lines are decoded as
+    :func:`trace_from_jsonl` decodes them, with the same errors, and the
+    checks act only at the ranks read off the decoded columns where an
+    entry can fail them or change the state: a wrong step number or word,
+    a listed cancellation, an acceptance, or a count that differs from the
+    acceptances before it.  The replay compares each stretch between two
+    such ranks with the decoded entries, so a line written otherwise that
+    decodes to the run's entry is no divergence.  The first difference is
+    reported last, as ``replay-divergence``.
 
     Checks (a), (c) and (d), and the condition witness of (b), read window
-    rows over ``len(trace)`` words; the family witness of (b) is looked up
-    by :func:`langs.member`, once per listed cancellation.  An index
-    outside the guard is reported without looking up its language.  An
-    empty trace raises ValueError: a run writes at least one step.
+    rows over the trace's steps; the family witness of (b) is looked up by
+    :func:`langs.member`, once per listed cancellation.  An index outside
+    the guard is reported without looking up its language.  A trace with
+    no entry raises ValueError, since a run writes at least one step, and
+    so does a line that is not an entry, naming its line number.
     """
-    steps = len(trace)
+    text = trace if isinstance(trace, str) else trace_to_jsonl(trace)
+    steps = _entry_count(text)
     if steps < 1:
         raise ValueError("an empty trace has no steps to verify")
     violations = []
@@ -344,37 +359,13 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
     words = guards.words
     accepted_ranks: list[int] = []
     cancel: set[int] = set()
-    divergence = None
-    replayed = 0   # the entries below this rank equal the run's
-    for pos in _acting_ranks(trace, words):
-        # replay up to this rank from the state the trace has built so far
-        card = len(accepted_ranks)
-        while divergence is None and replayed <= pos:
-            a = replayed
-            b = min(guards.next_event(a), pos) if a < pos else pos
-            action, hits, reason, blocking = guards.step(b)
-            last = (b, words[b], action, tuple(_bits(hits)), card + (action == ACCEPTED),
-                    reason, blocking)
-            if (b > a and any(map(operator.ne, trace[a:b], guards.segment(a, b, card)))
-                    or trace[b] != last):
-                want = [*guards.segment(a, b, card), last]
-                k = next(k for k, e in enumerate(want) if e != trace[a + k])
-                divergence = _violation(a + k, "replay-divergence",
-                                        {"expected": TraceEntry(*want[k]).to_json(),
-                                         "found": trace[a + k].to_json()})
-            replayed = b + 1
-        entry, w = trace[pos], words[pos]
-        if entry.n != pos:
-            violations.append(_violation(entry.n, "step-numbering",
-                                         f"expected step {pos}"))
-            break
-        if entry.word != w:
-            violations.append(_violation(pos, "word-rank",
-                                         f"word {entry.word!r} is not lex({pos})"))
-            continue
+
+    def check(pos, w, action, cancelled, card):
+        """Checks (a), (b) and (d) of an entry whose step number and word
+        are right, and the guard state it builds."""
         card_before = len(accepted_ranks)
         # (b) cancellations need their condition witness
-        for i in entry.cancelled:
+        for i in cancelled:
             guarded = 0 <= i <= card_before
             if not guards.cond >> pos & 1:
                 violations.append(_violation(pos, "cancel-no-condition-witness",
@@ -390,9 +381,10 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
                 violations.append(_violation(pos, "cancel-repeated",
                                              f"index {i} already cancelled"))
             cancel.add(i)
-        if entry.cancelled:
-            guards.cancel(entry.cancelled)
-        if entry.action == ACCEPTED:
+        if cancelled:
+            guards.cancel(cancelled)
+        count = card_before
+        if action == ACCEPTED:
             # (d) prefix discipline
             if not guards.target >> pos & 1:
                 violations.append(_violation(pos, "accept-outside-target", w))
@@ -403,11 +395,74 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
                 violations.append(_violation(pos, "accept-blocked",
                                              f"uncancelled index {i} contains {w!r}"))
             accepted_ranks.append(pos)
-            if len(accepted_ranks) not in cancel:
-                guards.guard(len(accepted_ranks), pos + 1)
-        if entry.card != len(accepted_ranks):
+            count += 1
+            if count not in cancel:
+                guards.guard(count, pos + 1)
+        if card != count:
             violations.append(_violation(pos, "card-mismatch",
-                                         f"declared {entry.card}, replay has {len(accepted_ranks)}"))
+                                         f"declared {card}, replay has {count}"))
+
+    def first_difference() -> tuple[int, int]:
+        """The rank of the first line that differs from the run's and the
+        offset where it begins, or ``steps`` and the end of the last line;
+        each event up to it is checked."""
+        n = cursor = card = 0
+        while True:
+            b = guards.next_event(n)
+            if b > n:
+                rendered = list(itertools.starmap(_trace_line, guards.segment(n, b, card)))
+                chunk = "".join(rendered)
+                if not text.startswith(chunk, cursor):
+                    for line in rendered:
+                        if not text.startswith(line, cursor):
+                            return n, cursor
+                        n += 1
+                        cursor += len(line)
+                cursor += len(chunk)
+            if b == steps:
+                return steps, cursor
+            action, hits, reason, blocking = guards.step(b)
+            listed = tuple(_bits(hits))
+            card += action == ACCEPTED
+            line = _trace_line(b, words[b], action, listed, card, reason, blocking)
+            if not text.startswith(line, cursor):
+                return b, cursor
+            cursor += len(line)
+            check(b, words[b], action, listed, card)
+            n = b + 1
+
+    start, cursor = first_difference()
+    divergence = None
+    if start < steps:
+        entries = _decode_lines(text[cursor:], start + 1)
+        replayed = start   # the entries below this rank equal the run's
+        for pos in _acting_ranks(entries, words, start, len(accepted_ranks)):
+            # replay up to this rank from the state the trace has built so far
+            card = len(accepted_ranks)
+            while divergence is None and replayed <= pos:
+                a = replayed
+                b = min(guards.next_event(a), pos) if a < pos else pos
+                action, hits, reason, blocking = guards.step(b)
+                want = [*guards.segment(a, b, card),
+                        (b, words[b], action, tuple(_bits(hits)),
+                         card + (action == ACCEPTED), reason, blocking)]
+                found = entries[a - start:b + 1 - start]
+                if found != want:
+                    k = next(k for k, e in enumerate(want) if e != found[k])
+                    divergence = _violation(a + k, "replay-divergence",
+                                            {"expected": TraceEntry(*want[k]).to_json(),
+                                             "found": found[k].to_json()})
+                replayed = b + 1
+            entry, w = entries[pos - start], words[pos]
+            if entry.n != pos:
+                violations.append(_violation(entry.n, "step-numbering",
+                                             f"expected step {pos}"))
+                break
+            if entry.word != w:
+                violations.append(_violation(pos, "word-rank",
+                                             f"word {entry.word!r} is not lex({pos})"))
+                continue
+            check(pos, w, entry.action, entry.cancelled, entry.card)
     # (c) finite-intersection bound for surviving guarded indices: index i
     # was guarded when the words from the i-th accepted one on were accepted
     final_card = len(accepted_ranks)
@@ -427,25 +482,39 @@ def verify_trace(trace: list[TraceEntry], family: FamilyEnum, condition: LangExp
             "cancelled": sorted(cancel)}
 
 
-def _acting_ranks(trace: list[TraceEntry], words: list[str]) -> list[int]:
-    """The ranks, ascending, where the verifier's checks can act on a
-    trace whose words of rank 0.. are ``words``: the first wrong step
-    number, which ends the checks, or else the last rank, which ends the
-    replay; and before it every wrong word, listed cancellation,
+def _entry_count(text: str) -> int:
+    """The number of nonblank ``"\\n"``-separated lines of the text.  When
+    every line but an empty last one opens as the writer opens its lines,
+    they are counted without splitting the text into a list of lines."""
+    opened = text.count('\n{"action":') + text.startswith('{"action":')
+    if opened == text.count("\n") + (not text.endswith("\n")):
+        return opened
+    return len(list(filter(str.strip, text.split("\n"))))
+
+
+def _acting_ranks(entries: list[TraceEntry], words: list[str], start: int,
+                  card: int) -> list[int]:
+    """The ranks, ascending, where the verifier's checks can act on the
+    entries of ranks ``start``.. of a trace whose words of rank 0.. are
+    ``words`` and whose count is ``card`` before ``start``: the first
+    wrong step number, which ends the checks, or else the last rank, which
+    ends the replay; and before it every wrong word, listed cancellation,
     acceptance, and count that differs from the acceptances of the right
     words up to its rank."""
-    ns, found, actions, cancelled, cards = itertools.islice(zip(*trace), 5)
-    ranks = range(len(trace))
-    end = next(itertools.compress(ranks, map(operator.ne, ns, ranks)), len(trace))
-    ranks = range(end)
-    right = list(map(operator.eq, found, words[:end]))
-    accepts = list(map(operator.eq, actions[:end], itertools.repeat(ACCEPTED)))
-    counts = itertools.accumulate(map(operator.and_, right, accepts))
+    ns, found, actions, cancelled, cards = itertools.islice(zip(*entries), 5)
+    ranks = range(start, start + len(entries))
+    last = ranks[-1]
+    end = next(itertools.compress(ranks, map(operator.ne, ns, ranks)), ranks.stop)
+    ranks = range(start, end)
+    right = list(map(operator.eq, found, words[start:end]))
+    accepts = list(map(operator.eq, actions[:end - start], itertools.repeat(ACCEPTED)))
+    counts = itertools.accumulate(map(operator.and_, right, accepts), initial=card)
+    next(counts)
     acting = {*itertools.compress(ranks, map(operator.not_, right)),
               *itertools.compress(ranks, accepts),
               *itertools.compress(ranks, cancelled),
               *itertools.compress(ranks, map(operator.ne, cards, counts)),
-              min(end, len(trace) - 1)}
+              min(end, last)}
     return sorted(acting)
 
 
@@ -491,18 +560,6 @@ def is_proper_hardcore(b: LangExpr, target: LangExpr, family: FamilyEnum,
     }
 
 
-def hardcore_componentwise(cond: ConditionalProblem, family: FamilyEnum,
-                           steps: int) -> list[dict]:
-    """Run the diagonalization once per component against the shared
-    condition; each run carries its own trace."""
-    out = []
-    for t, comp in enumerate(cond.problem.components):
-        state, trace = hardcore_run(family, cond.condition, comp,
-                                    cond.alphabet, steps)
-        out.append({"component": t, "state": state, "trace": trace})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # trace files
 
@@ -510,15 +567,18 @@ def hardcore_componentwise(cond: ConditionalProblem, family: FamilyEnum,
 def trace_to_jsonl(trace: list[TraceEntry]) -> str:
     """One line per entry: the bytes of ``json.dumps(e.to_json(),
     sort_keys=True, separators=(",", ":"))``, written field by field."""
-    return "".join(map(_trace_line, trace))
+    return "".join(itertools.starmap(_trace_line, trace))
 
 
-def _trace_line(e: TraceEntry) -> str:
-    blocking = "" if e.blocking is None else f',"blocking":{e.blocking}'
-    reason = "" if e.reason is None else f',"reason":{_quote(e.reason)}'
-    cancelled = ",".join(map(str, e.cancelled))
-    return (f'{{"action":{_quote(e.action)}{blocking},"cancelled":[{cancelled}],'
-            f'"card":{e.card},"n":{e.n}{reason},"word":{_quote(e.word)}}}\n')
+def _trace_line(n: int, word: str, action: str, cancelled: tuple[int, ...], card: int,
+                reason: str | None, blocking: int | None) -> str:
+    """The line of the entry with these fields, in the order of
+    :class:`TraceEntry`."""
+    blocking = "" if blocking is None else f',"blocking":{blocking}'
+    reason = "" if reason is None else f',"reason":{_quote(reason)}'
+    cancelled = ",".join(map(str, cancelled)) if cancelled else ""
+    return (f'{{"action":{_quote(action)}{blocking},"cancelled":[{cancelled}],'
+            f'"card":{card},"n":{n}{reason},"word":{_quote(word)}}}\n')
 
 
 # the lines of _trace_line field by field, whose strings need no escape:
@@ -541,23 +601,30 @@ def trace_from_jsonl(text: str) -> list[TraceEntry]:
     by ``json.loads`` and :meth:`TraceEntry.from_json`.  A line that is not
     an entry raises :class:`ValueError` naming its line number.
     """
+    return _decode_lines(text, 1)
+
+
+def _decode_lines(text: str, lineno: int) -> list[TraceEntry]:
+    """The entries of the nonblank lines of the text, whose first line is
+    line ``lineno`` of its file."""
     out = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        match = _TRACE_LINE.fullmatch(line)
-        try:
-            if match is not None:
-                out.append(_match_entry(match))
-            elif line.strip():
-                out.append(TraceEntry.from_json(json.loads(line)))
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"trace line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(text.split("\n"), start=lineno):
+        if line.strip():
+            try:
+                out.append(_decode_line(line))
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"trace line {lineno}: {exc}") from exc
     return out
 
 
-def _match_entry(match: re.Match) -> TraceEntry:
-    """The entry of a line that :data:`_TRACE_LINE` matched.  The integers
-    are converted in the order of the line, so that one too long for
-    ``int`` fails as the first one ``json.loads`` would fail on."""
+def _decode_line(line: str) -> TraceEntry:
+    """The entry of one nonblank trace line.  The integers of a line that
+    :data:`_TRACE_LINE` matches are converted in the order of the line,
+    so that one too long for ``int`` fails as the first one ``json.loads``
+    would fail on."""
+    match = _TRACE_LINE.fullmatch(line)
+    if match is None:
+        return TraceEntry.from_json(json.loads(line))
     action, blocking, cancelled, card, n, reason, word = match.groups()
     if blocking is not None:
         blocking = int(blocking)

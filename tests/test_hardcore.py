@@ -11,9 +11,8 @@ from cptk.classify import is_infinite_evidence, load_conditional
 from cptk.dfa import Dfa
 from cptk.families import (FamilyFlags, close_cc, finite_family, length_family,
                            list_family, regular_family)
-from cptk.hardcore import (ACCEPTED, TraceEntry, hardcore_componentwise, hardcore_run,
-                           is_proper_hardcore, trace_from_jsonl, trace_to_jsonl,
-                           verify_trace)
+from cptk.hardcore import (ACCEPTED, TraceEntry, hardcore_run, is_proper_hardcore,
+                           trace_from_jsonl, trace_to_jsonl, verify_trace)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
                         LeftMark, Predicate, Union, is_finite, subset_of)
 from cptk.words import Alphabet, lex, ord_
@@ -419,7 +418,11 @@ def test_componentwise_runs(ab, reg_ab):
     sq = Predicate("square-length")
     cond = load_conditional(FiniteSet(("",)),
                             [LeftMark("a", sq), LeftMark("b", Complement(sq))], ab)
-    results = hardcore_componentwise(cond, reg_ab, steps=200)
+    # the diagonalization once per component against the shared condition
+    results = []
+    for t, comp in enumerate(cond.problem.components):
+        state, trace = hardcore_run(reg_ab, cond.condition, comp, ab, 200)
+        results.append({"component": t, "state": state, "trace": trace})
     assert len(results) == 2
     words_sets = []
     for entry in results:
