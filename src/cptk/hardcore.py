@@ -324,7 +324,10 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
 
     ``trace`` is the text of a trace file, one entry per nonblank
     ``"\\n"``-separated line; a list of entries is first written by
-    :func:`trace_to_jsonl`.  Until the first entry that differs from the
+    :func:`trace_to_jsonl`, so its fields must have the types
+    :func:`trace_from_jsonl` gives: a float or a bool where an int belongs
+    is written as such and raises the reader's error at the line of its
+    entry, counted from 1.  Until the first entry that differs from the
     run's, the guard state the trace builds is exactly the state of a
     fresh :func:`hardcore_run`.  So the replay writes each stretch of
     skips (:meth:`_GuardState.segment`) and the event after it
@@ -351,7 +354,7 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
     so does a line that is not an entry, naming its line number.
     """
     text = trace if isinstance(trace, str) else trace_to_jsonl(trace)
-    steps = _entry_count(text)
+    steps = len(list(filter(str.strip, text.split("\n"))))
     if steps < 1:
         raise ValueError("an empty trace has no steps to verify")
     violations = []
@@ -410,15 +413,11 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
         while True:
             b = guards.next_event(n)
             if b > n:
-                rendered = list(itertools.starmap(_trace_line, guards.segment(n, b, card)))
-                chunk = "".join(rendered)
-                if not text.startswith(chunk, cursor):
-                    for line in rendered:
-                        if not text.startswith(line, cursor):
-                            return n, cursor
-                        n += 1
-                        cursor += len(line)
-                cursor += len(chunk)
+                for line in itertools.starmap(_trace_line, guards.segment(n, b, card)):
+                    if not text.startswith(line, cursor):
+                        return n, cursor
+                    n += 1
+                    cursor += len(line)
             if b == steps:
                 return steps, cursor
             action, hits, reason, blocking = guards.step(b)
@@ -480,16 +479,6 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
     return {"ok": not violations, "violations": violations,
             "steps": steps, "final_card": final_card,
             "cancelled": sorted(cancel)}
-
-
-def _entry_count(text: str) -> int:
-    """The number of nonblank ``"\\n"``-separated lines of the text.  When
-    every line but an empty last one opens as the writer opens its lines,
-    they are counted without splitting the text into a list of lines."""
-    opened = text.count('\n{"action":') + text.startswith('{"action":')
-    if opened == text.count("\n") + (not text.endswith("\n")):
-        return opened
-    return len(list(filter(str.strip, text.split("\n"))))
 
 
 def _acting_ranks(entries: list[TraceEntry], words: list[str], start: int,

@@ -141,6 +141,26 @@ def test_text_with_no_entry_raises(ab, text):
         verify_trace(text, regular_family(ab), *MARKERS["a-b"], ab)
 
 
+@pytest.mark.parametrize("field, value", [("n", float), ("card", bool), ("cancelled", bool)])
+def test_entry_list_with_a_non_int_field_raises(ab, field, value):
+    """A list of entries is verified as the text ``trace_to_jsonl`` writes
+    of it.  A float or a bool where an int belongs compares equal to the
+    run's field but is written as ``5.0`` or ``True``, so it raises the
+    reader's error at the line of its entry, counted from 1."""
+    condition, target = MARKERS["a.A-b.notA"]
+    family = regular_family(ab)
+    _, trace = hardcore_run(family, condition, target, ab, 64)
+    k = next(k for k, e in enumerate(trace) if e.cancelled and e.card and e.n)
+    old = getattr(trace[k], field)
+    tampered = list(trace)
+    tampered[k] = trace[k]._replace(
+        **{field: tuple(map(value, old)) if field == "cancelled" else value(old)})
+    assert tampered == trace
+    want = error_of(trace_from_jsonl, trace_to_jsonl(tampered))
+    assert want.startswith(f"trace line {k + 1}: ")
+    assert error_of(verify_trace, tampered, family, condition, target, ab) == want
+
+
 PRIME = Predicate("prime-length")
 
 
