@@ -6,8 +6,10 @@ language classes below an index bound, one least complement pair per
 class, and returns either a re-verifiable refutation witness or
 "consistent up to these bounds" — never a positive cohesiveness claim,
 which no finite procedure could back.  Each side of a class is exact
-where the intersection is regular; otherwise its window evidence is read
-off the class rows and the target's row, with no window pass per class.
+where the intersection is regular, decided from the target's predicate
+readings, made once per scan, and the class's own automaton; otherwise
+its window evidence is read off the class rows and the target's row, with
+no window pass per class.
 
 Core status combines two routes: cohesiveness of the component union, and
 bounded solvability of sampled subproblems.  On automaton-backed families
@@ -26,8 +28,8 @@ from .classify import (ClassificationProblem, ClosureFlagsAbsent, ConditionalPro
                        PartitionCertificate, disjoint_verdict, set_of, solve,
                        solve_conditional, validate_bounds, is_infinite_evidence)
 from .families import DcMember, FamilyEnum, dc_member, inside_check, language_classes
-from .langs import (Complement, Inter, LangExpr, expr_to_json, finiteness, is_finite,
-                    regular_view, window_rows)
+from .langs import (Complement, Inter, LangExpr, expr_to_json, finiteness,
+                    intersection_views, is_finite, regular_view, window_rows)
 from .verdicts import FinitenessVerdict
 
 
@@ -111,17 +113,23 @@ def meet_finiteness(x: LangExpr, family: FamilyEnum, index_bound: int, horizon: 
 
     The verdict is ``langs.is_finite``'s, by its own rule: exact from
     :func:`langs.regular_view` of the intersection, else the count of the
-    window row.  The row is read off x's row, found once on first need,
-    and the family row of i, as ``window_rows`` lowers ``Inter`` to ``&``
-    and ``Complement`` to ``full & ~``: no window pass per index.
+    window row.  The view is the minimized :func:`langs.intersection_views`
+    answer: when the family side reads no predicate leaf, as on every
+    shipped family, it comes from x's readings, found once on first need,
+    so each class is decided on its own automaton.  The row is read off x's row,
+    also found once, and the family row of i, as ``window_rows`` lowers
+    ``Inter`` to ``&`` and ``Complement`` to ``full & ~``: no window pass
+    per index.
     """
     rows, alphabet = family.rows(index_bound, horizon), family.alphabet
     x_row = functools.cache(lambda: window_rows([x], alphabet, horizon + 1)[0])
+    meet = intersection_views(x, alphabet)
 
     def finiteness_at(i: int, outside: bool = False):
         q = family.expr(i)
         part, row = (Complement(q), ~rows[i]) if outside else (q, rows[i])
-        return finiteness(regular_view(Inter((x, part)), alphabet),
+        view = meet(part)
+        return finiteness(view.minimize() if view is not None else None,
                           lambda: x_row() & row, alphabet, horizon)
 
     return finiteness_at

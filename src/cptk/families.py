@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from . import codec, kernels
 from .dfa import Dfa, dfa_length_equals
 from .langs import (EMPTY, MAX_EXPR_DEPTH, Complement, DfaAtom, FiniteSet, Inter,
-                    LangExpr, Union, expr_from_json, member, regular_view, subset_of,
-                    window_rows)
+                    LangExpr, Union, expr_from_json, intersection_views, member,
+                    regular_view, window_rows)
 from .verdicts import validate_horizon
 from .words import Alphabet, lex
 
@@ -484,11 +484,23 @@ def inside_check(family: FamilyEnum, region: LangExpr, index_bound: int, horizon
     """The test ``inside(i)`` of an index i below the bound: does
     ``subset_of(e(i), region)`` certify it?  Only the indices whose rows
     hold no window word outside the region ask; such a word refutes
-    containment on both routes of :func:`langs.emptiness`."""
+    containment on both routes of :func:`langs.emptiness`.
+
+    The others are certified exactly when the view of e(i) ∩ regionᶜ is
+    empty, from :func:`langs.intersection_views`: when e(i) reads no
+    predicate leaf, as on every shipped family, when the base and every
+    disagreement of the readings of regionᶜ, found once on first need,
+    miss e(i)'s automaton.
+    """
     rows, alphabet = family.rows(index_bound, horizon), family.alphabet
     outside = ~window_rows([region], alphabet, horizon + 1)[0]
-    return lambda i: not rows[i] & outside and subset_of(family.expr(i), region, alphabet,
-                                                          horizon).is_certified
+    meet = intersection_views(Complement(region), alphabet)
+
+    def certified(i):
+        view = meet(family.expr(i))
+        return view is not None and view.least_accepted() is None
+
+    return lambda i: not rows[i] & outside and certified(i)
 
 
 def dc_member(family: FamilyEnum, i: int, j: int, horizon: int) -> DcMember:

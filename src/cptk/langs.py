@@ -12,7 +12,10 @@ rule: read every predicate leaf, keyed by its context, as FULL and as
 EMPTY.  When every assignment gives the same language, the expression does
 not depend on its predicates and that language is its automaton.  So many
 mixed expressions (S ∪ ¬S, a·S ∪ ¬(a·S), the intersection of differently
-marked opaque languages) still get exact answers.
+marked opaque languages) still get exact answers.  The readings behind
+the rule, :func:`readings`, are kept per expression, so a scan that
+intersects one expression with many leaf-free automata converts it once
+and decides each intersection on that automaton (:meth:`Readings.meet`).
 """
 
 from __future__ import annotations
@@ -409,8 +412,97 @@ def _convert(expr, alphabet, leaves, u=(), marks=""):
     raise TypeError(f"not a language expression: {expr!r}")
 
 
-# entries the automaton cache keeps, least recently used evicted first
+# entries the automaton caches keep, least recently used evicted first
 AUTOMATON_CACHE_SIZE = 4096
+
+
+class Readings:
+    """An expression's automaton under each FULL/EMPTY reading of its
+    predicate leaf contexts, as :func:`readings` finds them.
+
+    ``base`` reads every context as EMPTY.  :meth:`disagreements` yields,
+    for each other assignment with all-FULL first, the automaton of the
+    words on which that reading and ``base`` differ, when there are such
+    words.  Each is made on first need and kept, so a scan that stops at
+    the first one pays for no other.
+    """
+
+    def __init__(self, expr: LangExpr, alphabet: Alphabet, base: Dfa, keys: list):
+        self.base = base
+        self._expr, self._alphabet, self._keys = expr, alphabet, keys
+        # every assignment but the all-EMPTY one of base, and how many of
+        # them have been read
+        self._assignments = list(itertools.product((True, False), repeat=len(keys)))[:-1]
+        self._read = 0
+        self._made: list[Dfa] = []
+
+    def disagreements(self):
+        """The nonempty disagreement automata, made once each, in order."""
+        made = self._made
+        for i in itertools.count():
+            while i == len(made):
+                if self._read == len(self._assignments):
+                    return
+                bits = self._assignments[self._read]
+                other = _convert(self._expr, self._alphabet, dict(zip(self._keys, bits)))
+                d = self.base.product(other, operator.ne)
+                self._read += 1
+                if d.least_accepted() is not None:
+                    made.append(d)
+            yield made[i]
+
+    def meet(self, dfa: Dfa) -> Dfa | None:
+        """The automaton of base ∩ L(dfa), or None when some disagreement
+        meets L(dfa); tested one disagreement at a time.
+
+        For an expression q whose conversion reads no predicate leaf, with
+        ``dfa`` its automaton, this is what :func:`regular_view` of
+        ``Inter((x, q))`` decides, x the expression read here: the
+        intersection has x's leaf contexts, and its readings differ
+        exactly on a disagreement of x that meets q.  Minimized, the result
+        is that view."""
+        for d in self.disagreements():
+            if d.product(dfa, operator.and_).least_accepted() is not None:
+                return None
+        return self.base.product(dfa, operator.and_)
+
+
+def _read(expr: LangExpr, alphabet: Alphabet) -> Readings | None:
+    """The readings of the expression's predicate leaf contexts, or None
+    past ``LEAF_CONTEXTS`` contexts."""
+    leaves: dict = {}
+    base = _convert(expr, alphabet, leaves)
+    if len(leaves) > LEAF_CONTEXTS:
+        return None
+    return Readings(expr, alphabet, base, list(leaves))
+
+
+# the readings kept per expression, so that a scan that meets one target
+# with every class converts the target once; regular_view keeps only its
+# answer, and reads through _read
+readings = functools.lru_cache(maxsize=AUTOMATON_CACHE_SIZE)(_read)
+
+
+def intersection_views(x: LangExpr, alphabet: Alphabet):
+    """The function ``view(q)``: an automaton of x ∩ q when
+    :func:`regular_view` of ``Inter((x, q))`` finds one, the same
+    language, else None.
+
+    When q's conversion reads no predicate leaf, as for every expression
+    of the shipped families, the answer is ``Readings.meet`` of q's
+    automaton, with x's readings found once, on the first such q; it is
+    not minimized.  Otherwise it is that view itself."""
+    x_readings = functools.cache(lambda: readings(x, alphabet))
+
+    def view(q: LangExpr) -> Dfa | None:
+        leaves: dict = {}
+        dfa = _convert(q, alphabet, leaves)
+        if leaves:
+            return regular_view(Inter((x, q)), alphabet)
+        r = x_readings()
+        return r.meet(dfa) if r is not None else None
+
+    return view
 
 
 @functools.lru_cache(maxsize=AUTOMATON_CACHE_SIZE)
@@ -420,26 +512,18 @@ def regular_view(expr: LangExpr, alphabet: Alphabet) -> Dfa | None:
     door to the exact backend, so callers pass expressions as they are.
 
     The expression is converted with every predicate leaf context read as
-    EMPTY, and again under each other FULL/EMPTY assignment, all-FULL
-    first.  A word w reads each context at one word, u·w with the marks
-    taken off, so its membership is a Boolean function of the atoms' bits
-    and one bit per context.  When every assignment gives one language,
-    that function ignores the context bits and the language is regular.
-    Past ``LEAF_CONTEXTS`` contexts, or when two assignments differ, the
-    answer is None and callers take the window route.
+    EMPTY, and again under each other FULL/EMPTY assignment
+    (:class:`Readings`).  A word w reads each context at one word, u·w with
+    the marks taken off, so its membership is a Boolean function of the
+    atoms' bits and one bit per context.  When every assignment gives one
+    language, that function ignores the context bits and the language is
+    regular.  Past ``LEAF_CONTEXTS`` contexts, or at the first assignment
+    that differs, the answer is None and callers take the window route.
     """
-    leaves: dict = {}
-    base = _convert(expr, alphabet, leaves)
-    keys = list(leaves)
-    if len(keys) > LEAF_CONTEXTS:
+    r = _read(expr, alphabet)
+    if r is None or next(r.disagreements(), None) is not None:
         return None
-    others = itertools.islice(itertools.product((True, False), repeat=len(keys)),
-                              2 ** len(keys) - 1)
-    for bits in others:
-        other = _convert(expr, alphabet, dict(zip(keys, bits)))
-        if base.product(other, operator.ne).least_accepted() is not None:
-            return None
-    return base.minimize()
+    return r.base.minimize()
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +629,27 @@ MAX_EXPR_DEPTH = 200
 
 def expr_from_json(data: dict, alphabet: Alphabet) -> LangExpr:
     """The expression of this JSON object over the alphabet.  Raises
-    ValueError when it is malformed or nests deeper than ``MAX_EXPR_DEPTH``
-    levels, and AlphabetMismatch at the first word, marker symbol,
-    quotient word or predicate symbol, in tree order, that is not in the
-    alphabet."""
+    ValueError when it is malformed (a node that is not an object, an
+    ``args`` that is not a list, a ``symbol``, ``word`` or ``predicate``
+    that is not a string) or nests deeper than ``MAX_EXPR_DEPTH`` levels,
+    and AlphabetMismatch at the first word, marker symbol, quotient word or
+    predicate symbol, in tree order, that is not in the alphabet."""
     return _expr_from_json(data, alphabet, MAX_EXPR_DEPTH)
+
+
+def _string(data, field):
+    """The string of a node's field; ValueError if it is not a string."""
+    value = data[field]
+    if type(value) is not str:
+        raise ValueError(f"'{field}' must be a string, not {value!r}")
+    return value
 
 
 def _expr_from_json(data, alphabet, depth):
     if depth == 0:
         raise ValueError(f"language expression nested deeper than {MAX_EXPR_DEPTH} levels")
+    if type(data) is not dict:
+        raise ValueError(f"a language expression must be a JSON object, not {data!r}")
     if "finite" in data:
         words = data["finite"]
         if type(words) is not list or any(type(w) is not str for w in words):
@@ -566,24 +661,26 @@ def _expr_from_json(data, alphabet, depth):
     if "dfa" in data:
         return DfaAtom(Dfa.from_json(data["dfa"], alphabet.size))
     if "predicate" in data:
-        name = data["predicate"]
+        name = _string(data, "predicate")
         resolve_predicate(name)
         if name.startswith("equal-counts-"):
             alphabet.check(name[-2:])
         return Predicate(name)
     op = data.get("op")
     depth -= 1
-    if op == "union":
-        return Union(tuple(_expr_from_json(a, alphabet, depth) for a in data["args"]))
-    if op == "intersect":
-        return Inter(tuple(_expr_from_json(a, alphabet, depth) for a in data["args"]))
+    if op in ("union", "intersect"):
+        args = data["args"]
+        if type(args) is not list:
+            raise ValueError(f"'args' must be a list, not {args!r}")
+        parts = tuple(_expr_from_json(a, alphabet, depth) for a in args)
+        return Union(parts) if op == "union" else Inter(parts)
     if op == "complement":
         return Complement(_expr_from_json(data["arg"], alphabet, depth))
     if op == "leftmark":
-        symbol = data["symbol"]
+        symbol = _string(data, "symbol")
         alphabet.code(symbol)
         return LeftMark(symbol, _expr_from_json(data["arg"], alphabet, depth))
     if op == "leftquotient":
-        word = alphabet.check(data["word"])
+        word = alphabet.check(_string(data, "word"))
         return LeftQuotient(word, _expr_from_json(data["arg"], alphabet, depth))
     raise ValueError(f"malformed language expression JSON: {data!r}")

@@ -34,14 +34,16 @@ def reg_abc(abc):
 
 @pytest.fixture
 def cold_caches():
-    """Empty the automaton cache and the table-check memo, so that a
-    call-count guard counts the same work run alone and in the suite.
+    """Empty the automaton caches (views and leaf readings) and the
+    table-check memo, so that a call-count guard counts the same work run
+    alone and in the suite.
 
     The memos of the regular family's table route (decoded tables,
     accepting sets, row lists per horizon and class indices) live on the
     family object, not in a module: a guard that builds its own family
     starts them cold."""
     langs.regular_view.cache_clear()
+    langs.readings.cache_clear()
     dfa_module._table_fault.cache_clear()
 
 

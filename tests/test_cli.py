@@ -784,6 +784,24 @@ def test_missing_field_or_unknown_predicate_is_named(tmp_path, capsys, role, dat
     assert err == f"error: {paths[role]}: {message}\n"
 
 
+@pytest.mark.parametrize("expr,message", [
+    ({"op": "union", "args": {"a": 1}}, "'args' must be a list, not {'a': 1}"),
+    ({"op": "union", "args": ["a"]}, "a language expression must be a JSON object, not 'a'"),
+    ({"op": "leftmark", "symbol": ["a"], "arg": MARKED_A},
+     "'symbol' must be a string, not ['a']"),
+    ({"predicate": 5}, "'predicate' must be a string, not 5")])
+def test_expression_of_the_wrong_type_is_named(tmp_path, capsys, reg_family_file, expr,
+                                               message):
+    """Each printed Python internals: ``'str' object has no attribute
+    'get'``, ``unhashable type: 'list'``, ``'int' object has no attribute
+    'startswith'``."""
+    target = write(tmp_path, "t.json", {"alphabet": "ab", "expr": expr})
+    code, out, err = run_main(["cohesive", "--target", target, "--family", reg_family_file,
+                               "--index-bound", "5"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {target}: {message}\n"
+
+
 @pytest.mark.parametrize("text", ["", "\n", "\n  \n\n"])
 def test_verify_trace_of_no_entry_exits_2(finite_trace, capsys, text):
     """An empty trace used to verify, with "ok": true over 0 steps."""

@@ -42,11 +42,23 @@ def check_symbols(expr: LangExpr, alphabet: Alphabet) -> LangExpr:
     return expr
 
 
+def string(data, field):
+    """The field's value; ValueError if it is not a string."""
+    value = data[field]
+    if type(value) is not str:
+        raise ValueError(f"'{field}' must be a string, not {value!r}")
+    return value
+
+
 def read_only(data, n_symbols, depth=MAX_EXPR_DEPTH):
     if depth == 0:
         raise ValueError(f"language expression nested deeper than {MAX_EXPR_DEPTH} levels")
+    # exact-type rules both readers share: a node is an object, its args
+    # a list (below), and a symbol, word or predicate name a string
+    if type(data) is not dict:
+        raise ValueError(f"a language expression must be a JSON object, not {data!r}")
     if "finite" in data:
-        # the exact-type rule both readers share: a list of strings
+        # and the finite words a list of strings
         words = data["finite"]
         if type(words) is not list or any(type(w) is not str for w in words):
             raise ValueError(f"'finite' must be a list of strings, not {words!r}")
@@ -54,10 +66,12 @@ def read_only(data, n_symbols, depth=MAX_EXPR_DEPTH):
     if "dfa" in data:
         return DfaAtom(Dfa.from_json(data["dfa"], n_symbols))
     if "predicate" in data:
-        resolve_predicate(data["predicate"])
+        resolve_predicate(string(data, "predicate"))
         return Predicate(data["predicate"])
     op = data.get("op")
     depth -= 1
+    if op in ("union", "intersect") and type(data["args"]) is not list:
+        raise ValueError(f"'args' must be a list, not {data['args']!r}")
     if op == "union":
         return Union(tuple(read_only(a, n_symbols, depth) for a in data["args"]))
     if op == "intersect":
@@ -65,9 +79,9 @@ def read_only(data, n_symbols, depth=MAX_EXPR_DEPTH):
     if op == "complement":
         return Complement(read_only(data["arg"], n_symbols, depth))
     if op == "leftmark":
-        return LeftMark(data["symbol"], read_only(data["arg"], n_symbols, depth))
+        return LeftMark(string(data, "symbol"), read_only(data["arg"], n_symbols, depth))
     if op == "leftquotient":
-        return LeftQuotient(data["word"], read_only(data["arg"], n_symbols, depth))
+        return LeftQuotient(string(data, "word"), read_only(data["arg"], n_symbols, depth))
     raise ValueError(f"malformed language expression JSON: {data!r}")
 
 

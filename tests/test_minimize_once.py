@@ -122,24 +122,49 @@ def test_length_family_classes_minimize_each_index_once(ab, hopcroft_passes):
     assert len(hopcroft_passes) == 591
 
 
+def write_files(tmp_path, files):
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+
+
+SQ_JSON = {"predicate": "square-length"}
+REGULAR_AB = {"alphabet": "ab", "builtin": "regular"}
+
+
+def mark(x, arg):
+    return {"op": "leftmark", "symbol": x, "arg": arg}
+
+
 def test_example26_ccore_passes(tmp_path, capsys, hopcroft_passes):
     """`cptk ccore` on example 26 over square-length at bound 3700 made
     7109 passes before, and 2745 while its region check asked an automaton
     of every class; the row filter leaves few classes to ask.  The view
-    made 25 while the structural simplifier built its automata."""
-    sq = {"predicate": "square-length"}
-
-    def mark(x, arg):
-        return {"op": "leftmark", "symbol": x, "arg": arg}
+    made 25 while the structural simplifier built its automata, and 22
+    while each class converted the target and the region again."""
     problem = {"alphabet": "ab",
                "condition": {"op": "union",
-                             "args": [mark("a", sq), mark("b", {"op": "complement", "arg": sq})]},
-               "components": [mark("a", {"op": "complement", "arg": sq}), mark("b", sq)]}
-    files = {"problem.json": problem, "family.json": {"alphabet": "ab", "builtin": "regular"}}
-    for name, data in files.items():
-        (tmp_path / name).write_text(json.dumps(data))
+                             "args": [mark("a", SQ_JSON),
+                                      mark("b", {"op": "complement", "arg": SQ_JSON})]},
+               "components": [mark("a", {"op": "complement", "arg": SQ_JSON}),
+                              mark("b", SQ_JSON)]}
+    write_files(tmp_path, {"problem.json": problem, "family.json": REGULAR_AB})
     code = cli.main(["ccore", "--problem", str(tmp_path / "problem.json"),
                      "--family", str(tmp_path / "family.json"), "--index-bound", "3700"])
     capsys.readouterr()
     assert code == 4
-    assert len(hopcroft_passes) <= 22
+    assert len(hopcroft_passes) <= 12
+
+
+def test_marked_square_length_cohesive_passes(tmp_path, capsys, hopcroft_passes):
+    """`cptk cohesive` on a·(square-length) over the regular family of ab
+    at bound 3700 made 936 passes while each class converted the target
+    under both readings of its one leaf context; the target's readings are
+    now made once, and a class is minimized only when its side is
+    regular."""
+    write_files(tmp_path, {"target.json": {"alphabet": "ab", "expr": mark("a", SQ_JSON)},
+                           "family.json": REGULAR_AB})
+    code = cli.main(["cohesive", "--target", str(tmp_path / "target.json"),
+                     "--family", str(tmp_path / "family.json"), "--index-bound", "3700"])
+    capsys.readouterr()
+    assert code == 4
+    assert len(hopcroft_passes) <= 24
