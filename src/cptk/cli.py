@@ -89,7 +89,7 @@ def _write_text(path: str, text: str) -> None:
 def _read_json(path: str):
     text = _read_text(path)
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_USAGE,
                        f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
@@ -97,6 +97,9 @@ def _read_json(path: str):
         raise CliError(EXIT_USAGE, f"{path}: {exc}")
     except RecursionError:
         raise CliError(EXIT_USAGE, f"{path}: JSON nested too deeply")
+    if type(data) is not dict:
+        raise CliError(EXIT_USAGE, f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _load_language(path: str):

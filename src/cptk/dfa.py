@@ -119,12 +119,6 @@ class Dfa:
                               if op(p in self.accepting, q in other.accepting))
         return Dfa(b, tuple(rows), 0, accepting)
 
-    def union(self, other: "Dfa") -> "Dfa":
-        return self.product(other, lambda a, b: a or b)
-
-    def intersection(self, other: "Dfa") -> "Dfa":
-        return self.product(other, lambda a, b: a and b)
-
     def left_mark(self, code: int) -> "Dfa":
         """Automaton for {x w | w accepted}, x the symbol with this code."""
         n = self.n_states
@@ -356,6 +350,8 @@ class Dfa:
         """The automaton of a JSON object.  Its state count, initial state,
         transition targets and accepting states are JSON integers: a float
         or a boolean raises ValueError."""
+        if type(data) is not dict:
+            raise ValueError(f"'dfa' must be a JSON object, not {data!r}")
         rows, accepting = data["transitions"], data["accepting"]
         if not (_ints([data["states"], data["initial"]]) and type(rows) is list
                 and all(map(_ints, rows)) and _ints(accepting)):

@@ -627,8 +627,12 @@ def family_from_json(data: dict) -> FamilyEnum:
         except KeyError:
             raise ValueError(f"unknown builtin family {data['builtin']!r}") from None
     elif "list" in data:
-        exprs = [expr_from_json(e, alphabet) for e in data["list"]]
-        declared = data.get("flags", {})
+        exprs, declared = data["list"], data.get("flags", {})
+        if type(exprs) is not list:
+            raise ValueError(f"'list' must be a list, not {exprs!r}")
+        if type(declared) is not dict:
+            raise ValueError(f"'flags' must be a JSON object, not {declared!r}")
+        exprs = [expr_from_json(e, alphabet) for e in exprs]
         flags = FamilyFlags(**{k: declared.get(k, False) for k in FamilyFlags().to_json()})
         if any(type(v) is not bool for v in flags.to_json().values()):
             raise ValueError(f"family flags must be true or false, not {declared!r}")

@@ -18,10 +18,10 @@ next such event, :func:`_step` decides it, and the skips before it are
 written at once by one segment rule.  The verifier reads the text of a
 trace: it writes the lines of its own replay by the writer's line rule,
 compares them with the text, and checks each event on the replay's own
-fields, so a clean trace is never decoded.  Only from the first line
-that differs does it decode, and then it acts only at the ranks where
-an entry can fail a check or change the state.  It looks up each
-cancellation's family witness by scalar membership.
+fields, so a clean trace is never decoded.  From the first line that
+differs on, it decodes each line, then replays and checks its entry
+rank by rank.  It looks up each cancellation's family witness by scalar
+membership.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import functools
 import itertools
 import json
 import operator
-import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
@@ -336,13 +335,11 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
     (a), (b) and (d) run at each event on the replay's own fields, which
     are what decoding its line would give.
 
-    From the first line that differs on, the lines are decoded as
-    :func:`trace_from_jsonl` decodes them, with the same errors, and the
-    checks act only at the ranks read off the decoded columns where an
-    entry can fail them or change the state: a wrong step number or word,
-    a listed cancellation, an acceptance, or a count that differs from the
-    acceptances before it.  The replay compares each stretch between two
-    such ranks with the decoded entries, so a line written otherwise that
+    From the first line that differs on, each line is decoded as
+    :func:`trace_from_jsonl` decodes it, with the same errors, and its
+    entry is checked rank by rank.  Until a divergence is found, the
+    run's entry at each rank, :func:`_step` on the state built so far, is
+    compared with the decoded one, so a line written otherwise that
     decodes to the run's entry is no divergence.  The first difference is
     reported last, as ``replay-divergence``.
 
@@ -432,36 +429,23 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
 
     start, cursor = first_difference()
     divergence = None
-    if start < steps:
-        entries = _decode_lines(text[cursor:], start + 1)
-        replayed = start   # the entries below this rank equal the run's
-        for pos in _acting_ranks(entries, words, start, len(accepted_ranks)):
-            # replay up to this rank from the state the trace has built so far
-            card = len(accepted_ranks)
-            while divergence is None and replayed <= pos:
-                a = replayed
-                b = min(guards.next_event(a), pos) if a < pos else pos
-                action, hits, reason, blocking = guards.step(b)
-                want = [*guards.segment(a, b, card),
-                        (b, words[b], action, tuple(_bits(hits)),
-                         card + (action == ACCEPTED), reason, blocking)]
-                found = entries[a - start:b + 1 - start]
-                if found != want:
-                    k = next(k for k, e in enumerate(want) if e != found[k])
-                    divergence = _violation(a + k, "replay-divergence",
-                                            {"expected": TraceEntry(*want[k]).to_json(),
-                                             "found": found[k].to_json()})
-                replayed = b + 1
-            entry, w = entries[pos - start], words[pos]
-            if entry.n != pos:
-                violations.append(_violation(entry.n, "step-numbering",
-                                             f"expected step {pos}"))
-                break
-            if entry.word != w:
-                violations.append(_violation(pos, "word-rank",
-                                             f"word {entry.word!r} is not lex({pos})"))
-                continue
-            check(pos, w, entry.action, entry.cancelled, entry.card)
+    for pos, entry in enumerate(_decode_lines(text[cursor:], start + 1), start):
+        w = words[pos]
+        if divergence is None:
+            action, hits, reason, blocking = guards.step(pos)
+            want = TraceEntry(pos, w, action, tuple(_bits(hits)),
+                              len(accepted_ranks) + (action == ACCEPTED), reason, blocking)
+            if entry != want:
+                divergence = _violation(pos, "replay-divergence",
+                                        {"expected": want.to_json(), "found": entry.to_json()})
+        if entry.n != pos:
+            violations.append(_violation(entry.n, "step-numbering", f"expected step {pos}"))
+            break
+        if entry.word != w:
+            violations.append(_violation(pos, "word-rank",
+                                         f"word {entry.word!r} is not lex({pos})"))
+            continue
+        check(pos, w, entry.action, entry.cancelled, entry.card)
     # (c) finite-intersection bound for surviving guarded indices: index i
     # was guarded when the words from the i-th accepted one on were accepted
     final_card = len(accepted_ranks)
@@ -479,32 +463,6 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
     return {"ok": not violations, "violations": violations,
             "steps": steps, "final_card": final_card,
             "cancelled": sorted(cancel)}
-
-
-def _acting_ranks(entries: list[TraceEntry], words: list[str], start: int,
-                  card: int) -> list[int]:
-    """The ranks, ascending, where the verifier's checks can act on the
-    entries of ranks ``start``.. of a trace whose words of rank 0.. are
-    ``words`` and whose count is ``card`` before ``start``: the first
-    wrong step number, which ends the checks, or else the last rank, which
-    ends the replay; and before it every wrong word, listed cancellation,
-    acceptance, and count that differs from the acceptances of the right
-    words up to its rank."""
-    ns, found, actions, cancelled, cards = itertools.islice(zip(*entries), 5)
-    ranks = range(start, start + len(entries))
-    last = ranks[-1]
-    end = next(itertools.compress(ranks, map(operator.ne, ns, ranks)), ranks.stop)
-    ranks = range(start, end)
-    right = list(map(operator.eq, found, words[start:end]))
-    accepts = list(map(operator.eq, actions[:end - start], itertools.repeat(ACCEPTED)))
-    counts = itertools.accumulate(map(operator.and_, right, accepts), initial=card)
-    next(counts)
-    acting = {*itertools.compress(ranks, map(operator.not_, right)),
-              *itertools.compress(ranks, accepts),
-              *itertools.compress(ranks, cancelled),
-              *itertools.compress(ranks, map(operator.ne, cards, counts)),
-              min(end, last)}
-    return sorted(acting)
 
 
 # ---------------------------------------------------------------------------
@@ -570,25 +528,13 @@ def _trace_line(n: int, word: str, action: str, cancelled: tuple[int, ...], card
             f'"card":{card},"n":{n}{reason},"word":{_quote(word)}}}\n')
 
 
-# the lines of _trace_line field by field, whose strings need no escape:
-# a JSON string with no backslash, quote or control character is its
-# own text, and a JSON integer is its own digits
-_STRING = r'"([^"\\\x00-\x1f]*)"'
-_INT = r'-?(?:0|[1-9][0-9]*)'
-_TRACE_LINE = re.compile(
-    rf'{{"action":{_STRING}(?:,"blocking":({_INT}))?,'
-    rf'"cancelled":\[((?:{_INT}(?:,{_INT})*)?)\],"card":({_INT}),"n":({_INT})'
-    rf'(?:,"reason":{_STRING})?,"word":{_STRING}}}')
-
-
 def trace_from_jsonl(text: str) -> list[TraceEntry]:
     """The entries of a JSONL trace, one per nonblank ``"\\n"``-separated
     line.
 
-    A line as :func:`trace_to_jsonl` writes it, with no escape in its
-    strings, is read by one regular expression; any other line is decoded
-    by ``json.loads`` and :meth:`TraceEntry.from_json`.  A line that is not
-    an entry raises :class:`ValueError` naming its line number.
+    Each line is decoded by ``json.loads`` and :meth:`TraceEntry.from_json`;
+    a line that is not an entry raises :class:`ValueError` naming its line
+    number.
     """
     return _decode_lines(text, 1)
 
@@ -607,16 +553,5 @@ def _decode_lines(text: str, lineno: int) -> list[TraceEntry]:
 
 
 def _decode_line(line: str) -> TraceEntry:
-    """The entry of one nonblank trace line.  The integers of a line that
-    :data:`_TRACE_LINE` matches are converted in the order of the line,
-    so that one too long for ``int`` fails as the first one ``json.loads``
-    would fail on."""
-    match = _TRACE_LINE.fullmatch(line)
-    if match is None:
-        return TraceEntry.from_json(json.loads(line))
-    action, blocking, cancelled, card, n, reason, word = match.groups()
-    if blocking is not None:
-        blocking = int(blocking)
-    cancelled = tuple(map(int, cancelled.split(","))) if cancelled else ()
-    card = int(card)
-    return TraceEntry(int(n), word, action, cancelled, card, reason, blocking)
+    """The entry of one nonblank trace line."""
+    return TraceEntry.from_json(json.loads(line))

@@ -40,6 +40,9 @@ class Alphabet:
     @classmethod
     def parse(cls, spec: str, order: str | None = None) -> "Alphabet":
         """Build from a symbol string, optionally reordered by ``order``."""
+        for field, value in (("alphabet", spec), ("order", order)):
+            if value is not None and type(value) is not str:
+                raise ValueError(f"'{field}' must be a string, not {value!r}")
         syms = tuple(spec)
         if order is not None:
             if sorted(order) != sorted(spec):

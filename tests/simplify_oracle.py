@@ -16,6 +16,7 @@ only its own names are spelled out as imports, and
 from __future__ import annotations
 
 import itertools
+import operator
 
 from cptk.dfa import Dfa, dfa_for_finite
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter, LangExpr,
@@ -253,11 +254,11 @@ def _convert(expr, alphabet):
     if isinstance(expr, Predicate):
         raise NonRegularLeaf(expr.name)
     if isinstance(expr, (Union, Inter)):
-        unit, product = ((EMPTY, Dfa.union) if isinstance(expr, Union)
-                         else (FULL, Dfa.intersection))
+        unit, op = ((EMPTY, operator.or_) if isinstance(expr, Union)
+                    else (FULL, operator.and_))
         acc = _convert(expr.args[0] if expr.args else unit, alphabet)
         for a in expr.args[1:]:
-            acc = product(acc, _convert(a, alphabet)).minimize()
+            acc = acc.product(_convert(a, alphabet), op).minimize()
         return acc
     if isinstance(expr, Complement):
         return _convert(expr.arg, alphabet).complement()

@@ -414,25 +414,46 @@ def test_wrongly_typed_input_exits_2(tmp_path, capsys, reg_family_file,
     assert err.startswith("error: ") and "bad.json" in err
 
 
-@pytest.mark.parametrize("family", [
-    {"alphabet": "ab", "list": [{"finite": [1]}]},
-    {"alphabet": "ab", "list": [expr_to_json(FULL)], "flags": []},
-    [1, 2],
+WRONGLY_TYPED_FAMILIES = [
+    ({"alphabet": "ab", "list": [{"finite": [1]}]},
+     "'finite' must be a list of strings, not [1]"),
+    # each of the next two printed Python internals
+    ({"alphabet": "ab", "list": [expr_to_json(FULL)], "flags": []},
+     "'flags' must be a JSON object, not []"),
+    ([1, 2], "the top level must be a JSON object"),
     # a string used to be read as one operator per character
-    {"alphabet": "ab", "builtin": "regular", "closure": "u"},
-    {"alphabet": "ab", "builtin": "regular", "closure": "co"},
-    {"alphabet": "ab", "builtin": "regular", "closure": [1]},
+    ({"alphabet": "ab", "builtin": "regular", "closure": "u"},
+     "'closure' must be a list of operator names"),
+    ({"alphabet": "ab", "builtin": "regular", "closure": "co"},
+     "'closure' must be a list of operator names"),
+    ({"alphabet": "ab", "builtin": "regular", "closure": [1]},
+     "unknown closure operator 1"),
     # a string flag used to be read as true
-    {"alphabet": "ab", "list": [expr_to_json(FULL)], "flags": {"nontrivial": "false"}},
-    {"alphabet": "ab", "list": [expr_to_json(FULL)], "flags": {"union_closed": 1}}])
-def test_wrongly_typed_family_exits_2(tmp_path, capsys, family):
+    ({"alphabet": "ab", "list": [expr_to_json(FULL)], "flags": {"nontrivial": "false"}},
+     "family flags must be true or false, not {'nontrivial': 'false'}"),
+    ({"alphabet": "ab", "list": [expr_to_json(FULL)], "flags": {"union_closed": 1}},
+     "family flags must be true or false, not {'union_closed': 1}"),
+    # the keys of an object list used to be read as expressions
+    ({"alphabet": "ab", "list": {"a": 1}}, "'list' must be a list, not {'a': 1}"),
+    # each of the rest printed Python internals
+    ({"alphabet": "ab", "list": [expr_to_json(FULL)], "flags": [1]},
+     "'flags' must be a JSON object, not [1]"),
+    ([1], "the top level must be a JSON object"),
+    ({"alphabet": 5, "builtin": "regular"}, "'alphabet' must be a string, not 5"),
+    ({"alphabet": "ab", "order": 5, "builtin": "regular"},
+     "'order' must be a string, not 5")]
+
+
+@pytest.mark.parametrize("family,message", WRONGLY_TYPED_FAMILIES,
+                         ids=[f"family{k}" for k in range(len(WRONGLY_TYPED_FAMILIES))])
+def test_wrongly_typed_family_exits_2(tmp_path, capsys, family, message):
     target = write(tmp_path, "target.json",
                    {"alphabet": "ab", "expr": expr_to_json(FULL)})
-    code, out, err = run_main(["cohesive", "--target", target,
-                               "--family", write(tmp_path, "fam.json", family),
+    fam = write(tmp_path, "fam.json", family)
+    code, out, err = run_main(["cohesive", "--target", target, "--family", fam,
                                "--index-bound", "5"], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "fam.json" in err
+    assert err == f"error: {fam}: {message}\n"
 
 
 @pytest.mark.parametrize("index", [-1, 10 ** 20])
@@ -789,12 +810,15 @@ def test_missing_field_or_unknown_predicate_is_named(tmp_path, capsys, role, dat
     ({"op": "union", "args": ["a"]}, "a language expression must be a JSON object, not 'a'"),
     ({"op": "leftmark", "symbol": ["a"], "arg": MARKED_A},
      "'symbol' must be a string, not ['a']"),
-    ({"predicate": 5}, "'predicate' must be a string, not 5")])
+    ({"predicate": 5}, "'predicate' must be a string, not 5"),
+    ({"dfa": [1]}, "'dfa' must be a JSON object, not [1]"),
+    ({"dfa": 5}, "'dfa' must be a JSON object, not 5")])
 def test_expression_of_the_wrong_type_is_named(tmp_path, capsys, reg_family_file, expr,
                                                message):
     """Each printed Python internals: ``'str' object has no attribute
     'get'``, ``unhashable type: 'list'``, ``'int' object has no attribute
-    'startswith'``."""
+    'startswith'``, ``list indices must be integers or slices, not str``,
+    ``'int' object is not subscriptable``."""
     target = write(tmp_path, "t.json", {"alphabet": "ab", "expr": expr})
     code, out, err = run_main(["cohesive", "--target", target, "--family", reg_family_file,
                                "--index-bound", "5"], capsys)

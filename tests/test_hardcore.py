@@ -790,14 +790,14 @@ def read_both(text):
     return out
 
 
-def test_fast_reader_matches_per_line_reader_on_mutated_lines():
+def test_reader_matches_per_line_reader_on_mutated_lines():
     """One-character inserts, deletes and replacements of canonical lines,
     three lines to a text."""
     lines = canonical_lines()
     pool = ['\\', "a", "é", "\x01", '"', ",", ":", "0", "1", "-", "[", "]", "{", "}",
             " ", "e", ".", "\x7f", "\U0001f600"]
     rng = np.random.default_rng(7)
-    fast = errors = 0
+    errors = 0
     for _ in range(7000):
         picked = [lines[int(k)] for k in rng.integers(len(lines), size=3)]
         which = int(rng.integers(3))
@@ -816,9 +816,8 @@ def test_fast_reader_matches_per_line_reader_on_mutated_lines():
         got, want = read_both(text)
         assert got == want, text
         errors += got.startswith("ValueError")
-        fast += cptk.hardcore._TRACE_LINE.fullmatch(line) is not None
-    # both routes and both outcomes are exercised
-    assert fast > 500 and 1000 < errors < 6000
+    # both outcomes are exercised
+    assert 1000 < errors < 6000
 
 
 @pytest.mark.parametrize("text", [
@@ -835,7 +834,7 @@ def test_fast_reader_matches_per_line_reader_on_mutated_lines():
     + '],"card":' + "9" * 6000 + ',"n":0,"word":"a"}\n',
     '{"action":"x","cancelled":[1,' + "8" * 4400 + '],"card":' + "9" * 6000
     + ',"n":0,"word":"a"}\n'])
-def test_fast_reader_matches_per_line_reader_on_edge_lines(text):
+def test_reader_matches_per_line_reader_on_edge_lines(text):
     got, want = read_both(text)
     assert got == want
 

@@ -1,10 +1,11 @@
 """The diagonalization by events against the per-step code it replaced.
 
 ``hardcore_run`` decides only the steps that change state and writes the
-skips between them by one segment rule; ``verify_trace`` acts only at the
-entries where a check can fail or the state change.  ``column_run`` and
-``one_loop_verify_trace`` (tests/trace_oracle.py) decide every step; they
-are the differential oracles, and the counts pin the work saved.
+skips between them by one segment rule; ``verify_trace`` writes the
+same lines for the clean prefix of a trace and replays the rest rank by
+rank.  ``column_run`` and ``one_loop_verify_trace``
+(tests/trace_oracle.py) decide every step; they are the differential
+oracles, and the counts pin the work saved.
 """
 
 import numpy as np

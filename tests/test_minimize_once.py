@@ -9,6 +9,7 @@ differential oracles; the pass counts pin the work saved.
 
 import dataclasses
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_marked_minimize_matches_unmarked_hopcroft(alphabet):
         m = d.minimize()
         assert m == unmarked_minimize(d) == unmarked_minimize(m)
         assert m.minimize() is m
-        for other in (m.complement(), m.union(d), d.left_quotient((0,))):
+        for other in (m.complement(), m.product(d, operator.or_), d.left_quotient((0,))):
             assert other.minimize() == unmarked_minimize(other)
 
 

@@ -5,13 +5,14 @@
 per rank that ``_Guards`` fills bit by bit from each guarded index's row;
 the library's ``hardcore_run`` decides only the steps that change state.
 ``one_loop_verify_trace`` runs its checks and its replay at every entry
-of the trace; the library's ``verify_trace`` acts only at the entries
-where a check can fail or the state change.  ``two_pass_verify_trace``
-checks the loop invariants in one loop and then replays the whole
-diagonalization with ``column_run`` to compare traces.
-``per_line_trace_from_jsonl`` decodes every line with ``json.loads``; the
-library's reader takes canonical lines by a fast path.  ``_bits`` takes
-one lowest bit at a time; the library's reads all binary digits at once.
+of the trace; the library's ``verify_trace`` compares the text of a
+clean prefix with its own replay's lines and decodes only from the first
+line that differs.  ``two_pass_verify_trace`` checks the loop invariants
+in one loop and then replays the whole diagonalization with
+``column_run`` to compare traces.  ``per_line_trace_from_jsonl`` splits
+lines with ``str.splitlines``; the library's reader splits them at
+``"\\n"`` only.  ``_bits`` takes one lowest bit at a time; the library's
+reads all binary digits at once.
 The code is a copy of what the library held; only its own names are
 spelled out as imports.
 """
