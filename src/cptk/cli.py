@@ -131,7 +131,10 @@ def _load_problem_file(path: str, horizon: int):
     data = _read_json(path)
     try:
         alphabet = Alphabet.parse(data["alphabet"], data.get("order"))
-        comps = [expr_from_json(c, alphabet) for c in data["components"]]
+        comps = data["components"]
+        if type(comps) is not list:
+            raise ValueError(f"'components' must be a list, not {comps!r}")
+        comps = [expr_from_json(c, alphabet) for c in comps]
         condition = data.get("condition")
         cond_expr = None if condition is None else expr_from_json(condition, alphabet)
     except MALFORMED as exc:

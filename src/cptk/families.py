@@ -622,10 +622,7 @@ def family_from_json(data: dict) -> FamilyEnum:
     if "builtin" in data:
         builders = {"regular": regular_family, "finite": finite_family,
                     "length": length_family}
-        try:
-            fam = builders[data["builtin"]](alphabet)
-        except KeyError:
-            raise ValueError(f"unknown builtin family {data['builtin']!r}") from None
+        fam = _named(builders, data["builtin"], "builtin family")(alphabet)
     elif "list" in data:
         exprs, declared = data["list"], data.get("flags", {})
         if type(exprs) is not list:
@@ -646,8 +643,13 @@ def family_from_json(data: dict) -> FamilyEnum:
     if sum(3 if op_name == "b" else 1 for op_name in closure) > MAX_EXPR_DEPTH:
         raise ValueError(f"closure operators nested deeper than {MAX_EXPR_DEPTH} levels")
     for op_name in closure:
-        try:
-            fam = CLOSURES[op_name](fam)
-        except KeyError:
-            raise ValueError(f"unknown closure operator {op_name!r}") from None
+        fam = _named(CLOSURES, op_name, "closure operator")(fam)
     return fam
+
+
+def _named(table: dict, name, what: str):
+    """The entry of ``table`` named by the JSON value ``name``; a value
+    that is not one of its keys, a list too, raises ValueError."""
+    if type(name) is not str or name not in table:
+        raise ValueError(f"unknown {what} {name!r}")
+    return table[name]

@@ -8,20 +8,17 @@ index at most the current accepted count, inclusive.  The construction
 is inherently sequential and emits one trace entry per word; traces are
 bit-reproducible and replay-verifiable.
 
-:func:`hardcore_run` and :func:`verify_trace` work on int bitset window
-rows, and decide only the steps that change state.  Their guard state,
+:func:`hardcore_run` and :func:`verify_trace` share one event walk,
+:func:`_walk`, over int bitset window rows.  Its guard state,
 :class:`_GuardState`, holds the row of each live guarded index and
 ``blocked``, the OR of those rows.  A step changes the state only on a
 blocked condition word (a cancellation) or on an unblocked target word
 outside the condition (an acceptance); one bitset expression finds the
 next such event, :func:`_step` decides it, and the skips before it are
-written at once by one segment rule.  The verifier reads the text of a
-trace: it writes the lines of its own replay by the writer's line rule,
-compares them with the text, and checks each event on the replay's own
-fields, so a clean trace is never decoded.  From the first line that
-differs on, it decodes each line, then replays and checks its entry
-rank by rank.  It looks up each cancellation's family witness by scalar
-membership.
+written at once by one segment rule.  The run keeps the walk's entries;
+the verifier writes their lines and compares them with the trace text,
+so a clean trace is never decoded, and from the first line that differs
+on it decodes and checks each line rank by rank.
 """
 
 from __future__ import annotations
@@ -260,45 +257,52 @@ def _step(live: int, in_condition: int, in_target: int
     return ACCEPTED, 0, None, None
 
 
+def _walk(guards: _GuardState, act):
+    """The run's entry tuples in rank order: each stretch of skips as one
+    :meth:`_GuardState.segment` batch, then each event, decided by
+    :func:`_step`, as a one-tuple.  ``act(n, word, action, cancelled,
+    card)`` applies an event only when what follows it is asked for, so a
+    consumer that stops at an event leaves the state as it was before it."""
+    n = card = 0
+    while True:
+        b = guards.next_event(n)
+        if b > n:
+            yield guards.segment(n, b, card)
+        if b == guards.steps:
+            return
+        action, hits, reason, blocking = guards.step(b)
+        card += action == ACCEPTED
+        event = (b, guards.words[b], action, tuple(_bits(hits)), card, reason, blocking)
+        yield (event,)
+        act(*event[:5])
+        n = b + 1
+
+
 def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
                  alphabet: Alphabet, steps: int
                  ) -> tuple[DiagonalizationState, list[TraceEntry]]:
     """The diagonalization over the first ``steps`` words, by events.
 
-    Step n runs the loop of the module docstring on lex(n).  Between two
-    events the state is constant, so :meth:`_GuardState.segment` writes
-    the skips of the stretch at once; :func:`_step` decides each event.
-
-    The accepted prefix decides membership below rank ``steps`` exactly
-    (accept exactly the listed words); beyond that the run says nothing.
+    Step n runs the loop of the module docstring on lex(n); the entries
+    are those of :func:`_walk`.  The accepted prefix decides membership
+    below rank ``steps`` exactly (accept exactly the listed words);
+    beyond that the run says nothing.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     guards = _GuardState(family, condition, target, alphabet, steps)
     accepted: list[str] = []
-    cancelled = 0
-    trace: list[TraceEntry] = []
-    n = 0
-    while n < steps:
-        b = guards.next_event(n)
-        if b > n:
-            trace += map(_entry, guards.segment(n, b, len(accepted)))
-        if b == steps:
-            break
-        action, hits, reason, blocking = guards.step(b)
-        listed = ()
-        if hits:
-            cancelled |= hits
-            listed = tuple(_bits(hits))
-            guards.cancel(listed)
+    cancelled: set[int] = set()
+
+    def act(n, word, action, listed, card):
+        cancelled.update(listed)
+        guards.cancel(listed)
         if action == ACCEPTED:
-            accepted.append(guards.words[b])
-            guards.guard(len(accepted), b + 1)
-        trace.append(_entry((b, guards.words[b], action, listed, len(accepted),
-                             reason, blocking)))
-        n = b + 1
-    state = DiagonalizationState(steps, tuple(accepted), frozenset(_bits(cancelled)))
-    return state, trace
+            accepted.append(word)
+            guards.guard(card, n + 1)
+
+    trace = list(map(_entry, itertools.chain.from_iterable(_walk(guards, act))))
+    return DiagonalizationState(steps, tuple(accepted), frozenset(cancelled)), trace
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +331,11 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
     :func:`trace_from_jsonl` gives: a float or a bool where an int belongs
     is written as such and raises the reader's error at the line of its
     entry, counted from 1.  Until the first entry that differs from the
-    run's, the guard state the trace builds is exactly the state of a
-    fresh :func:`hardcore_run`.  So the replay writes each stretch of
-    skips (:meth:`_GuardState.segment`) and the event after it
-    (:func:`_step`) by the writer's own line rule and compares that text
-    with the trace's at a cursor; a clean trace is never decoded.  Checks
-    (a), (b) and (d) run at each event on the replay's own fields, which
-    are what decoding its line would give.
+    run's, the guard state the trace builds is exactly the run's.  So the
+    replay writes the lines of :func:`_walk`, with checks (a), (b) and (d)
+    as its callback, and compares them with the text at a cursor; a clean
+    trace is never decoded, and each event is checked on the walk's own
+    fields, which are what decoding its line would give.
 
     From the first line that differs on, each line is decoded as
     :func:`trace_from_jsonl` decodes it, with the same errors, and its
@@ -402,32 +404,14 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
             violations.append(_violation(pos, "card-mismatch",
                                          f"declared {card}, replay has {count}"))
 
-    def first_difference() -> tuple[int, int]:
-        """The rank of the first line that differs from the run's and the
-        offset where it begins, or ``steps`` and the end of the last line;
-        each event up to it is checked."""
-        n = cursor = card = 0
-        while True:
-            b = guards.next_event(n)
-            if b > n:
-                for line in itertools.starmap(_trace_line, guards.segment(n, b, card)):
-                    if not text.startswith(line, cursor):
-                        return n, cursor
-                    n += 1
-                    cursor += len(line)
-            if b == steps:
-                return steps, cursor
-            action, hits, reason, blocking = guards.step(b)
-            listed = tuple(_bits(hits))
-            card += action == ACCEPTED
-            line = _trace_line(b, words[b], action, listed, card, reason, blocking)
-            if not text.startswith(line, cursor):
-                return b, cursor
-            cursor += len(line)
-            check(b, words[b], action, listed, card)
-            n = b + 1
-
-    start, cursor = first_difference()
+    # the first line that differs from the run's, at rank start and offset cursor
+    cursor = start = 0
+    walk = itertools.chain.from_iterable(_walk(guards, check))
+    for line in itertools.starmap(_trace_line, walk):
+        if not text.startswith(line, cursor):
+            break
+        cursor += len(line)
+        start += 1
     divergence = None
     for pos, entry in enumerate(_decode_lines(text[cursor:], start + 1), start):
         w = words[pos]

@@ -414,6 +414,18 @@ def test_wrongly_typed_input_exits_2(tmp_path, capsys, reg_family_file,
     assert err.startswith("error: ") and "bad.json" in err
 
 
+@pytest.mark.parametrize("components", [{"a": 1}, "ab", 5, None])
+def test_components_not_a_list_is_named(tmp_path, capsys, reg_family_file, components):
+    """The keys of an object and the characters of a string used to be read
+    as expressions, and a number or null printed Python internals."""
+    problem = write(tmp_path, "problem.json",
+                    {"alphabet": "ab", "condition": None, "components": components})
+    code, out, err = run_main(["solve", "--problem", problem, "--family", reg_family_file,
+                               "--index-bound", "5"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {problem}: 'components' must be a list, not {components!r}\n"
+
+
 WRONGLY_TYPED_FAMILIES = [
     ({"alphabet": "ab", "list": [{"finite": [1]}]},
      "'finite' must be a list of strings, not [1]"),
@@ -441,7 +453,11 @@ WRONGLY_TYPED_FAMILIES = [
     ([1], "the top level must be a JSON object"),
     ({"alphabet": 5, "builtin": "regular"}, "'alphabet' must be a string, not 5"),
     ({"alphabet": "ab", "order": 5, "builtin": "regular"},
-     "'order' must be a string, not 5")]
+     "'order' must be a string, not 5"),
+    # each of the next two printed "unhashable type: 'list'"
+    ({"alphabet": "ab", "builtin": ["regular"]}, "unknown builtin family ['regular']"),
+    ({"alphabet": "ab", "builtin": "regular", "closure": [["u"]]},
+     "unknown closure operator ['u']")]
 
 
 @pytest.mark.parametrize("family,message", WRONGLY_TYPED_FAMILIES,

@@ -1,11 +1,12 @@
 """The diagonalization by events against the per-step code it replaced.
 
-``hardcore_run`` decides only the steps that change state and writes the
-skips between them by one segment rule; ``verify_trace`` writes the
-same lines for the clean prefix of a trace and replays the rest rank by
-rank.  ``column_run`` and ``one_loop_verify_trace``
-(tests/trace_oracle.py) decide every step; they are the differential
-oracles, and the counts pin the work saved.
+``hardcore_run`` and ``verify_trace`` share one event walk: it decides
+only the steps that change state and yields the skips between them by
+one segment rule.  The run keeps its entries; the verifier writes their
+lines for the clean prefix of a trace and replays the rest rank by rank.
+``column_run`` and ``one_loop_verify_trace`` (tests/trace_oracle.py)
+decide every step; they are the differential oracles, and the counts
+pin the work saved.
 """
 
 import numpy as np
@@ -109,6 +110,30 @@ def test_run_decides_only_the_steps_that_change_state(ab, step_calls):
     step_calls.clear()
     assert verify_trace(trace, regular_family(ab), condition, target, ab)["ok"]
     assert len(step_calls) == 11
+
+
+def test_walk_applies_an_event_only_when_what_follows_is_asked_for(ab):
+    """A consumer that stops at an event has seen the callback run on the
+    events before it only, so the guard state is the one before it."""
+    condition, target = LeftMark("b", PRIME), LeftMark("a", Complement(PRIME))
+    guards = cptk.hardcore._GuardState(regular_family(ab), condition, target, ab, 2000)
+    acted = []
+
+    def act(n, word, action, listed, card):
+        acted.append(n)
+        guards.cancel(listed)
+        if action == ACCEPTED:
+            guards.guard(card, n + 1)
+
+    entries, events = [], []
+    for batch in cptk.hardcore._walk(guards, act):
+        for entry in batch:
+            entries.append(TraceEntry(*entry))
+            if entry[2] != "skipped":
+                assert acted == events
+                events.append(entry[0])
+    assert acted == events and len(events) == 11
+    assert entries == hardcore_run(regular_family(ab), condition, target, ab, 2000)[1]
 
 
 def hostile_trace(condition, target, alphabet, steps):

@@ -1,6 +1,6 @@
-"""``verify_trace`` on trace text: the replay writes the lines of the run
-and compares them with the text, and decodes only from the first line
-that differs.
+"""``verify_trace`` on trace text: the replay writes the lines of the
+event walk it shares with ``hardcore_run``, compares them with the text,
+stops at the first line that differs and decodes only from there on.
 
 The oracles are the one-loop verifier (tests/trace_oracle.py) on the
 entries ``trace_from_jsonl`` reads from the same text, and
