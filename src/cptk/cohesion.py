@@ -66,10 +66,11 @@ def check_cohesive(a: LangExpr, family: FamilyEnum, index_bound: int,
 
     The witness is the least (i, j) pair in pair-code order; both sides of
     a refutation carry their own finiteness evidence.  Whether a pair
-    splits depends only on the language class C of i, and ``codec.pair``
-    is strictly increasing in both arguments, so the least pair of a class
-    is (min C, min C^c): the scan tries one candidate per class, in that
-    pair's order.
+    splits depends only on the language of i, and on every family a
+    language class holds one language (on families that are not exact, one
+    index).  ``codec.pair`` is strictly increasing in both arguments, so
+    the least pair of a class C is (min C, min C^c): the scan tries one
+    candidate per class, in that pair's order.
     """
     return _check_cohesive_restricted(a, None, family, index_bound, horizon)
 

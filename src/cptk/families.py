@@ -15,7 +15,8 @@ from the transition tables, a stack of tables per pass, and
 :class:`ClassIndex` asks it for the largest state count below a bound,
 read from the block starts; neither builds an automaton per index.  The
 finite family builds its rows from the decoded word ranks, with no
-expression.  Other families answer both from their expressions.
+expression.  Other families find their rows from their expressions and
+state no bound.
 """
 
 from __future__ import annotations
@@ -71,9 +72,11 @@ class FamilyEnum:
         self.flags = flags
         #: ``row_builder(lo, hi, count)``: the rows of the indices lo..hi-1
         #: over lex(0..count-1), as :func:`langs.window_rows` finds them for
-        #: their expressions; ``state_bound(index_bound)``: what
-        #: :meth:`max_states` returns.  Both default to scans over the
-        #: expressions.
+        #: their expressions, which :meth:`rows` runs without it;
+        #: ``state_bound(index_bound)``: the most states of an automaton
+        #: below the bound (1 below bound 0), stated only by a family whose
+        #: indices are all automaton atoms; without it :class:`ClassIndex`
+        #: splits rows.
         self.row_builder = row_builder
         self.state_bound = state_bound
         self._exprs: dict[int, LangExpr] = {}
@@ -119,16 +122,6 @@ class FamilyEnum:
                                           self.alphabet, horizon + 1))
         return cached[:index_bound]
 
-    def max_states(self, index_bound: int) -> int | None:
-        """The most states of an automaton below the bound, if every index
-        below it is an automaton atom (1 below bound 0); None otherwise."""
-        if self.state_bound is not None:
-            return self.state_bound(index_bound)
-        exprs = [self.expr(i) for i in range(index_bound)]
-        if not all(isinstance(e, DfaAtom) for e in exprs):
-            return None
-        return max((e.dfa.n_states for e in exprs), default=1)
-
 
 class ClassIndex:
     """The indices below a bound grouped by language, keyed by their rows
@@ -136,33 +129,34 @@ class ClassIndex:
 
     Equal languages have equal rows.  Automata with at most N states whose
     languages differ, or are not complements, show it on a word of length
-    at most 2N - 2 (Moore 1956).  So on an exact family whose indices
-    below the bound are automaton atoms with at most N states
-    (:meth:`FamilyEnum.max_states`), equal rows mean equal languages once
-    the window holds every word that short, and each row is one class.  On
-    the other exact families a row shared by several indices is split by
-    the indices' minimal automata from :func:`langs.regular_view`, equal
-    exactly when the languages are, and complement classes are confirmed
-    on the same automata.  On families that are not exact, a class is a
-    row group.
+    at most 2N - 2 (Moore 1956).  So on a family that bounds its automata's
+    states by N (:attr:`FamilyEnum.state_bound`), equal rows mean equal
+    languages once the window holds every word that short, and each row is
+    one class.  Otherwise the rows are split: on exact families a row
+    shared by several indices is split by the indices' minimal automata
+    from :func:`langs.regular_view`, equal exactly when the languages are,
+    and complement classes are confirmed on the same automata.  On families
+    that are not exact, languages cannot be compared, so each index is its
+    own class, and its complement class is the least index with the
+    complement row.
     """
 
     def __init__(self, family: FamilyEnum, index_bound: int, horizon: int):
         self.family, self.horizon = family, horizon
         self.rows = family.rows(index_bound, horizon)
         self.full = (1 << (horizon + 1)) - 1
-        if family.exact:
-            states = family.max_states(index_bound)
-            self.split = states is None or (len(lex(family.alphabet, horizon + 1))
-                                            <= 2 * states - 2)
-        else:
-            self.split = False
+        bound = family.state_bound
+        self.split = bound is None or (len(lex(family.alphabet, horizon + 1))
+                                       <= 2 * bound(index_bound) - 2)
         # row -> its class, or on the split route its classes; one list per
-        # class on the other routes, since a lasting index of thousands of
+        # class on the other route, since a lasting index of thousands of
         # small lists makes the collector's young generations slow
         self._at = _group(range(index_bound), self.rows.__getitem__)
         if self.split:
-            self._at = {row: list(_group(members, self._view).values())
+            # the split key: the minimal automaton on exact families, and
+            # the index on the others, whose languages cannot be compared
+            key = self._view if family.exact else (lambda i: i)
+            self._at = {row: list(_group(members, key).values())
                         if len(members) > 1 else [members]
                         for row, members in self._at.items()}
             #: the classes in order of least index
@@ -172,18 +166,15 @@ class ClassIndex:
             self.classes = list(self._at.values())
 
     def leaders(self, row: int) -> list[int]:
-        """The indices with this row that lookups tell apart, ascending: the
-        least of each class on exact families, every index on the others."""
+        """The least index of each class with this row, ascending."""
         at = self._at.get(row)
         if at is None:
             return []
-        if self.split:
-            return [c[0] for c in at]
-        return at[:1] if self.family.exact else at
+        return [c[0] for c in at] if self.split else at[:1]
 
     def leaders_containing(self, row: int) -> list[int]:
         """The leaders, ascending, whose rows hold every word of ``row``."""
-        if self.split or not self.family.exact:
+        if self.split:
             return sorted(i for r in self._at if not row & ~r for i in self.leaders(r))
         # one class per row, and the rows in order of their least index
         return [at[0] for r, at in self._at.items() if not row & ~r]
@@ -195,6 +186,8 @@ class ClassIndex:
             return []
         if not self.split:
             return at
+        if not self.family.exact:
+            return at[0]
         least = self.index_of(self._view(cls[0]).complement())
         return next((c for c in at if c[0] == least), [])
 
@@ -373,14 +366,14 @@ def finite_family(alphabet: Alphabet) -> FamilyEnum:
                       row_builder=row_builder)
 
 
-def list_family(name: str, alphabet: Alphabet, exprs, flags: FamilyFlags = FamilyFlags(),
-                exact: bool | None = None) -> FamilyEnum:
-    """A user family: the listed expressions repeated periodically."""
+def list_family(name: str, alphabet: Alphabet, exprs,
+                flags: FamilyFlags = FamilyFlags()) -> FamilyEnum:
+    """A user family: the listed expressions repeated periodically; exact
+    when every expression has a minimal automaton."""
     exprs = list(exprs)
     if not exprs:
         raise ValueError("list family needs at least one expression")
-    if exact is None:
-        exact = all(regular_view(e, alphabet) is not None for e in exprs)
+    exact = all(regular_view(e, alphabet) is not None for e in exprs)
 
     def gen(i: int) -> LangExpr:
         return exprs[i % len(exprs)]

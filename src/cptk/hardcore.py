@@ -465,9 +465,9 @@ def is_proper_hardcore(b: LangExpr, target: LangExpr, family: FamilyEnum,
     alphabet = family.alphabet
     b_finiteness = is_finite(b, alphabet, horizon)
     containment = subset_of(b, target, alphabet, horizon)
-    # both checks depend only on the language: once per class on exact families
-    groups = (family.classes(index_bound, horizon).classes if family.exact
-              else [[i] for i in range(index_bound)])
+    # both checks depend only on the language: once per class, which holds
+    # one language on every family
+    groups = family.classes(index_bound, horizon).classes
     inside = inside_check(family, target, index_bound, horizon)
     meet = meet_finiteness(b, family, index_bound, horizon)
     meets = {}

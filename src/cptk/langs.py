@@ -508,8 +508,11 @@ def intersection_views(x: LangExpr, alphabet: Alphabet):
 @functools.lru_cache(maxsize=AUTOMATON_CACHE_SIZE)
 def regular_view(expr: LangExpr, alphabet: Alphabet) -> Dfa | None:
     """The minimal automaton, the language key, when the expression does
-    not depend on its predicates: substitute, convert, minimize.  The one
-    door to the exact backend, so callers pass expressions as they are.
+    not depend on its predicates: substitute, convert, minimize.  The
+    exact backend's door for one expression, taken by emptiness,
+    finiteness and the class index, so callers pass expressions as they
+    are; :func:`intersection_views` is its door for one expression met
+    with many.
 
     The expression is converted with every predicate leaf context read as
     EMPTY, and again under each other FULL/EMPTY assignment

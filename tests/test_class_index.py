@@ -48,13 +48,17 @@ def old_complement_key(canonical):
 
 def old_language_classes(family, index_bound, horizon):
     full = (1 << (horizon + 1)) - 1
-    exact = family.exact
-    keys = ([family_canonical(family, i) for i in range(index_bound)] if exact
-            else family.rows(index_bound, horizon))
+    if not family.exact:
+        # languages that cannot be compared: each index is its own class,
+        # paired with the least index of the complement row
+        rows = family.rows(index_bound, horizon)
+        return [([i], [j for j, r in enumerate(rows) if r == full & ~row][:1])
+                for i, row in enumerate(rows)]
+    keys = [family_canonical(family, i) for i in range(index_bound)]
     classes = {}
     for i, key in enumerate(keys):
         classes.setdefault(key, []).append(i)
-    return [(members, classes.get(old_complement_key(key) if exact else full & ~key, []))
+    return [(members, classes.get(old_complement_key(key), []))
             for key, members in classes.items()]
 
 
@@ -203,7 +207,7 @@ CASES = {
     "cc-regular": (lambda: close_cc(regular_family(AB)), 200, 300, False, ab_problems),
     # lengths 3 and up share one row, and their complements another
     "cc-length": (lambda: close_cc(length_family(AB)), 40, 6, False, ab_problems),
-    "opaque-list": (opaque_family, 10, 300, True, opaque_problems),
+    "opaque-list": (opaque_family, 10, 300, False, opaque_problems),
 }
 COVERED = ("regular-ab-3700", "regular-ab-400", "regular-abc-500-200")
 
@@ -226,7 +230,22 @@ def test_language_classes_match_canonical_grouping(name):
     family, bound, horizon, keys, _ = build(name)
     assert language_classes(family, bound, horizon) == \
         old_language_classes(family, bound, horizon)
-    assert family.classes(bound, horizon).split == (family.exact and not keys)
+    assert family.classes(bound, horizon).split == (not keys)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_every_class_holds_one_language(name):
+    """Exact families: one minimal automaton per class.  The others, whose
+    languages cannot be compared: one index per class."""
+    family, bound, horizon, _, _ = build(name)
+    classes = family.classes(bound, horizon).classes
+    assert sorted(i for c in classes for i in c) == list(range(bound))
+    for cls in classes:
+        if family.exact:
+            views = {regular_view(family.expr(i), family.alphabet) for i in cls}
+            assert len(views) == 1 and None not in views
+        else:
+            assert len(cls) == 1
 
 
 @pytest.mark.parametrize("name", CASES)

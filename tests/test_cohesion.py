@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from cptk import cohesion, kernels
+from cptk.cli import main
 from cptk.classify import (ClassificationProblem, ClosureFlagsAbsent, load_conditional,
                            load_problem)
 from cptk.codec import pair
@@ -9,10 +12,11 @@ from cptk.cohesion import (CohesionVerdict, ccore1_check, check_ccohesive,
                            check_ccore, check_cohesive, check_core)
 from cptk.dfa import Dfa
 from cptk.families import (DcMember, FamilyFlags, canonical_index, close_cc,
-                           dc_member, inside_check, list_family, regular_family)
+                           dc_member, family_from_json, inside_check, list_family,
+                           regular_family)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
-                        LeftMark, Predicate, Union, equivalent, is_finite,
-                        regular_view)
+                        LeftMark, Predicate, Union, equivalent, expr_to_json,
+                        is_finite, regular_view)
 
 from .batch_oracle import member_batch, window_for_horizon
 from .conftest import (certified_inside, complement_pairs, family_canonical,
@@ -85,15 +89,18 @@ def pair_scan_dc_members(family, index_bound, horizon):
 def pair_scan(a, region, family, index_bound, horizon):
     """The former cohesion scan, kept as the differential oracle: every
     complement pair in pair-code order, one outcome memoized per language
-    class."""
+    class, which is the index itself on families that are not exact."""
     alphabet = family.alphabet
     class_outcome = {}
-    rows = None if family.exact else family.rows(index_bound, horizon)
     members = pair_scan_dc_members(family, index_bound, horizon)
-    assert members == [dc_member(family, i, j, horizon)
-                       for i, j in complement_pairs(family, index_bound, horizon)]
+    # on families that are not exact the classes pair each index with the
+    # least index of the complement row
+    paired = [m for k, m in enumerate(members)
+              if family.exact or k == 0 or members[k - 1].i != m.i]
+    assert paired == [dc_member(family, i, j, horizon)
+                      for i, j in complement_pairs(family, index_bound, horizon)]
     for m in sorted(members, key=lambda m: pair(m.i, m.j)):
-        key = family_canonical(family, m.i) if family.exact else rows[m.i]
+        key = family_canonical(family, m.i) if family.exact else m.i
         if key in class_outcome:
             hit = class_outcome[key]
         else:
@@ -329,6 +336,37 @@ def test_a_star_witness(reg_ab):
     assert (v.witness.i, v.witness.j) == (36, 35)
 
 
+# lengths 0, 1, 4 and the even lengths from 10 on: regular, with the row of
+# the square lengths on every window that ends before length 9
+SQUARE_ROW_DFA = {"dfa": {"states": 11, "initial": 0,
+                          "transitions": [[s + 1] * 2 for s in range(10)] + [[9, 9]],
+                          "accepting": [0, 1, 4, 10]}}
+SQUARE_ROW_FAMILY = {"alphabet": "ab", "list": [
+    {"predicate": "square-length"}, SQUARE_ROW_DFA,
+    {"op": "complement", "arg": {"predicate": "square-length"}},
+    {"op": "complement", "arg": SQUARE_ROW_DFA}]}
+
+
+def test_members_that_share_a_row_are_each_scanned(tmp_path, capsys):
+    """Square lengths (index 0) do not split a* on the window, but index 1,
+    a regular language with their row, splits it exactly.  The least pair
+    that shows it is (3, 0): index 1's complement, and index 0, which only
+    the window pairs with it.  Every member counts."""
+    family = family_from_json(SQUARE_ROW_FAMILY)
+    v = assert_matches_pair_scan(A_ONLY, family, 4, 300)
+    assert v.is_refuted and not v.exact
+    assert (v.witness.i, v.witness.j, v.witness.status) == (3, 0, "horizon")
+    assert [(e.kind, e.exact) for e in v.evidence] == [("infinite", True)] * 2
+    target, fam = tmp_path / "target.json", tmp_path / "family.json"
+    target.write_text(json.dumps({"alphabet": "ab", "expr": expr_to_json(A_ONLY)}))
+    fam.write_text(json.dumps(SQUARE_ROW_FAMILY))
+    code = main(["cohesive", "--target", str(target), "--family", str(fam),
+                 "--index-bound", "4", "--horizon", "300"])
+    report = json.loads(capsys.readouterr().out)
+    del report["config"]
+    assert code == 0 and report == v.to_json()
+
+
 def test_b_free_words_refuted(ab, reg_ab):
     v = check_cohesive(A_ONLY, reg_ab, index_bound=3700, horizon=300)
     assert v.is_refuted and v.exact
@@ -348,8 +386,7 @@ def test_b_free_words_refuted(ab, reg_ab):
 def test_trivial_family_always_consistent(ab):
     fam = list_family("trivial", ab, [EMPTY, FULL],
                       FamilyFlags(nontrivial=True, union_closed=True,
-                                  inter_closed=True, complement_closed=True),
-                      exact=True)
+                                  inter_closed=True, complement_closed=True))
     for target in (A_ONLY, LeftMark("a", FULL), Predicate("square-length")):
         v = check_cohesive(target, fam, index_bound=40, horizon=300)
         assert not v.is_refuted

@@ -1,13 +1,14 @@
 """The regular family's rows and class index straight from its transition
 tables, against the expression route they replace: ``window_rows`` over
-``family.expr(i)`` for the rows, and a class index over the same
-generator with no row builder or state bound for the classes."""
+``family.expr(i)`` for the rows, and for the classes a class index over
+the same generator with no row builder and the state bound found by a
+scan over the expressions."""
 
 import pytest
 
 from cptk.dfa import Dfa
 from cptk.families import FamilyEnum, regular_family
-from cptk.langs import regular_view, window_rows
+from cptk.langs import DfaAtom, regular_view, window_rows
 from cptk.words import Alphabet
 
 # ranges that start mid-table and cross state-count blocks: over "a" the
@@ -22,11 +23,23 @@ def expr_rows(family, lo, hi, count):
     return window_rows([family.expr(i) for i in range(lo, hi)], family.alphabet, count)
 
 
+def expr_scan_states(generator):
+    """The state bound found by a scan over the generator's expressions:
+    the most states of an automaton below the bound (1 below bound 0) when
+    every index below it is an automaton atom, else None."""
+    def state_bound(index_bound):
+        exprs = [generator(i) for i in range(index_bound)]
+        if not all(isinstance(e, DfaAtom) for e in exprs):
+            return None
+        return max((e.dfa.n_states for e in exprs), default=1)
+    return state_bound
+
+
 def expr_route(family):
     """The family's generator, with rows and state bounds found from the
     expressions."""
     return FamilyEnum(family.name, family.alphabet, family.generator, family.exact,
-                      family.flags)
+                      family.flags, state_bound=expr_scan_states(family.generator))
 
 
 @pytest.mark.parametrize("symbols", RANGES)
@@ -51,8 +64,8 @@ def test_state_bound_matches_expression_scan():
                             ("ab", [0, 1, 2, 3, 66, 67, 3700])):
         family = regular_family(Alphabet.parse(symbols))
         oracle = expr_route(family)
-        assert [family.max_states(b) for b in bounds] == \
-            [oracle.max_states(b) for b in bounds]
+        assert [family.state_bound(b) for b in bounds] == \
+            [oracle.state_bound(b) for b in bounds]
 
 
 @pytest.mark.parametrize("symbols,bound,horizon,split", [
