@@ -338,16 +338,42 @@ def _int_at_least(low: int):
     return parse
 
 
+# each command's help line, in the order the full parser lists them
+COMMANDS = {
+    "lex": "print the first N words in order",
+    "laws": "spot-check closure-algebra identities",
+    "solve": "search for a partition certificate",
+    "cohesive": "scan for a splitting witness",
+    "ccore": "core / conditional-core status report",
+    "hardcore": "run the diagonalization loop",
+    "verify-trace": "replay a trace and check invariants",
+    "make": "emit a generated problem file",
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of one command, or of every command
+    when ``command`` is None; built once per process and command, since
+    parsing leaves it unchanged.  The command list is named in full either
+    way, so that help and usage errors read the same."""
     parser = argparse.ArgumentParser(
         prog="cptk",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the full parser's metavar is its choices; one command's names them all
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name, help_line in COMMANDS.items():
+        if command in (None, name):
+            _add_arguments(sub.add_parser(name, help=help_line), name)
+    return parser
 
-    def add_bounds(p, steps=False):
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """The arguments and handler of one command's subparser."""
+    def add_bounds(steps=False):
         p.add_argument("--index-bound", type=_int_at_least(1), default=500,
                        help="family indices scanned (default 500)")
         p.add_argument("--horizon", type=_int_at_least(0), default=300,
@@ -359,67 +385,61 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--steps", type=_int_at_least(1), default=256,
                            help="words processed by the loop (default 256)")
 
-    p = sub.add_parser("lex", help="print the first N words in order")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--order", help="explicit symbol order override")
-    p.add_argument("--count", type=_int_at_least(0), default=16)
-    p.set_defaults(func=cmd_lex)
-
-    p = sub.add_parser("laws", help="spot-check closure-algebra identities")
-    p.add_argument("--family", required=True)
-    p.add_argument("--law", default="all", choices=("all",) + LAW_IDS)
-    p.add_argument("--samples", type=_int_at_least(1), default=50)
-    add_bounds(p)
-    p.set_defaults(func=cmd_laws)
-
-    p = sub.add_parser("solve", help="search for a partition certificate")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--family", required=True)
-    add_bounds(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("cohesive", help="scan for a splitting witness")
-    p.add_argument("--target", required=True, help="language file to test")
-    p.add_argument("--family", required=True)
-    p.add_argument("--condition", help="restrict witnesses inside this language")
-    add_bounds(p)
-    p.set_defaults(func=cmd_cohesive)
-
-    p = sub.add_parser("ccore", help="core / conditional-core status report")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--samples", type=_int_at_least(0), default=4,
-                   help="sliced subproblems sampled (default 4)")
-    add_bounds(p)
-    p.set_defaults(func=cmd_ccore)
-
-    p = sub.add_parser("hardcore", help="run the diagonalization loop")
-    p.add_argument("--family", required=True)
-    p.add_argument("--condition", help="language file (default: empty language)")
-    p.add_argument("--target", required=True, help="language file")
-    p.add_argument("--trace", help="write the JSONL trace here")
-    add_bounds(p, steps=True)
-    p.set_defaults(func=cmd_hardcore)
-
-    p = sub.add_parser("verify-trace", help="replay a trace and check invariants")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--condition")
-    p.add_argument("--target", required=True)
-    add_bounds(p)
-    p.set_defaults(func=cmd_verify_trace)
-
-    p = sub.add_parser("make", help="emit a generated problem file")
-    p.add_argument("kind", choices=("ziegler", "example26"))
-    p.add_argument("--base", required=True, help="base language file")
-    add_bounds(p)
-    p.set_defaults(func=cmd_make)
-
-    return parser
+    if command == "lex":
+        p.add_argument("--alphabet", required=True)
+        p.add_argument("--order", help="explicit symbol order override")
+        p.add_argument("--count", type=_int_at_least(0), default=16)
+        p.set_defaults(func=cmd_lex)
+    elif command == "laws":
+        p.add_argument("--family", required=True)
+        p.add_argument("--law", default="all", choices=("all",) + LAW_IDS)
+        p.add_argument("--samples", type=_int_at_least(1), default=50)
+        add_bounds()
+        p.set_defaults(func=cmd_laws)
+    elif command == "solve":
+        p.add_argument("--problem", required=True)
+        p.add_argument("--family", required=True)
+        add_bounds()
+        p.set_defaults(func=cmd_solve)
+    elif command == "cohesive":
+        p.add_argument("--target", required=True, help="language file to test")
+        p.add_argument("--family", required=True)
+        p.add_argument("--condition", help="restrict witnesses inside this language")
+        add_bounds()
+        p.set_defaults(func=cmd_cohesive)
+    elif command == "ccore":
+        p.add_argument("--problem", required=True)
+        p.add_argument("--family", required=True)
+        p.add_argument("--samples", type=_int_at_least(0), default=4,
+                       help="sliced subproblems sampled (default 4)")
+        add_bounds()
+        p.set_defaults(func=cmd_ccore)
+    elif command == "hardcore":
+        p.add_argument("--family", required=True)
+        p.add_argument("--condition", help="language file (default: empty language)")
+        p.add_argument("--target", required=True, help="language file")
+        p.add_argument("--trace", help="write the JSONL trace here")
+        add_bounds(steps=True)
+        p.set_defaults(func=cmd_hardcore)
+    elif command == "verify-trace":
+        p.add_argument("--trace", required=True)
+        p.add_argument("--family", required=True)
+        p.add_argument("--condition")
+        p.add_argument("--target", required=True)
+        add_bounds()
+        p.set_defaults(func=cmd_verify_trace)
+    else:  # make
+        p.add_argument("kind", choices=("ziegler", "example26"))
+        p.add_argument("--base", required=True, help="base language file")
+        add_bounds()
+        p.set_defaults(func=cmd_make)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command leading the arguments needs its own subparser only;
+    # anything else (no command, --help, an unknown name) the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -65,10 +65,14 @@ class Dfa:
             fault = _table_fault(self.n_symbols, self.transitions)
         except TypeError:  # an unhashable table, such as a list of rows
             fault = _table_fault.__wrapped__(self.n_symbols, self.transitions)
+            if fault is None:  # kept as tuples, so that the automaton hashes
+                object.__setattr__(self, "transitions", tuple(map(tuple, self.transitions)))
         if fault is not None:
             raise ValueError(fault)
         if any(not 0 <= s < n for s in self.accepting):
             raise ValueError("accepting state out of range")
+        if type(self.accepting) is not frozenset:
+            object.__setattr__(self, "accepting", frozenset(self.accepting))
 
     @property
     def n_states(self) -> int:

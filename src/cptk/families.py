@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from . import codec, kernels
 from .dfa import Dfa, dfa_length_equals
 from .langs import (EMPTY, MAX_EXPR_DEPTH, Complement, DfaAtom, FiniteSet, Inter,
-                    LangExpr, Union, expr_from_json, intersection_views, member,
-                    regular_view, window_rows)
+                    LangExpr, Union, _evaluate, expr_from_json, intersection_views,
+                    member, regular_view, window_rows)
 from .verdicts import validate_horizon
 from .words import Alphabet, lex
 
@@ -107,7 +107,8 @@ class FamilyEnum:
 
         One list per horizon, extended when a larger bound asks for more;
         the lists of the ``ROW_HORIZONS`` most recently used horizons are
-        kept.
+        kept.  Without a row builder the rows are evaluated past the row
+        memo of :func:`langs.window_rows`, which these lists would flood.
         """
         cached = self._rows.pop(horizon, [])
         self._rows[horizon] = cached
@@ -118,8 +119,8 @@ class FamilyEnum:
             if self.row_builder is not None:
                 cached.extend(self.row_builder(lo, index_bound, horizon + 1))
             else:
-                cached.extend(window_rows([self.expr(i) for i in range(lo, index_bound)],
-                                          self.alphabet, horizon + 1))
+                cached.extend(_evaluate([self.expr(i) for i in range(lo, index_bound)],
+                                        self.alphabet, horizon + 1))
         return cached[:index_bound]
 
 
@@ -498,8 +499,15 @@ def inside_check(family: FamilyEnum, region: LangExpr, index_bound: int, horizon
 
 def dc_member(family: FamilyEnum, i: int, j: int, horizon: int) -> DcMember:
     """A pair of indices from complement classes: proven on exact
-    families, checked to the horizon on the others."""
-    return DcMember(i, j, "exact") if family.exact else DcMember(i, j, "horizon", horizon)
+    families, and on the others when both languages have minimal automata,
+    from :func:`langs.regular_view`, and one is the other's complement;
+    else checked to the horizon."""
+    if family.exact:
+        return DcMember(i, j, "exact")
+    vi, vj = (regular_view(family.expr(k), family.alphabet) for k in (i, j))
+    if vi is not None and vj is not None and vi.complement() == vj:
+        return DcMember(i, j, "exact")
+    return DcMember(i, j, "horizon", horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 An expression tree combines atoms (explicit finite sets, automata, named
 total-recursive predicates) under union, intersection, complement, left
 marking and left quotient.  There is one evaluator, :func:`window_rows`:
-it gives membership in bulk as int rows over the window lex(0..n-1), and
-the membership of one word w in e is the one-word row of w⁻¹e.  Each
-predicate is an automaton built exact up to the longest word asked about.
+it gives membership in bulk as int rows over the window lex(0..n-1),
+remembered per expression, and the membership of one word w in e is the
+one-word row of w⁻¹e.  Each predicate is an automaton built exact up to
+the longest word asked about.
 
 The exact automaton backend, :func:`regular_view`, has one regularity
 rule: read every predicate leaf, keyed by its context, as FULL and as
@@ -177,7 +178,7 @@ def member(expr: LangExpr, word: str, alphabet: Alphabet) -> bool:
     """Is the word in the language?  w is in e exactly when the empty word,
     lex(0), is in w⁻¹e: the one-word window row of the quotient."""
     alphabet.check(word)
-    return window_rows([LeftQuotient(word, expr)], alphabet, 1)[0] == 1
+    return _evaluate([LeftQuotient(word, expr)], alphabet, 1)[0] == 1
 
 
 def _alphabet_mismatch(expr, alphabet):
@@ -186,9 +187,53 @@ def _alphabet_mismatch(expr, alphabet):
         f"automaton over {expr.dfa.n_symbols} symbols used with alphabet of size {alphabet.size}")
 
 
+class _RowKey(list):
+    """The memo key (expression, alphabet, count), hashed once: hashing an
+    expression walks its whole tree, and a call looks each key up several
+    times."""
+
+    __slots__ = ("hash",)
+
+    def __init__(self, *key):
+        super().__init__(key)
+        self.hash = hash(key)
+
+    def __hash__(self):
+        return self.hash
+
+
+# (expression, alphabet, count) -> the window row window_rows found; at most
+# AUTOMATON_CACHE_SIZE entries, least recently used evicted first
+_row_memo: dict[_RowKey, int] = {}
+
+
 def window_rows(exprs, alphabet: Alphabet, count: int) -> list[int]:
     """Membership of lex(0..count-1) in each expression, as int bitsets
     whose bit j is set when lex(j) is a member.
+
+    Each row is remembered under (expression, alphabet, count), for the
+    ``AUTOMATON_CACHE_SIZE`` most recently used keys: the rows of a call
+    are looked up, and the missing expressions are evaluated together, in
+    one :func:`_evaluate` pass.
+    """
+    memo = _row_memo
+    keys = [_RowKey(e, alphabet, count) for e in exprs]
+    rows = {}
+    for key in keys:
+        row = memo.pop(key, None)
+        if row is not None:
+            memo[key] = rows[key] = row
+    missing = [key for key in dict.fromkeys(keys) if key not in rows]
+    if missing:
+        for key, row in zip(missing, _evaluate([key[0] for key in missing], alphabet, count)):
+            memo[key] = rows[key] = row
+        for _ in range(len(memo) - AUTOMATON_CACHE_SIZE):
+            del memo[next(iter(memo))]
+    return [rows[key] for key in keys]
+
+
+def _evaluate(exprs, alphabet: Alphabet, count: int) -> list[int]:
+    """The rows of :func:`window_rows`, evaluated with no memo.
 
     Each tree is lowered with a pending left quotient u: ``LeftQuotient(w,
     e)`` at u is e at w+u; a mark at a nonempty u consumes u's first

@@ -34,9 +34,9 @@ def reg_abc(abc):
 
 @pytest.fixture
 def cold_caches():
-    """Empty the automaton caches (views and leaf readings) and the
-    table-check memo, so that a call-count guard counts the same work run
-    alone and in the suite.
+    """Empty the automaton caches (views and leaf readings), the window
+    row memo and the table-check memo, so that a call-count guard counts
+    the same work run alone and in the suite.
 
     The memos of the regular family's table route (decoded tables,
     accepting sets, row lists per horizon and class indices) live on the
@@ -44,6 +44,7 @@ def cold_caches():
     starts them cold."""
     langs.regular_view.cache_clear()
     langs.readings.cache_clear()
+    langs._row_memo.clear()
     dfa_module._table_fault.cache_clear()
 
 

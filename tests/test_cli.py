@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -874,10 +876,55 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch, length_fami
                 out.append((exc.code, *capsys.readouterr()))
         return out
 
-    assert cli.build_parser() is cli.build_parser()
+    for command in (None, "lex", "hardcore"):
+        assert cli.build_parser(command) is cli.build_parser(command)
     once = run_all()
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-    assert cli.build_parser() is not cli.build_parser()
+    for command in (None, "lex", "hardcore"):
+        assert cli.build_parser(command) is not cli.build_parser(command)
     assert run_all() == once
     assert [code for code, _, _ in once] == [0, 0, 2, 0, 0]
     assert json.loads(once[4][1])["config"]["horizon"] == 300
+
+
+def parse_outcome(parser, argv):
+    """The exit code, stdout and stderr of parsing ``argv``: help or a
+    usage error, both of which exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_command_parser_reads_as_the_full_parser(command):
+    """A command's own parser prints the full parser's help and usage
+    errors byte for byte: a missing required argument (or, for lex, a bad
+    count), an unknown option and an extra positional argument."""
+    full, own = cli.build_parser(), cli.build_parser(command)
+    assert own is not full
+    cases = [[command, "--help"], [command], [command, "--bogus"], [command, "x", "y", "z"],
+             [command, "--count", "-1"], [command, "--index-bound", "0"]]
+    for argv in cases:
+        want = parse_outcome(full, argv)
+        assert want[0] in (0, 2)
+        assert parse_outcome(own, argv) == want, argv
+    assert parse_outcome(full, [command, "--help"])[1].startswith(f"usage: cptk {command} ")
+
+
+def test_main_builds_only_the_invoked_command(monkeypatch, capsys):
+    """``main`` asks for the parser of a known leading command, and for the
+    full parser without one, for top-level help and for an unknown name."""
+    asked = []
+    build = cli.build_parser.__wrapped__
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: asked.append(command)
+                        or build(command))
+    assert main(["lex", "--alphabet", "ab", "--count", "2"]) == 0
+    for argv in ([], ["--help"], ["bogus"], ["--horizon", "3", "lex"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert asked == ["lex", None, None, None, None]
+    full_subparsers = build()._subparsers._group_actions[0].choices
+    assert list(full_subparsers) == list(cli.COMMANDS)
+    assert list(build("make")._subparsers._group_actions[0].choices) == ["make"]

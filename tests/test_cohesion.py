@@ -81,7 +81,12 @@ def pair_scan_dc_members(family, index_bound, horizon):
             by_row.setdefault(row, []).append(i)
         for j, row in enumerate(rows):
             for i in by_row.get(full & ~row, ()):
-                out.append(DcMember(i, j, "horizon", horizon))
+                # exact when both languages are regular and complements
+                keys = family_canonical(family, i), family_canonical(family, j)
+                if None not in keys and keys[0] == complement_key(keys[1]):
+                    out.append(DcMember(i, j, "exact"))
+                else:
+                    out.append(DcMember(i, j, "horizon", horizon))
     out.sort(key=lambda m: (m.i, m.j))
     return out
 
@@ -334,6 +339,22 @@ def test_a_star_witness(reg_ab):
     v = check_cohesive(A_ONLY, reg_ab, index_bound=400, horizon=300)
     assert v.is_refuted and v.exact
     assert (v.witness.i, v.witness.j) == (36, 35)
+
+
+def test_regular_complements_pair_exactly_on_a_family_that_is_not_exact(ab):
+    """Square lengths make the family not exact, but the even lengths and
+    their complement are automata: the witness pair is proven, and with
+    both sides' evidence exact, so is the refutation."""
+    even = DfaAtom(Dfa(2, ((1, 1), (0, 0)), 0, frozenset({0})))
+    family = list_family("mixed", ab, [SQ, Complement(SQ), even, Complement(even)])
+    assert not family.exact
+    v = assert_matches_pair_scan(A_ONLY, family, 4, 300)
+    assert v.is_refuted and v.exact
+    assert (v.witness.i, v.witness.j, v.witness.status) == (3, 2, "exact")
+    assert [(e.kind, e.exact) for e in v.evidence] == [("infinite", True)] * 2
+    assert [dc_member(family, i, j, 300) for i, j in complement_pairs(family, 4, 300)] == [
+        DcMember(0, 1, "horizon", 300), DcMember(1, 0, "horizon", 300),
+        DcMember(2, 3, "exact"), DcMember(3, 2, "exact")]
 
 
 # lengths 0, 1, 4 and the even lengths from 10 on: regular, with the row of

@@ -130,6 +130,19 @@ def test_list_valued_transitions_still_construct():
     assert construction_fault(2, [(0, 0)], 0, frozenset({1})) == ACCEPTING
 
 
+def test_list_valued_tables_are_stored_as_tuples(ab):
+    """An automaton built from lists hashes as the one built from tuples,
+    so that it keys the window row memo and the stacked pass's tables."""
+    d = Dfa(2, [[0, 0]], 0, frozenset({0}))
+    assert d.transitions == ((0, 0),) and type(d.transitions[0]) is tuple
+    assert hash(d) == hash(Dfa(2, ((0, 0),), 0, frozenset({0})))
+    assert window_rows([DfaAtom(d)], ab, 5) == [0b11111]
+    e = Dfa(2, ([1, 0], (1, 1)), 0, [1, 1])
+    assert e == Dfa(2, ((1, 0), (1, 1)), 0, frozenset({1}))
+    assert type(e.accepting) is frozenset and hash(e) == hash(DfaAtom(e).dfa)
+    assert window_rows([DfaAtom(e)], ab, 7) == [0b0111010]  # the words with an a
+
+
 def test_table_checked_once_per_distinct_table(monkeypatch, cold_caches):
     checked = []
     check = dfa_module._table_fault.__wrapped__
