@@ -25,7 +25,7 @@ from .classify import (ClassificationProblem, ConditionalProblem,
                        ProblemPrecondition)
 from .cohesion import (CohesionVerdict, check_cohesive, check_ccohesive,
                        check_core, check_ccore)
-from .hardcore import (DiagonalizationState, TraceEntry, hardcore_run,
+from .hardcore import (DiagonalizationState, TraceEntry, hardcore_run, hardcore_jsonl,
                        verify_trace, is_proper_hardcore, trace_to_jsonl,
                        trace_from_jsonl)
 from .constructions import MarkedComponent, ziegler_problem, example_26

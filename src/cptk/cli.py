@@ -34,7 +34,7 @@ from .classify import (ClosureFlagsAbsent, ProblemPrecondition, PartitionCertifi
 from .cohesion import check_ccohesive, check_ccore, check_cohesive, check_core
 from .constructions import example_26, ziegler_problem
 from .families import LAW_IDS, check_law, family_from_json
-from .hardcore import hardcore_run, trace_to_jsonl, verify_trace
+from .hardcore import hardcore_jsonl, verify_trace
 from .langs import EMPTY, UnknownPredicate, expr_from_json, expr_to_json
 from .words import Alphabet, words_up_to
 
@@ -270,9 +270,9 @@ def _load_condition_and_target(args, family):
 def cmd_hardcore(args) -> int:
     family = _load_family(args.family)
     condition, alphabet, target = _load_condition_and_target(args, family)
-    state, trace = hardcore_run(family, condition, target, alphabet, args.steps)
+    state, trace = hardcore_jsonl(family, condition, target, alphabet, args.steps)
     if args.trace:
-        _write_text(args.trace, trace_to_jsonl(trace))
+        _write_text(args.trace, trace)
     report = {
         "config": _config_echo(args),
         "steps": args.steps,

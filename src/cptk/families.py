@@ -14,9 +14,9 @@ automata are computable in both directions.  Its window rows come straight
 from the transition tables, a stack of tables per pass, and
 :class:`ClassIndex` asks it for the largest state count below a bound,
 read from the block starts; neither builds an automaton per index.  The
-finite family builds its rows from the decoded word ranks, with no
-expression.  Other families find their rows from their expressions and
-state no bound.
+finite family builds its rows from the decoded word ranks, and the length
+family from the rank range of each length, with no expression.  Other
+families find their rows from their expressions and state no bound.
 """
 
 from __future__ import annotations
@@ -329,19 +329,37 @@ def regular_family(alphabet: Alphabet) -> FamilyEnum:
 
 
 def length_family(alphabet: Alphabet) -> FamilyEnum:
-    """e(i) = all words of length exactly i."""
+    """e(i) = all words of length exactly i.
+
+    A window row is one run of bits: the words of length i hold the ranks
+    start(i)..start(i+1)-1, where start(i) = (b^i - 1)/(b - 1) over b
+    symbols, or i over one, and start(i+1) = b·start(i) + 1.
+    """
+    size = alphabet.size
 
     def gen(i: int) -> LangExpr:
-        return DfaAtom(dfa_length_equals(alphabet.size, i))
+        return DfaAtom(dfa_length_equals(size, i))
 
-    return FamilyEnum("length", alphabet, gen, exact=True, flags=FamilyFlags())
+    def row_builder(lo: int, hi: int, count: int) -> list[int]:
+        out = []
+        if lo < count:  # start(i) >= i, so the rows from index count on are empty
+            start = lo if size == 1 else (size ** lo - 1) // (size - 1)
+            while start < count and lo + len(out) < hi:
+                end = size * start + 1
+                out.append((1 << min(end, count)) - (1 << start))
+                start = end
+        return out + [0] * (hi - lo - len(out))
+
+    return FamilyEnum("length", alphabet, gen, exact=True, flags=FamilyFlags(),
+                      row_builder=row_builder)
 
 
 def finite_family(alphabet: Alphabet) -> FamilyEnum:
     """All finite languages: index 0 is empty, others decode rank tuples.
 
     A window row is built from the ranks themselves: the bits of the ranks
-    below the window's end.
+    below the window's end, OR'ed along the nested pairs of the rank tuple's
+    code, so that indices whose tuples share a tail share its row.
     """
     # lex(0..r) for the largest rank r decoded so far; the ranks of index
     # i are below i, so this list never outgrows the family's expressions
@@ -357,9 +375,36 @@ def finite_family(alphabet: Alphabet) -> FamilyEnum:
         return FiniteSet(tuple(words[r] for r in ranks))
 
     def row_builder(lo: int, hi: int, count: int) -> list[int]:
-        # index i > 0 holds the words of the ranks seq_decode(i - 1)
-        return [sum({1 << r for r in codec.seq_decode(i - 1) if r < count}) if i else 0
-                for i in range(lo, hi)]
+        # the row of tuple_decode(code, arity), for each pair met
+        memo: dict[tuple[int, int], int] = {}
+
+        def tuple_row(code: int, arity: int) -> int:
+            # unpair down to arity 1, whose value is code itself, or to code
+            # 0, whose values are all rank 0, or to a pair already met
+            chain = []
+            while (code, arity) not in memo:
+                if arity == 1 or code == 0:
+                    memo[code, arity] = 1 << code if code < count else 0
+                    break
+                x, rest = codec.unpair(code)
+                chain.append(((code, arity), 1 << x if x < count else 0))
+                code, arity = rest, arity - 1
+            row = memo[code, arity]
+            for key, bit in reversed(chain):
+                row |= bit
+                memo[key] = row
+            return row
+
+        # index i > 0 holds the words of the ranks seq_decode(i - 1), that
+        # is tuple_decode(y, x + 1) with (x, y) = unpair(i - 1)
+        out = []
+        for i in range(lo, hi):
+            if i:
+                x, y = codec.unpair(i - 1)
+                out.append(tuple_row(y, x + 1))
+            else:
+                out.append(0)
+        return out
 
     return FamilyEnum("finite", alphabet, gen, exact=True,
                       flags=FamilyFlags(nontrivial=False, union_closed=True,

@@ -14,11 +14,12 @@ bit-reproducible and replay-verifiable.
 ``blocked``, the OR of those rows.  A step changes the state only on a
 blocked condition word (a cancellation) or on an unblocked target word
 outside the condition (an acceptance); one bitset expression finds the
-next such event, :func:`_step` decides it, and the skips before it are
-written at once by one segment rule.  The run keeps the walk's entries;
-the verifier writes their lines and compares them with the trace text,
-so a clean trace is never decoded, and from the first line that differs
-on it decodes and checks each line rank by rank.
+next such event, :func:`_step` decides it, and the walk hands out the
+stretch of skips before it by its bounds.  :func:`hardcore_run` expands
+a stretch into entries; :func:`hardcore_jsonl` and the verifier write it
+as text in one ``%`` format, and the verifier compares that text with
+the trace at once, so a clean trace is never decoded, and from the first
+line that differs on it decodes and checks each line rank by rank.
 """
 
 from __future__ import annotations
@@ -199,21 +200,62 @@ class _GuardState:
         """:func:`_step` on rank n."""
         return _step(self.live_at(n), self.cond >> n & 1, self.target >> n & 1)
 
-    def segment(self, a: int, b: int, card: int):
-        """The plain entry tuples of ranks a..b-1, none of them an event:
-        skips, each with the reason its rank's rows give, and a blocked
-        target rank naming the least live index that contains it."""
-        blocking = [None] * (b - a)
+    def blockers(self, a: int, b: int) -> list[tuple[int, int]]:
+        """The blocked target ranks of a..b-1, none of them an event, by
+        the least live index that contains them: pairs (index, bitset of
+        its ranks, shifted down by a), in ascending index order."""
+        out = []
         todo = (self.accept & self.blocked) >> a & ((1 << (b - a)) - 1)
         for i, row in self.live.items():
             if not todo:
                 break
             hit = row >> a & todo
+            if hit:
+                out.append((i, hit))
+                todo ^= hit
+        return out
+
+    def segment(self, a: int, b: int, card: int):
+        """The plain entry tuples of ranks a..b-1, none of them an event:
+        skips, each with the reason its rank's rows give, and a blocked
+        target rank naming the least live index that contains it."""
+        blocking = [None] * (b - a)
+        for i, hit in self.blockers(a, b):
             for j in _bits(hit):
                 blocking[j] = i
-            todo ^= hit
         return zip(range(a, b), self.words[a:b], itertools.repeat(SKIPPED),
                    itertools.repeat(()), itertools.repeat(card), self.reasons[a:b], blocking)
+
+    def segment_text(self, a: int, b: int, card: int) -> str:
+        """The lines :func:`_trace_line` writes for the entries of
+        :meth:`segment`, as one string.
+
+        Every line of the stretch shares its action, its empty cancellation
+        list and its card, so the stretch is one ``%`` format of one
+        template per line over the (rank, quoted reason, quoted word)
+        triples; a blocked rank's template also names its blocking index.
+        """
+        if a == b:
+            return ""
+        skip = f'{{"action":"skipped","cancelled":[],"card":{card},"n":%d,"reason":%s,"word":%s}}\n'
+        marks = self.blockers(a, b)
+        if marks:
+            template = [skip] * (b - a)
+            for i, hit in marks:
+                line = skip.replace('"cancelled"', f'"blocking":{i},"cancelled"')
+                for j in _bits(hit):
+                    template[j] = line
+            template = "".join(template)
+        else:
+            template = skip * (b - a)
+        words, reasons = self.quoted
+        return template % tuple(itertools.chain.from_iterable(
+            zip(range(a, b), reasons[a:b], words[a:b])))
+
+    @functools.cached_property
+    def quoted(self) -> tuple[list[str], list[str]]:
+        """The JSON strings of the words and of the reasons, by rank."""
+        return list(map(_quote, self.words)), list(map(_quote, self.reasons))
 
 
 def _reasons(cond: int, target: int, steps: int) -> list[str]:
@@ -258,36 +300,35 @@ def _step(live: int, in_condition: int, in_target: int
 
 
 def _walk(guards: _GuardState, act):
-    """The run's entry tuples in rank order: each stretch of skips as one
-    :meth:`_GuardState.segment` batch, then each event, decided by
-    :func:`_step`, as a one-tuple.  ``act(n, word, action, cancelled,
-    card)`` applies an event only when what follows it is asked for, so a
-    consumer that stops at an event leaves the state as it was before it."""
+    """The run in rank order, one stretch of skips at a time: for each
+    event, ``(a, b, card, event)`` with the skips a..b-1 before it, at
+    accepted count ``card``, and the event at rank b, the tuple of its entry
+    fields decided by :func:`_step`; last ``(a, steps, card, None)``.
+
+    A consumer writes a stretch by :meth:`_GuardState.segment` or
+    :meth:`_GuardState.segment_text` before it asks for the next item.
+    ``act(n, word, action, cancelled, card)`` applies an event only when
+    what follows it is asked for, so a consumer that stops at an event
+    leaves the state as it was before it."""
     n = card = 0
     while True:
         b = guards.next_event(n)
-        if b > n:
-            yield guards.segment(n, b, card)
         if b == guards.steps:
+            yield n, b, card, None
             return
         action, hits, reason, blocking = guards.step(b)
-        card += action == ACCEPTED
-        event = (b, guards.words[b], action, tuple(_bits(hits)), card, reason, blocking)
-        yield (event,)
+        event = (b, guards.words[b], action, tuple(_bits(hits)),
+                 card + (action == ACCEPTED), reason, blocking)
+        yield n, b, card, event
+        card = event[4]
         act(*event[:5])
         n = b + 1
 
 
-def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
-                 alphabet: Alphabet, steps: int
-                 ) -> tuple[DiagonalizationState, list[TraceEntry]]:
-    """The diagonalization over the first ``steps`` words, by events.
-
-    Step n runs the loop of the module docstring on lex(n); the entries
-    are those of :func:`_walk`.  The accepted prefix decides membership
-    below rank ``steps`` exactly (accept exactly the listed words);
-    beyond that the run says nothing.
-    """
+def _run(family: FamilyEnum, condition: LangExpr, target: LangExpr, alphabet: Alphabet,
+         steps: int, write):
+    """The diagonalization over the first ``steps`` words, and its trace as
+    ``write(guards, walk)`` writes the items of :func:`_walk`."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     guards = _GuardState(family, condition, target, alphabet, steps)
@@ -301,8 +342,48 @@ def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
             accepted.append(word)
             guards.guard(card, n + 1)
 
-    trace = list(map(_entry, itertools.chain.from_iterable(_walk(guards, act))))
+    trace = write(guards, _walk(guards, act))
     return DiagonalizationState(steps, tuple(accepted), frozenset(cancelled)), trace
+
+
+def _entries(guards: _GuardState, walk) -> list[TraceEntry]:
+    trace = []
+    for a, b, card, event in walk:
+        trace += map(_entry, guards.segment(a, b, card))
+        if event is not None:
+            trace.append(_entry(event))
+    return trace
+
+
+def _text(guards: _GuardState, walk) -> str:
+    return "".join(_lines(guards, *item) for item in walk)
+
+
+def _lines(guards: _GuardState, a: int, b: int, card: int, event) -> str:
+    """The trace lines of one item of :func:`_walk`: its stretch of skips
+    and its event."""
+    text = guards.segment_text(a, b, card)
+    return text if event is None else text + _trace_line(*event)
+
+
+def hardcore_run(family: FamilyEnum, condition: LangExpr, target: LangExpr,
+                 alphabet: Alphabet, steps: int
+                 ) -> tuple[DiagonalizationState, list[TraceEntry]]:
+    """The diagonalization over the first ``steps`` words, by events.
+
+    Step n runs the loop of the module docstring on lex(n); the entries
+    are those of :func:`_walk`.  The accepted prefix decides membership
+    below rank ``steps`` exactly (accept exactly the listed words);
+    beyond that the run says nothing.
+    """
+    return _run(family, condition, target, alphabet, steps, _entries)
+
+
+def hardcore_jsonl(family: FamilyEnum, condition: LangExpr, target: LangExpr,
+                   alphabet: Alphabet, steps: int) -> tuple[DiagonalizationState, str]:
+    """:func:`hardcore_run` with its trace as :func:`trace_to_jsonl` writes
+    it, written one stretch of skips at a time with no entry built."""
+    return _run(family, condition, target, alphabet, steps, _text)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +413,12 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
     is written as such and raises the reader's error at the line of its
     entry, counted from 1.  Until the first entry that differs from the
     run's, the guard state the trace builds is exactly the run's.  So the
-    replay writes the lines of :func:`_walk`, with checks (a), (b) and (d)
-    as its callback, and compares them with the text at a cursor; a clean
-    trace is never decoded, and each event is checked on the walk's own
-    fields, which are what decoding its line would give.
+    replay walks :func:`_walk`, with checks (a), (b) and (d) as its
+    callback, and compares the lines of each stretch of skips and the
+    event after it with the text at a cursor, at once; where they differ
+    it finds the first line that differs.  A clean trace is never decoded,
+    and each event is checked on the walk's own fields, which are what
+    decoding its line would give.
 
     From the first line that differs on, each line is decoded as
     :func:`trace_from_jsonl` decodes it, with the same errors, and its
@@ -406,14 +489,20 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
 
     # the first line that differs from the run's, at rank start and offset cursor
     cursor = start = 0
-    walk = itertools.chain.from_iterable(_walk(guards, check))
-    for line in itertools.starmap(_trace_line, walk):
-        if not text.startswith(line, cursor):
+    for item in _walk(guards, check):
+        lines = _lines(guards, *item)
+        if not text.startswith(lines, cursor):
+            for line in lines.split("\n")[:-1]:
+                if not text.startswith(line + "\n", cursor):
+                    break
+                cursor += len(line) + 1
+                start += 1
             break
-        cursor += len(line)
-        start += 1
+        cursor += len(lines)
+        start += lines.count("\n")
     divergence = None
-    for pos, entry in enumerate(_decode_lines(text[cursor:], start + 1), start):
+    rest = _decode_lines(text[cursor:], start + 1) if cursor < len(text) else ()
+    for pos, entry in enumerate(rest, start):
         w = words[pos]
         if divergence is None:
             action, hits, reason, blocking = guards.step(pos)

@@ -14,7 +14,7 @@ from cptk.families import (LAW_IDS, FamilyEnum, canonical_index, check_law, clos
                            family_from_json, finite_family, length_family,
                            list_family, regular_family, regular_index_encode)
 from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, LeftMark,
-                        Predicate, is_finite, regular_view, window_rows)
+                        Predicate, _evaluate, is_finite, regular_view, window_rows)
 from cptk.words import Alphabet, AlphabetMismatch, lex, ord_
 
 from .batch_oracle import batch_row
@@ -203,6 +203,45 @@ def test_finite_rows_build_no_expression(ab, monkeypatch):
     rows = family.rows(600, 599)
     assert len(rows) == 600 and family._exprs == {}
     assert rows == window_rows([lex_finite_gen(ab, i) for i in range(600)], ab, 600)
+
+
+def decoded_rank_rows(lo, hi, count):
+    """The finite family's row builder before it shared tuple rows: one
+    :func:`seq_decode` per index."""
+    return [sum({1 << r for r in seq_decode(i - 1) if r < count}) if i else 0
+            for i in range(lo, hi)]
+
+
+@pytest.mark.parametrize("count", [0, 40, 300, 600, 2000])
+def test_finite_rows_match_decoded_rank_rows(ab, count):
+    """The rows OR'ed along shared tuple tails against one decoding per
+    index, for ranges that start at 0 and past it, deep tuples included."""
+    family = finite_family(ab)
+    for lo, hi in ((0, 600), (1, 2), (250, 700), (1999, 2300), (5, 5), (10 ** 6, 10 ** 6 + 40)):
+        assert family.row_builder(lo, hi, count) == decoded_rank_rows(lo, hi, count)
+
+
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 301, 2000])
+def test_length_rows_match_automaton_rows(symbols, count):
+    """The closed-form rows against the rows of the length automata, for
+    ranges that start at 0 and past it, across and beyond the window."""
+    alphabet = Alphabet.parse(symbols)
+    family = length_family(alphabet)
+    for lo, hi in ((0, 12), (1, 2), (3, 9), (6, 40), (4, 4), (1995, 2003)):
+        want = _evaluate([family.expr(i) for i in range(lo, hi)], alphabet, count)
+        assert family.row_builder(lo, hi, count) == want
+
+
+def test_length_rows_build_no_automaton(ab, monkeypatch):
+    family = length_family(ab)
+    monkeypatch.setattr(families, "dfa_length_equals",
+                        lambda *args: pytest.fail(f"automaton {args} built"))
+    rows = family.rows(3000, 300)
+    assert len(rows) == 3000 and family._exprs == {}
+    # lex(0..300) holds the words of lengths 0..7 and the first 46 of length 8
+    assert [r.bit_length() for r in rows[:10]] == [1, 3, 7, 15, 31, 63, 127, 255, 301, 0]
+    assert not any(rows[9:])
 
 
 def test_length_family_exact(ab):

@@ -881,11 +881,12 @@ def test_verify_trace_command_builds_one_guard_state_and_no_run(tmp_path, capsys
         real_init(self, family, condition, target, alphabet, steps)
 
     def no_run(*args):
-        raise AssertionError("hardcore_run called")
+        raise AssertionError("the diagonalization was run")
 
     monkeypatch.setattr(cptk.hardcore._GuardState, "__init__", counting_init)
-    monkeypatch.setattr(cptk.hardcore, "hardcore_run", no_run)
-    monkeypatch.setattr(cli, "hardcore_run", no_run)
+    # the runner behind hardcore_run and hardcore_jsonl
+    monkeypatch.setattr(cptk.hardcore, "_run", no_run)
+    monkeypatch.setattr(cli, "hardcore_jsonl", no_run)
     capsys.readouterr()
     assert cli.main(["verify-trace", *args]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]

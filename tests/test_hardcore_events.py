@@ -1,9 +1,11 @@
 """The diagonalization by events against the per-step code it replaced.
 
-``hardcore_run`` and ``verify_trace`` share one event walk: it decides
-only the steps that change state and yields the skips between them by
-one segment rule.  The run keeps its entries; the verifier writes their
-lines for the clean prefix of a trace and replays the rest rank by rank.
+``hardcore_run``, ``hardcore_jsonl`` and ``verify_trace`` share one
+event walk: it decides only the steps that change state and hands out
+the stretch of skips before each by its bounds.  The run expands a
+stretch into entries; the writer and the verifier write it as one text,
+and the verifier replays the trace rank by rank from the first line that
+differs.
 ``column_run`` and ``one_loop_verify_trace`` (tests/trace_oracle.py)
 decide every step; they are the differential oracles, and the counts
 pin the work saved.
@@ -126,12 +128,12 @@ def test_walk_applies_an_event_only_when_what_follows_is_asked_for(ab):
             guards.guard(card, n + 1)
 
     entries, events = [], []
-    for batch in cptk.hardcore._walk(guards, act):
-        for entry in batch:
-            entries.append(TraceEntry(*entry))
-            if entry[2] != "skipped":
-                assert acted == events
-                events.append(entry[0])
+    for a, b, card, event in cptk.hardcore._walk(guards, act):
+        entries += map(TraceEntry._make, guards.segment(a, b, card))
+        if event is not None:
+            assert acted == events
+            events.append(event[0])
+            entries.append(TraceEntry(*event))
     assert acted == events and len(events) == 11
     assert entries == hardcore_run(regular_family(ab), condition, target, ab, 2000)[1]
 

@@ -17,7 +17,7 @@ from cptk import cli
 from cptk.families import regular_family
 from cptk.hardcore import (TraceEntry, hardcore_run, trace_from_jsonl, trace_to_jsonl,
                            verify_trace)
-from cptk.langs import Complement, LeftMark, Predicate
+from cptk.langs import Complement, LeftMark, Predicate, expr_to_json
 
 from .test_hardcore import (BUILTINS, MARKERS, single_field_tampering,
                             tampered_traces)
@@ -178,11 +178,18 @@ def decoded_lines(monkeypatch):
 
 
 def test_verify_trace_command_decodes_only_lines_that_differ(ab, tmp_path, capsys,
-                                                             decoded_lines):
+                                                             decoded_lines, monkeypatch):
     """Over the regular family of ``ab``, with condition a·(prime-length)
-    and target b·¬(prime-length), a clean 2000-step trace decodes no line,
-    and one with a field of the line at rank k tampered decodes the lines
-    from k on."""
+    and target b·¬(prime-length), a clean 2000-step trace never reaches
+    the decoder, and one with a field of the line at rank k tampered
+    decodes the lines from k on, from line k + 1 of the file."""
+    reached = []
+    real_decode_lines = cptk.hardcore._decode_lines
+
+    def counted_decode_lines(text, lineno):
+        reached.append(lineno)
+        return real_decode_lines(text, lineno)
+    monkeypatch.setattr(cptk.hardcore, "_decode_lines", counted_decode_lines)
     files = {"regular.json": {"alphabet": "ab", "builtin": "regular"},
              "condition.json": {"alphabet": "ab", "expr": {
                  "op": "leftmark", "symbol": "a", "arg": {"predicate": "prime-length"}}},
@@ -200,9 +207,10 @@ def test_verify_trace_command_decodes_only_lines_that_differ(ab, tmp_path, capsy
     capsys.readouterr()
     assert cli.main(["verify-trace", *args]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
-    assert decoded_lines == []
+    assert decoded_lines == [] and reached == []
     trace = trace_from_jsonl(text)
     decoded_lines.clear()
+    reached.clear()
     condition, target = LeftMark("a", PRIME), LeftMark("b", Complement(PRIME))
     rng = np.random.default_rng(11)
     for k in (0, 1, 700, 1998, 1999):
@@ -211,9 +219,94 @@ def test_verify_trace_command_decodes_only_lines_that_differ(ab, tmp_path, capsy
             tampered[k] = single_field_tampering([trace[k]], field, rng, ab)[0]
             path.write_text(trace_to_jsonl(tampered))
             code = cli.main(["verify-trace", *args])
-            assert code == 5 and len(decoded_lines) == 2000 - k
+            assert code == 5 and len(decoded_lines) == 2000 - k and reached == [k + 1]
             report = json.loads(capsys.readouterr().out)
             del report["config"]
             assert report == one_loop_verify_trace(tampered, regular_family(ab),
                                                    condition, target, ab)
             decoded_lines.clear()
+            reached.clear()
+
+
+def language_file(path, expr):
+    path.write_text(json.dumps({"alphabet": "ab", "expr": expr_to_json(expr)}))
+    return str(path)
+
+
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_command_trace_is_the_text_of_the_run_entries(ab, tmp_path, capsys, builtin):
+    """``cptk hardcore --trace`` writes a stretch of skips at a time and
+    builds no entry; its file is ``trace_to_jsonl`` of the entries of
+    ``hardcore_run``, byte for byte, and its report holds the run's
+    state, for every pair of languages and 1 to 2000 steps."""
+    family = BUILTINS[builtin](ab)
+    data = {"alphabet": "ab", "builtin": builtin}
+    if builtin == "repeats":
+        data = {"alphabet": "ab", "name": builtin,
+                "list": [expr_to_json(family.expr(i)) for i in range(4)]}
+    (tmp_path / "family.json").write_text(json.dumps(data))
+    path = tmp_path / "t.jsonl"
+    blocked = 0
+    for languages in sorted(MARKERS):
+        condition, target = MARKERS[languages]
+        args = ["--family", str(tmp_path / "family.json"),
+                "--condition", language_file(tmp_path / "condition.json", condition),
+                "--target", language_file(tmp_path / "target.json", target),
+                "--trace", str(path)]
+        for steps in (1, 2, 64, 600, 2000):
+            assert cli.main(["hardcore", *args, "--steps", str(steps)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            state, trace = hardcore_run(family, condition, target, ab, steps)
+            text = path.read_text()
+            assert text == trace_to_jsonl(trace)
+            assert (report["accepted"], report["card"], report["cancelled"]) \
+                == (list(state.accepted), state.card, sorted(state.cancelled))
+            blocked += text.count('"blocking"')
+    assert (blocked > 0) == (builtin != "finite")
+
+
+def skip_stretches(trace):
+    """The first and last rank of each maximal run of skipped entries."""
+    out, first = [], None
+    for e in trace:
+        if e.action != "skipped":
+            first = None
+        elif first is None:
+            first = e.n
+            out.append([first, first])
+        else:
+            out[-1][1] = e.n
+    return out
+
+
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_tampered_skip_stretch_matches_one_loop_verifier(ab, builtin):
+    """Over a long stretch of skips, one with blocked ranks where the run
+    has one: every field tampered on its first, a middle and its last
+    line and on a blocked line inside it, and each of those lines
+    rewritten with spaces, which decodes to the run's entry."""
+    condition, target = MARKERS["a.A-b.notA"]
+    rng = np.random.default_rng([28, sorted(BUILTINS).index(builtin)])
+    family = BUILTINS[builtin](ab)
+    _, trace = hardcore_run(family, condition, target, ab, 2000)
+
+    def blocked_in(stretch):
+        return [k for k in range(stretch[0] + 1, stretch[1]) if trace[k].blocking is not None]
+    first, last = max(skip_stretches(trace),
+                      key=lambda s: (bool(blocked_in(s)), s[1] - s[0]))
+    blocked = blocked_in([first, last])
+    assert last - first >= 900 and bool(blocked) == (builtin != "finite")
+    ranks = {first, (first + last) // 2, last, *blocked[len(blocked) // 2:][:1]}
+    lines = trace_to_jsonl(trace).split("\n")
+    for k in sorted(ranks):
+        for field in TraceEntry._fields:
+            tampered = list(trace)
+            tampered[k] = single_field_tampering([trace[k]], field, rng, ab)[0]
+            text = trace_to_jsonl(tampered)
+            want = oracle_report(text, builtin, condition, target, ab)
+            assert verify_trace(text, family, condition, target, ab) == want
+        spaced = json.dumps(json.loads(lines[k]))
+        assert " " in spaced
+        text = "\n".join(lines[:k] + [spaced] + lines[k + 1:])
+        report = verify_trace(text, family, condition, target, ab)
+        assert report["ok"] and report == oracle_report(text, builtin, condition, target, ab)
