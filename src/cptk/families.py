@@ -250,26 +250,12 @@ def canonical_index(dfa: Dfa) -> int:
 
 def _regular_rows(n: int, n_symbols: int, lo: int, hi: int, count: int) -> list[int]:
     """The rows over lex(0..count-1) of the offsets lo..hi-1 into the
-    n-state block of the regular family.
-
-    The range's tables are decoded with :func:`kernels.table_digits` and
-    run in one :func:`kernels.state_rows` call; the 2^n accepting sets of a
-    table are built up one state at a time, each set's row one OR of a
-    smaller set's row and a state's row.
-    """
-    first, last = lo >> n, (hi - 1) >> n  # the tables of the range
-    tables = last + 1 - first
-    states = kernels.state_rows(kernels.table_digits(first, last, n, n_symbols),
-                                [n] * tables, [0] * tables, [range(n)] * tables, count)
-    out = []
-    for t in range(0, len(states), n):
-        # acc rank a accepts in state s when bit n-1-s of a is set
-        sets = [0]
-        for state in reversed(states[t:t + n]):
-            sets += [row | state for row in sets]
-        out += sets
+    n-state block of the regular family: the rows of the range's tables
+    from :func:`kernels.table_rows`, less those of the first table before
+    lo."""
+    first = lo >> n  # the table of lo
     skip = lo - (first << n)
-    return out[skip:skip + hi - lo]
+    return kernels.table_rows(first, (hi - 1) >> n, n, n_symbols, count)[skip:skip + hi - lo]
 
 
 def regular_family(alphabet: Alphabet) -> FamilyEnum:

@@ -36,7 +36,7 @@ from .classify import is_infinite_evidence, validate_bounds
 from .cohesion import meet_finiteness
 from .families import FamilyEnum, inside_check
 from .langs import LangExpr, is_finite, member, subset_of, window_rows
-from .words import Alphabet, lex, words_up_to
+from .words import Alphabet, lex, word_list
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ class _GuardState:
         self.cond, target_row = window_rows([condition, target], alphabet, steps)
         self.target = target_row
         self.accept = target_row & ~self.cond
-        self.words = list(words_up_to(alphabet, steps))
+        self.words = word_list(alphabet, steps)
         self.reasons = _reasons(self.cond, target_row, steps)
         self.rows: list[int] = []
         self.live: dict[int, int] = {}
@@ -436,9 +436,22 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
     so does a line that is not an entry, naming its line number.
     """
     text = trace if isinstance(trace, str) else trace_to_jsonl(trace)
-    steps = len(list(filter(str.strip, text.split("\n"))))
-    if steps < 1:
+    if not text or text.isspace():
         raise ValueError("an empty trace has no steps to verify")
+    # a step a line, as in a written trace, which has no blank line
+    return _replay(text, text.count("\n") + (not text.endswith("\n")),
+                   family, condition, target, alphabet)
+
+
+def _replay(text: str, steps: int, family: FamilyEnum, condition: LangExpr,
+            target: LangExpr, alphabet: Alphabet) -> dict:
+    """:func:`verify_trace` on a trace text read as ``steps`` steps.
+
+    The count is confirmed where the text stops matching the run's: the
+    lines before are the run's, none blank, and the nonblank lines from
+    there on are counted.  If they make another count, some line was
+    blank, and the text is replayed again with that count.
+    """
     violations = []
     guards = _GuardState(family, condition, target, alphabet, steps)
     words = guards.words
@@ -500,6 +513,10 @@ def verify_trace(trace: str | list[TraceEntry], family: FamilyEnum, condition: L
             break
         cursor += len(lines)
         start += lines.count("\n")
+    if cursor < len(text):
+        counted = start + len(list(filter(str.strip, text[cursor:].split("\n"))))
+        if counted != steps:
+            return _replay(text, counted, family, condition, target, alphabet)
     divergence = None
     rest = _decode_lines(text[cursor:], start + 1) if cursor < len(text) else ()
     for pos, entry in enumerate(rest, start):

@@ -1,8 +1,11 @@
 """The vector kernels behind the window rows, in the one module of
-:mod:`cptk` that imports numpy.  :func:`state_rows` is the stacked pass:
-automata run over the window lex(0..count-1) a stack at a time, each
-stack in one :func:`window_final_states` pass and one
-:func:`packed_state_rows` packing."""
+:mod:`cptk` that imports numpy.  :func:`state_rows` is the stacked pass of
+:func:`langs.window_rows`: automata run over the window lex(0..count-1) a
+stack at a time, each stack in one :func:`window_final_states` pass and
+one :func:`packed_state_rows` packing.  :func:`table_rows` is the regular
+family's: a stack of transition tables per :func:`window_final_states`
+pass, and the rows of every accepting set of a table built from the bit
+planes of its states."""
 
 from __future__ import annotations
 
@@ -62,6 +65,40 @@ def table_digits(first: int, last: int, n: int, n_symbols: int) -> np.ndarray:
     for p in reversed(range(n * n_symbols)):
         ranks, digits[:, p] = np.divmod(ranks, n)
     return digits.reshape(-1, n_symbols)
+
+
+def table_rows(first: int, last: int, n: int, n_symbols: int, count: int) -> list[int]:
+    """The rows over lex(0..count-1) of every (table, accepting set) of the
+    n-state tables of ranks first..last over ``n_symbols`` symbols, table
+    rank major and acc rank 0..2^n-1 minor: acc rank a accepts in state s
+    when bit n-1-s of a is set.
+
+    A stack takes ``STACK_WORDS // (n · count)`` tables, one at least.  Its
+    final states, less each table's offset, give one bit plane per (table,
+    state) in one ``np.packbits`` call; the planes of the accepting sets
+    are built by doubling, the states in reverse order, each new plane
+    the OR of an old one and a state's, and each row is one
+    ``int.from_bytes`` of its plane.
+    """
+    words, width = max(count, 1), -(-count // 8)
+    step = max(1, STACK_WORDS // (n * words))
+    out = []
+    for lo in range(first, last + 1, step):
+        tables = min(step, last + 1 - lo)
+        offsets = np.arange(0, tables * n, n, dtype=np.int32)
+        shift = np.repeat(offsets, n)[:, None]
+        trans = table_digits(lo, lo + tables - 1, n, n_symbols) + shift
+        finals = window_final_states(trans, offsets, count)
+        finals -= offsets[:, None]
+        planes = np.packbits(finals[:, None, :] == np.arange(n)[:, None], axis=2,
+                             bitorder="little")
+        sets = np.zeros((tables, 1, width), dtype=np.uint8)
+        for s in reversed(range(n)):
+            sets = np.concatenate((sets, sets | planes[:, s:s + 1]), axis=1)
+        data = sets.tobytes()
+        out += [int.from_bytes(data[p * width:(p + 1) * width], "little")
+                for p in range(tables << n)]
+    return out
 
 
 def window_final_states(trans: np.ndarray, initials: np.ndarray,

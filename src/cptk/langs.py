@@ -47,8 +47,29 @@ class LangExpr:
 
     __slots__ = ()
 
+    # set on a node by its first hash; not a field, so equality and the
+    # repr ignore it
+    _hash = None
 
-@dataclass(frozen=True)
+
+def _node(cls):
+    """A frozen dataclass node whose hash, its field tuple's, is found once
+    and kept on the node: otherwise every lookup rehashes its tree."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class FiniteSet(LangExpr):
     words: tuple[str, ...]
 
@@ -57,38 +78,38 @@ class FiniteSet(LangExpr):
                            tuple(sorted(set(self.words), key=lambda w: (len(w), w))))
 
 
-@dataclass(frozen=True)
+@_node
 class DfaAtom(LangExpr):
     dfa: Dfa
 
 
-@dataclass(frozen=True)
+@_node
 class Predicate(LangExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Union(LangExpr):
     args: tuple[LangExpr, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Inter(LangExpr):
     args: tuple[LangExpr, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Complement(LangExpr):
     arg: LangExpr
 
 
-@dataclass(frozen=True)
+@_node
 class LeftMark(LangExpr):
     symbol: str
     arg: LangExpr
 
 
-@dataclass(frozen=True)
+@_node
 class LeftQuotient(LangExpr):
     word: str
     arg: LangExpr
@@ -188,9 +209,9 @@ def _alphabet_mismatch(expr, alphabet):
 
 
 class _RowKey(list):
-    """The memo key (expression, alphabet, count), hashed once: hashing an
-    expression walks its whole tree, and a call looks each key up several
-    times."""
+    """The memo key (expression, alphabet, count), hashed once: a tuple
+    key would call the expression's and the alphabet's ``__hash__`` on each
+    of the several lookups of a call."""
 
     __slots__ = ("hash",)
 

@@ -138,8 +138,8 @@ def ord_(alphabet: Alphabet, w: str) -> int:
     return before + value
 
 
-def words_up_to(alphabet: Alphabet, count: int):
-    """Yield the first ``count`` words in order, one length block at a time.
+def _word_blocks(alphabet: Alphabet, count: int):
+    """The first ``count`` words in order, one iterator per length block.
 
     Each block of words of one length is the Cartesian power of the
     symbols in alphabet order, the last position varying fastest: the
@@ -147,7 +147,21 @@ def words_up_to(alphabet: Alphabet, count: int):
     """
     length = 0
     while count > 0:
-        yield from map("".join, itertools.islice(
+        yield map("".join, itertools.islice(
             itertools.product(alphabet.symbols, repeat=length), count))
         count -= alphabet.size ** length
         length += 1
+
+
+def words_up_to(alphabet: Alphabet, count: int):
+    """An iterator over the first ``count`` words in order."""
+    return itertools.chain.from_iterable(_word_blocks(alphabet, count))
+
+
+def word_list(alphabet: Alphabet, count: int) -> list[str]:
+    """The first ``count`` words in order, extended a length block at a
+    time."""
+    out: list[str] = []
+    for block in _word_blocks(alphabet, count):
+        out += block
+    return out

@@ -403,6 +403,98 @@ def test_regular_rows_match_the_table_loop(symbols, count, stack_words, monkeypa
         assert family.row_builder(lo, hi, count) == want
 
 
+def table_loop_rows(first, last, n, n_symbols, count):
+    """``families._regular_rows`` before ``kernels.table_rows``: one
+    ``state_rows`` call over the tables, and the 2^n accepting sets of each
+    table ORed together in Python, one state at a time."""
+    tables = last + 1 - first
+    states = kernels.state_rows(kernels.table_digits(first, last, n, n_symbols),
+                                [n] * tables, [0] * tables, [range(n)] * tables, count)
+    out = []
+    for t in range(0, len(states), n):
+        # acc rank a accepts in state s when bit n-1-s of a is set
+        sets = [0]
+        for state in reversed(states[t:t + n]):
+            sets += [row | state for row in sets]
+        out += sets
+    return out
+
+
+def table_ranges(n, n_symbols):
+    """Table ranges of the n-state block: its first tables, some from its
+    middle, and its last ones."""
+    total = n ** (n * n_symbols)
+    mid = total // 3
+    return sorted({(0, min(total, 12) - 1), (mid, min(total, mid + 20) - 1),
+                   (max(0, total - 5), total - 1)})
+
+
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 200, 301, 2000])
+@pytest.mark.parametrize("stack_words", [16, kernels.STACK_WORDS])
+def test_table_rows_match_the_subset_loop(symbols, n, count, stack_words, monkeypatch):
+    """Every stack boundary is crossed with ``STACK_WORDS`` at 16: one
+    table per stack."""
+    monkeypatch.setattr(kernels, "STACK_WORDS", stack_words)
+    for first, last in table_ranges(n, len(symbols)):
+        got = kernels.table_rows(first, last, n, len(symbols), count)
+        assert len(got) == (last + 1 - first) << n
+        assert got == table_loop_rows(first, last, n, len(symbols), count)
+
+
+# index ranges of the regular family that start and end mid-table, some
+# across state-count blocks: over "a" the blocks start at 0, 2, 18, 234
+# and 4330, over "ab" at 0, 2, 66 and 5898, over "abc" at 0, 2 and 258
+FAMILY_RANGES = {"a": [(1, 2), (3, 17), (5, 250), (4321, 4345)],
+                 "ab": [(0, 1), (1, 67), (63, 401), (5889, 5907)],
+                 "abc": [(0, 3), (255, 261), (1111, 1203)]}
+
+
+def family_loop_rows(symbols, lo, hi, count):
+    """The rows of the indices lo..hi-1 of the regular family, block by
+    block from :func:`table_loop_rows`."""
+    b, out, start, n = len(symbols), [], 0, 1
+    while lo < hi:
+        end = start + n ** (n * b) * 2 ** n  # the end of the n-state block
+        if lo < end:
+            first, last = (lo - start) >> n, (min(hi, end) - 1 - start) >> n
+            skip = lo - start - (first << n)
+            out += table_loop_rows(first, last, n, b, count)[skip:skip + min(hi, end) - lo]
+            lo = min(hi, end)
+        start, n = end, n + 1
+    return out
+
+
+@pytest.mark.parametrize("symbols", FAMILY_RANGES)
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 200, 301, 2000])
+@pytest.mark.parametrize("stack_words", [16, kernels.STACK_WORDS])
+def test_family_rows_match_the_subset_loop(symbols, count, stack_words, monkeypatch):
+    monkeypatch.setattr(kernels, "STACK_WORDS", stack_words)
+    family = regular_family(Alphabet.parse(symbols))
+    for lo, hi in FAMILY_RANGES[symbols]:
+        assert family.row_builder(lo, hi, count) == family_loop_rows(symbols, lo, hi, count)
+    # the cached rows, extended from a bound inside a table
+    family = regular_family(Alphabet.parse(symbols))
+    for bound in (5, 67, 400):
+        assert family.rows(bound, count - 1) == family_loop_rows(symbols, 0, bound, count)
+
+
+def test_regular_rows_take_no_state_rows_pass(ab, monkeypatch):
+    """The family's rows come from ``table_rows`` alone; ``window_rows``
+    still runs its automata through ``state_rows``."""
+    calls = []
+    for name in ("state_rows", "packed_state_rows"):
+        def counted(*args, _real=getattr(kernels, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    rows = regular_family(ab).rows(400, 300)
+    assert len(rows) == 400 and calls == []
+    window_rows([LeftMark("a", Predicate("square-length"))], ab, 301)
+    assert "state_rows" in calls
+
+
 def test_numpy_only_in_kernels():
     """``cptk.kernels`` is the one module of the package that imports numpy."""
     importers = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from math import isqrt
 
@@ -14,7 +15,7 @@ from cptk.langs import (EMPTY, FULL, Complement, DfaAtom, FiniteSet, Inter,
 from cptk.words import Alphabet, AlphabetMismatch, lex, words_up_to
 
 from .batch_oracle import batch_row
-from .conftest import random_mixed_expr, random_regular_expr
+from .conftest import random_mixed_expr, random_regular_expr, random_tree
 from .scalar_oracle import member as scalar_member
 from .simplify_oracle import simplify
 
@@ -321,3 +322,33 @@ def test_decisions_reject_negative_horizon(ab, horizon):
                  lambda: equivalent(sq, FULL, ab, horizon)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def nodes_of(expr):
+    """The expression's nodes, the root first."""
+    yield expr
+    for f in dataclasses.fields(expr):
+        value = getattr(expr, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, langs.LangExpr):
+                yield from nodes_of(child)
+
+
+def test_node_hash_is_the_field_tuple_hash_kept_once(ab):
+    """A node's hash is the dataclass hash, of its field tuple, found once;
+    equality, the repr and the JSON form do not see it."""
+    rng = np.random.default_rng(29)
+    exprs = [random_tree(rng, ab) for _ in range(60)] + [EMPTY, FULL]
+    kinds = set()
+    for e in exprs:
+        fresh = expr_from_json(expr_to_json(e), ab)
+        before = (repr(e), expr_to_json(e))
+        for node in nodes_of(e):
+            kinds.add(type(node))
+            fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+            assert hash(node) == hash(fields)
+            assert node._hash == hash(fields)
+        assert (repr(e), expr_to_json(e)) == before
+        assert fresh == e and fresh._hash is None and hash(fresh) == hash(e)
+    assert kinds == {FiniteSet, DfaAtom, Predicate, Union, Inter, Complement, LeftMark,
+                     LeftQuotient}

@@ -141,6 +141,56 @@ def test_text_with_no_entry_raises(ab, text):
         verify_trace(text, regular_family(ab), *MARKERS["a-b"], ab)
 
 
+def split_steps(text):
+    """The step count of ``verify_trace`` before it counted without
+    splitting: the nonblank ``"\\n"``-separated lines."""
+    return len(list(filter(str.strip, text.split("\n"))))
+
+
+def blank_line_texts(text):
+    """The text as written, and with blank, ``"\\r"`` and whitespace-only
+    lines at its start, among its lines and at its end, and with no final
+    newline."""
+    lines = text.split("\n")[:-1]
+    yield text
+    yield text[:-1]
+    for extra in ("", "\r", " ", "\t \x0b", "\u3000"):
+        for at in (0, 1, len(lines) // 2, len(lines)):
+            yield "\n".join(lines[:at] + [extra] + lines[at:]) + "\n"
+            yield "\n".join(lines[:at] + [extra] + lines[at:])
+    yield "\r\n".join(lines) + "\r\n"
+
+
+@pytest.mark.parametrize("builtin", ["finite", "regular"])
+def test_step_count_matches_the_split_count(ab, builtin, monkeypatch):
+    """The report's steps are the nonblank lines, and its violations the
+    one-loop verifier's; the text is replayed a second time only when a
+    line is blank."""
+    condition, target = MARKERS["a.A-b.notA"]
+    family = BUILTINS[builtin](ab)
+    replays = []
+    replay = cptk.hardcore._replay
+
+    def counted(text, steps, *args):
+        replays.append(steps)
+        return replay(text, steps, *args)
+
+    monkeypatch.setattr(cptk.hardcore, "_replay", counted)
+    for steps in (1, 2, 40):
+        _, trace = hardcore_run(family, condition, target, ab, steps)
+        diverged = list(trace)
+        diverged[-1] = trace[-1]._replace(card=trace[-1].card + 1)
+        for t in (trace, diverged):
+            for text in blank_line_texts(trace_to_jsonl(t)):
+                replays.clear()
+                report = verify_trace(text, family, condition, target, ab)
+                assert report["steps"] == split_steps(text) == steps
+                assert report == oracle_report(text, builtin, condition, target, ab)
+                pieces = text.removesuffix("\n").split("\n")
+                blank = not all(map(str.strip, pieces))
+                assert replays == [len(pieces), steps] if blank else [steps]
+
+
 @pytest.mark.parametrize("field, value", [("n", float), ("card", bool), ("cancelled", bool)])
 def test_entry_list_with_a_non_int_field_raises(ab, field, value):
     """A list of entries is verified as the text ``trace_to_jsonl`` writes

@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cptk.families import regular_family
+from cptk.hardcore import _GuardState
+from cptk.langs import EMPTY, FULL
 from cptk.words import (LT, EQ, GT, Alphabet, AlphabetMismatch, compare, lex,
-                        ord_, succ, words_up_to)
+                        ord_, succ, word_list, words_up_to)
 
 from .batch_oracle import window
 from .conftest import brute_words
@@ -73,6 +78,31 @@ def test_words_up_to_matches_successor(symbols, order):
     counts = sorted({-1, 0, 1} | {s + d for s in starts for d in (-1, 0, 1)})
     for count in counts:
         assert list(words_up_to(alphabet, count)) == list(succ_words_up_to(alphabet, count))
+
+
+def generator_words_up_to(alphabet, count):
+    """``words_up_to`` as a generator, which ``word_list`` replaced in the
+    guard state: resumed once per word."""
+    length = 0
+    while count > 0:
+        yield from map("".join, itertools.islice(
+            itertools.product(alphabet.symbols, repeat=length), count))
+        count -= alphabet.size ** length
+        length += 1
+
+
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+def test_word_list_matches_the_generator(symbols):
+    alphabet = Alphabet.parse(symbols)
+    b = alphabet.size
+    counts = sorted({0, 1, 2} | {b ** k + d for k in range(1, 7) for d in (-1, 0, 1)})
+    for count in counts:
+        want = list(generator_words_up_to(alphabet, count))
+        assert word_list(alphabet, count) == list(words_up_to(alphabet, count)) == want
+    family = regular_family(alphabet)
+    for count in (1, 2, b ** 5 + 1):
+        assert _GuardState(family, EMPTY, FULL, alphabet, count).words == \
+            list(generator_words_up_to(alphabet, count))
 
 
 def test_lex_examples(ab):
